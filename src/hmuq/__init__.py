@@ -80,7 +80,6 @@ from .trainer import (
 from .uncertainty import (
     LandmarkPrediction,
     McdConfig,
-    dataset_uncertainty,
     mcd_heatmap_fit,
     mcd_max,
     mcd_predict,

@@ -27,8 +27,15 @@ from .clinical import (
     mc_classify,
     write_curve_csv,
 )
-from .dataio import AnnotationRow, load_dataset, read_config_file, write_annotations
-from .fitting import FitConfig, FitDegenerateError, argmax_coord, fit_config_from_dict
+from .dataio import (
+    AnnotationRow,
+    config_from_dict,
+    load_dataset,
+    read_config_file,
+    write_annotations,
+    write_csv,
+)
+from .fitting import FitConfig, FitDegenerateError, argmax_coord
 from .gauss import AnisotropicGaussian, InvalidParameterError
 from .metrics import (
     aggregate_stats,
@@ -47,14 +54,7 @@ from .svgplot import (
     render_sigma_vs_error,
 )
 from .synthdata import SynthConfig, generate, synth_config_from_dict, write_synth_dataset
-from .trainer import (
-    TrainConfig,
-    predict,
-    read_checkpoint,
-    train,
-    train_config_from_dict,
-    write_checkpoint,
-)
+from .trainer import TrainConfig, predict, read_checkpoint, train, write_checkpoint
 from .uncertainty import McdConfig, mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
 CONFIG_ENV_VAR = "HMUQ_CONFIG"
@@ -91,18 +91,11 @@ def _load_training_dataset(data):
     return ds
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fit_config(args) -> FitConfig:
     path = _config_path(args)
     if path is None:
         return FitConfig()
-    return fit_config_from_dict(read_config_file(path))
+    return config_from_dict(FitConfig, read_config_file(path))
 
 
 def _fit_landmarks(model, image, fit_cfg):
@@ -136,7 +129,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     ds = _load_training_dataset(args.data)
     path = _config_path(args)
-    cfg = train_config_from_dict(read_config_file(path)) if path else TrainConfig()
+    cfg = config_from_dict(TrainConfig, read_config_file(path)) if path else TrainConfig()
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, target_mode=args.mode)
     if args.seed is not None:
@@ -148,12 +141,12 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
     write_checkpoint(model, ckpt)
-    _write_csv(os.path.join(args.out, "loss.csv"), ["iteration", "loss"],
-               [(i, repr(float(v))) for i, v in enumerate(model.loss_trace)])
-    _write_csv(os.path.join(args.out, "learned_covariances.csv"),
-               ["landmark_id", "theta_deg", "sigma_maj", "sigma_min"],
-               [(j, repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min))
-                for j, d in enumerate(model.target_decomps)])
+    write_csv(os.path.join(args.out, "loss.csv"), ["iteration", "loss"],
+              [(i, repr(float(v))) for i, v in enumerate(model.loss_trace)])
+    write_csv(os.path.join(args.out, "learned_covariances.csv"),
+              ["landmark_id", "theta_deg", "sigma_maj", "sigma_min"],
+              [(j, repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min))
+               for j, d in enumerate(model.target_decomps)])
     _say(args, f"wrote {ckpt}: final loss {model.loss_trace[-1]:.4f}")
     for j, d in enumerate(model.target_decomps):
         _say(args, f"  landmark {j}: theta {d.theta_deg:+.2f} deg, "
@@ -195,8 +188,8 @@ def cmd_fit(args) -> int:
         _warn(f"{skipped} heatmaps were too flat for a Gaussian fit; rows omitted")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fits.csv")
-    _write_csv(out_path, ["image_id", "landmark_id", "x_px", "y_px",
-                          "theta_deg", "sigma_maj", "sigma_min", "converged"], rows)
+    write_csv(out_path, ["image_id", "landmark_id", "x_px", "y_px",
+                         "theta_deg", "sigma_maj", "sigma_min", "converged"], rows)
     _say(args, f"wrote {out_path}: {len(rows)} fits")
     return 0
 
@@ -224,8 +217,8 @@ def cmd_mcd(args) -> int:
         _warn(f"{skipped} mean heatmaps were too flat for a Gaussian fit; rows omitted")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "mcd.csv")
-    _write_csv(out_path, ["image_id", "landmark_id", "source", "x_px", "y_px",
-                          "theta_deg", "sigma_maj", "sigma_min"], rows)
+    write_csv(out_path, ["image_id", "landmark_id", "source", "x_px", "y_px",
+                         "theta_deg", "sigma_maj", "sigma_min"], rows)
     _say(args, f"wrote {out_path}: {len(rows)} rows, k={mcd_cfg.k}")
     return 0
 
@@ -350,10 +343,10 @@ def cmd_clinical(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     class_path = os.path.join(args.out, "classifications.csv")
-    _write_csv(class_path, ["image_id", "measurement", "gt_class", "hard_class",
-                            "entropy_nats", "correct"], class_rows)
-    _write_csv(os.path.join(args.out, "probabilities.csv"),
-               ["image_id", "measurement", "label", "probability"], prob_rows)
+    write_csv(class_path, ["image_id", "measurement", "gt_class", "hard_class",
+                           "entropy_nats", "correct"], class_rows)
+    write_csv(os.path.join(args.out, "probabilities.csv"),
+              ["image_id", "measurement", "label", "probability"], prob_rows)
     for mdef, _ in measurements:
         ids, results, gts = per_measurement[mdef.name]
         if not ids:

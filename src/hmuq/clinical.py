@@ -17,7 +17,6 @@ or below the first breakpoint mapping to the first label.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import re
@@ -26,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauss import InvalidParameterError
+from .dataio import read_config_file, write_csv
+from .gauss import InvalidParameterError, sample_gaussian
 
 DEFAULT_MEASUREMENTS_PATH = os.path.join(os.path.dirname(__file__), "data",
                                          "cephalometric.cfg")
@@ -275,18 +275,6 @@ def entropy_nats(probs) -> float:
 # --- Monte-Carlo propagation -------------------------------------------------------
 
 
-def _draw(gaussians, names, n, rng):
-    out = {}
-    for name in names:
-        g = gaussians[name]
-        d = g.decomp
-        z = rng.standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
-        c, s = math.cos(d.theta), math.sin(d.theta)
-        rot = np.array([[c, -s], [s, c]])
-        out[name] = z @ rot.T + g.mean
-    return out
-
-
 def mc_classify(predictions, mdef: MeasurementDef, thresholds: ClassThresholds,
                 n: int = 10000, seed=0) -> ClassificationResult:
     """Propagate landmark uncertainty into class probabilities.
@@ -301,17 +289,15 @@ def mc_classify(predictions, mdef: MeasurementDef, thresholds: ClassThresholds,
         if name not in predictions:
             raise InvalidParameterError(
                 f"measurement {mdef.name!r} has no prediction for landmark {name!r}")
-        predictions[name].decomp.validate()
     rng = np.random.default_rng(seed)
-    coords = _draw(predictions, mdef.landmark_ids, n, rng)
+    coords = {name: sample_gaussian(predictions[name], n, rng) for name in mdef.landmark_ids}
     values = _eval(mdef.tree, coords)
     bad = np.nonzero(np.isnan(values))[0]
     for _ in range(MAX_REDRAWS):
         if bad.size == 0:
             break
-        redraw = _draw(predictions, mdef.landmark_ids, bad.size, rng)
         for name in mdef.landmark_ids:
-            coords[name][bad] = redraw[name]
+            coords[name][bad] = sample_gaussian(predictions[name], bad.size, rng)
         sub = {name: coords[name][bad] for name in mdef.landmark_ids}
         values[bad] = _eval(mdef.tree, sub)
         bad = np.nonzero(np.isnan(values))[0]
@@ -350,11 +336,8 @@ def accuracy_uncertainty_curve(image_ids, results, gt_labels):
 
 
 def write_curve_csv(path, curve) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fraction", "accuracy_percent"])
-        for fraction, accuracy in curve:
-            writer.writerow([f"{fraction:.6f}", f"{accuracy:.6f}"])
+    write_csv(path, ["fraction", "accuracy_percent"],
+              ([f"{fraction:.6f}", f"{accuracy:.6f}"] for fraction, accuracy in curve))
 
 
 # --- measurement config files -------------------------------------------------------
@@ -388,6 +371,4 @@ def measurements_from_config(items: dict[str, str]):
 
 def load_measurements(path=None):
     """Load a measurement config file (the shipped defaults when path is None)."""
-    from .dataio import read_config_file
-
     return measurements_from_config(read_config_file(path or DEFAULT_MEASUREMENTS_PATH))

@@ -1,4 +1,5 @@
-"""On-disk dataset format: PGM images, CSV annotation tables, flat config files.
+"""On-disk dataset format: PGM images, CSV annotation tables, flat config files
+and the codec between those files and the config dataclasses.
 
 A dataset directory is described by a manifest.cfg with keys `landmark_count`,
 `images` (a CSV of image_id,path,spacing_mm rows), `annotations` (single-
@@ -11,10 +12,14 @@ that a read/write round trip preserves them exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
+
+from .gauss import InvalidParameterError
 
 ANNOTATION_HEADER = ["image_id", "landmark_id", "observer_id", "x_px", "y_px"]
 IMAGES_HEADER = ["image_id", "path", "spacing_mm"]
@@ -51,6 +56,70 @@ def format_config(items: dict[str, str]) -> str:
 def read_config_file(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), source=str(path))
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def config_to_dict(cfg, skip=()) -> dict[str, str]:
+    """Flat text form of a config dataclass, one key per field in field order.
+
+    A nested dataclass field `name` contributes `name.`-prefixed keys; fields
+    listed in `skip` are left to the caller.
+    """
+    out = {}
+    for f in dataclasses.fields(cfg):
+        if f.name in skip:
+            continue
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{f.name}.{k}": v for k, v in config_to_dict(value).items()})
+        else:
+            out[f.name] = _format_value(value)
+    return out
+
+
+def _parse_value(key, kind, text):
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise InvalidParameterError(f"{key}: expected true/false, got {text!r}")
+        return text == "true"
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidParameterError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+
+
+def _build_config(cls, items, prefix, fixed):
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(fixed)
+    nested: dict[str, dict[str, str]] = {}
+    for key, text in items.items():
+        name, dot, rest = key.partition(".")
+        kind = hints.get(name)
+        if dot and dataclasses.is_dataclass(kind):
+            nested.setdefault(name, {})[rest] = text
+        elif not dot and kind in (bool, int, float, str):
+            kwargs[name] = _parse_value(prefix + key, kind, text)
+        else:
+            raise InvalidParameterError(f"unknown config key {prefix + key!r}")
+    for name, sub in nested.items():
+        kwargs[name] = _build_config(hints[name], sub, f"{prefix}{name}.", {})
+    return cls(**kwargs)
+
+
+def config_from_dict(cls, items: dict[str, str], **fixed):
+    """Validated config dataclass from its config_to_dict form.
+
+    Absent keys keep their defaults and unknown keys are rejected; `fixed`
+    supplies fields that the flat form does not carry.
+    """
+    cfg = _build_config(cls, items, "", fixed)
+    cfg.validate()
+    return cfg
 
 
 # --- PGM (P5) grayscale images ----------------------------------------------------
@@ -110,7 +179,15 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w).astype(np.float64) / maxval
 
 
-# --- annotation tables ---------------------------------------------------------
+# --- CSV and annotation tables -------------------------------------------------
+
+
+def write_csv(path, header, rows) -> None:
+    """UTF-8 CSV with a header row and newline line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -123,12 +200,9 @@ class AnnotationRow:
 
 
 def write_annotations(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ANNOTATION_HEADER)
-        for r in rows:
-            writer.writerow([r.image_id, r.landmark_id, r.observer_id,
-                             repr(float(r.x)), repr(float(r.y))])
+    write_csv(path, ANNOTATION_HEADER,
+              ([r.image_id, r.landmark_id, r.observer_id, repr(float(r.x)), repr(float(r.y))]
+               for r in rows))
 
 
 def read_annotations(path) -> list[AnnotationRow]:
@@ -270,13 +344,12 @@ def write_dataset(out_dir, ids, images, coords, spacing, landmark_count,
     os.makedirs(out_dir, exist_ok=True)
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "images.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(IMAGES_HEADER)
-        for image_id, image, spc in zip(ids, images, spacing):
-            rel = os.path.join("images", f"{image_id}.pgm")
-            write_pgm(os.path.join(out_dir, rel), image, bits=bits)
-            writer.writerow([image_id, rel, repr(float(spc))])
+    image_rows = []
+    for image_id, image, spc in zip(ids, images, spacing):
+        rel = os.path.join("images", f"{image_id}.pgm")
+        write_pgm(os.path.join(out_dir, rel), image, bits=bits)
+        image_rows.append([image_id, rel, repr(float(spc))])
+    write_csv(os.path.join(out_dir, "images.csv"), IMAGES_HEADER, image_rows)
     manifest = {"landmark_count": str(landmark_count), "images": "images.csv"}
     if coords is not None:
         rows = [AnnotationRow(image_id, j, "", coords[i, j, 0], coords[i, j, 1])

@@ -153,24 +153,3 @@ def fit_gaussian(h: HeatmapGrid | np.ndarray, cfg: FitConfig = FitConfig()) -> F
     residual_norm = float(np.linalg.norm(residuals(res.x)))
     converged = res.status > 0
     return FitResult(gaussian, residual_norm, iterations, converged)
-
-
-def fit_config_to_dict(cfg: FitConfig) -> dict[str, str]:
-    return {
-        "max_iterations": str(cfg.max_iterations),
-        "tolerance": repr(cfg.tolerance),
-        "robust_loss_scale": repr(cfg.robust_loss_scale),
-        "window_halfwidth_sigmas": repr(cfg.window_halfwidth_sigmas),
-    }
-
-
-def fit_config_from_dict(items: dict[str, str]) -> FitConfig:
-    parsers = {"max_iterations": int, "tolerance": float,
-               "robust_loss_scale": float, "window_halfwidth_sigmas": float}
-    unknown = set(items) - set(parsers)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {key: parse(items[key]) for key, parse in parsers.items() if key in items}
-    cfg = FitConfig(**kwargs)
-    cfg.validate()
-    return cfg

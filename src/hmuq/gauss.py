@@ -78,17 +78,14 @@ class CovarianceDecomposition:
 
 @dataclass
 class HeatmapGrid:
-    """Rectangular grid of real intensities with isotropic pixel spacing (mm/px)."""
+    """Rectangular grid of real intensities, indexed [row, col] = [y, x] in px."""
 
     values: np.ndarray
-    spacing: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise InvalidParameterError(f"heatmap must be a 2-D grid, got shape {self.values.shape}")
-        if not self.spacing > 0:
-            raise InvalidParameterError(f"spacing must be > 0, got {self.spacing}")
         if not np.all(np.isfinite(self.values)):
             raise InvalidParameterError("heatmap values must be finite")
 
@@ -202,19 +199,18 @@ def _eval_gaussian(g: AnisotropicGaussian, shape, with_gradients: bool):
     return h, dtheta, dmaj, dmin
 
 
-def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int],
-                       spacing: float = 1.0) -> HeatmapGrid:
+def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> HeatmapGrid:
     """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
-    return HeatmapGrid(_eval_gaussian(g, grid_shape, with_gradients=False), spacing)
+    return HeatmapGrid(_eval_gaussian(g, grid_shape, with_gradients=False))
 
 
 def render_isotropic(mean: tuple[float, float], sigma: float, gamma: float,
-                     grid_shape: tuple[int, int], spacing: float = 1.0) -> HeatmapGrid:
+                     grid_shape: tuple[int, int]) -> HeatmapGrid:
     """Render an isotropic Gaussian with extent sigma and total mass gamma."""
     if not sigma > 0:
         raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
     g = AnisotropicGaussian(mean, CovarianceDecomposition(0.0, sigma, sigma), gamma)
-    return render_anisotropic(g, grid_shape, spacing)
+    return render_anisotropic(g, grid_shape)
 
 
 def heatmap_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]
@@ -235,15 +231,27 @@ def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, i
 def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
     """Draw n points from N(mean, covariance) as an (n, 2) array of (x, y).
 
-    Points are mean + R diag(sigma_maj, sigma_min) z with z standard normal;
-    deterministic for a fixed seed.
+    Points are (z * (sigma_maj, sigma_min)) R^T + mean with z standard normal.
+    `seed` is anything np.random.default_rng accepts; a Generator is drawn
+    from in place, so successive calls continue one stream.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    g.decomp.validate()
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, 2))
-    c, s = math.cos(g.decomp.theta), math.sin(g.decomp.theta)
-    r = np.array([[c, -s], [s, c]])
-    transform = r @ np.diag([g.decomp.sigma_maj, g.decomp.sigma_min])
-    return np.asarray(g.mean, dtype=np.float64) + z @ transform.T
+    d = g.decomp
+    d.validate()
+    z = np.random.default_rng(seed).standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
+    c, s = math.cos(d.theta), math.sin(d.theta)
+    return z @ np.array([[c, -s], [s, c]]).T + g.mean
+
+
+def population_distribution(points) -> tuple[np.ndarray, CovarianceDecomposition]:
+    """Mean and population covariance (divisor n) of (n, 2) points, decomposed.
+
+    A zero-variance direction (collinear or duplicate points) yields a
+    degenerate decomposition with sigma_min = 0 instead of an error.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    mean = points.mean(axis=0)
+    centered = points - mean
+    cov = centered.T @ centered / len(points)
+    return mean, decompose_covariance(cov, allow_semidefinite=True)

@@ -7,16 +7,16 @@ than 0.  All covariance fits use the population convention (divisor n).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_csv
 from .gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
-    decompose_covariance,
+    population_distribution,
     wrap_axis_angle,
 )
 
@@ -24,13 +24,6 @@ REPORT_COLUMNS = ["landmark_id", "ratio_mean", "ratio_sd", "product_mean", "prod
                   "theta_mean_deg", "theta_sd_deg", "pe_mean", "pe_sd",
                   "sdr_2", "sdr_2.5", "sdr_3", "sdr_4"]
 SDR_RADII = (2.0, 2.5, 3.0, 4.0)
-
-
-@dataclass(frozen=True)
-class DistributionStats:
-    ratio: float
-    product: float
-    theta_deg: float
 
 
 @dataclass(frozen=True)
@@ -70,10 +63,7 @@ def fit_annotation_distribution(points) -> tuple[np.ndarray, CovarianceDecomposi
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 3:
         raise InvalidParameterError(
             f"need at least 3 (x, y) points, got array of shape {points.shape}")
-    mean = points.mean(axis=0)
-    centered = points - mean
-    cov = centered.T @ centered / len(points)
-    return mean, decompose_covariance(cov, allow_semidefinite=True)
+    return population_distribution(points)
 
 
 def circular_axis_mean_deg(theta_deg) -> tuple[float, float]:
@@ -150,8 +140,4 @@ def report_row(landmark_id, stats: AggregateStats | None, errors=None) -> dict[s
 
 
 def write_report_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in rows))

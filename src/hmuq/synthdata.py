@@ -16,8 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import format_config, write_annotations, write_dataset, AnnotationRow, Dataset
-from .gauss import CovarianceDecomposition, InvalidParameterError
+from .dataio import (
+    AnnotationRow,
+    Dataset,
+    config_from_dict,
+    config_to_dict,
+    format_config,
+    write_annotations,
+    write_dataset,
+)
+from .gauss import (
+    AnisotropicGaussian,
+    CovarianceDecomposition,
+    InvalidParameterError,
+    sample_gaussian,
+)
 
 STRUCTURES = ("corner", "edge", "blob")
 
@@ -123,11 +136,6 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     n_landmarks = len(cfg.landmarks)
     size = cfg.image_size
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    rotations = []
-    for spec in cfg.landmarks:
-        t = spec.noise.theta
-        rotations.append(np.array([[math.cos(t), -math.sin(t)],
-                                   [math.sin(t), math.cos(t)]]))
     ids = []
     images = []
     coords = np.empty((cfg.num_images, n_landmarks, 2))
@@ -143,9 +151,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             image += rng.normal(0.0, cfg.noise_floor, size=image.shape)
         np.clip(image, 0.0, 1.0, out=image)
         for j, spec in enumerate(cfg.landmarks):
-            z = rng.standard_normal(2)
-            offset = rotations[j] @ (z * (spec.noise.sigma_maj, spec.noise.sigma_min))
-            annotations[i, j] = true[j] + offset
+            noise = AnisotropicGaussian(true[j], spec.noise, 1.0)
+            annotations[i, j] = sample_gaussian(noise, 1, rng)[0]
         ids.append(f"img_{i:04d}")
         images.append(image)
         coords[i] = true
@@ -158,15 +165,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
 
 
 def synth_config_to_dict(cfg: SynthConfig) -> dict[str, str]:
-    out = {
-        "image_size": str(cfg.image_size),
-        "num_images": str(cfg.num_images),
-        "contrast": repr(cfg.contrast),
-        "noise_floor": repr(cfg.noise_floor),
-        "position_jitter": repr(cfg.position_jitter),
-        "seed": str(cfg.seed),
-        "num_landmarks": str(len(cfg.landmarks)),
-    }
+    out = config_to_dict(cfg, skip=("landmarks",))
+    out["num_landmarks"] = str(len(cfg.landmarks))
     for i, spec in enumerate(cfg.landmarks):
         out[f"landmark_{i}.structure"] = spec.structure
         out[f"landmark_{i}.orientation_deg"] = repr(spec.orientation_deg)
@@ -177,47 +177,29 @@ def synth_config_to_dict(cfg: SynthConfig) -> dict[str, str]:
 
 
 def synth_config_from_dict(items: dict[str, str]) -> SynthConfig:
-    plain = {"image_size": int, "num_images": int, "contrast": float,
-             "noise_floor": float, "position_jitter": float, "seed": int}
-    kwargs = {}
-    claimed = set()
-    for key, parse in plain.items():
-        if key in items:
-            kwargs[key] = parse(items[key])
-            claimed.add(key)
+    """Inverse of synth_config_to_dict; without `num_landmarks` the default
+    landmarks are kept."""
+    items = dict(items)
     if "num_landmarks" not in items:
-        unknown = set(items) - claimed
-        if unknown:
-            raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        cfg = SynthConfig(**kwargs)
-        cfg.validate()
-        return cfg
-    count = int(items["num_landmarks"])
-    claimed.add("num_landmarks")
+        return config_from_dict(SynthConfig, items)
+    count = int(items.pop("num_landmarks"))
     if count < 1:
         raise InvalidParameterError("num_landmarks must be >= 1")
     landmarks = []
     for i in range(count):
-        prefix = f"landmark_{i}."
         fields = {}
         for suffix in ("structure", "orientation_deg", "noise_theta_deg",
                        "noise_sigma_maj", "noise_sigma_min"):
-            key = prefix + suffix
+            key = f"landmark_{i}.{suffix}"
             if key not in items:
                 raise InvalidParameterError(f"missing config key {key!r}")
-            fields[suffix] = items[key]
-            claimed.add(key)
+            fields[suffix] = items.pop(key)
         noise = CovarianceDecomposition(math.radians(float(fields["noise_theta_deg"])),
                                         float(fields["noise_sigma_maj"]),
                                         float(fields["noise_sigma_min"]))
         landmarks.append(LandmarkSpec(fields["structure"],
                                       float(fields["orientation_deg"]), noise))
-    unknown = set(items) - claimed
-    if unknown:
-        raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-    cfg = SynthConfig(landmarks=tuple(landmarks), **kwargs)
-    cfg.validate()
-    return cfg
+    return config_from_dict(SynthConfig, items, landmarks=tuple(landmarks))
 
 
 def write_synth_dataset(out_dir, ds: SynthDataset, cfg: SynthConfig) -> str:

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
+from .dataio import config_from_dict, config_to_dict, format_config, parse_config_text
 from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     HeatmapGrid,
     InvalidParameterError,
+    render_anisotropic,
     render_with_param_gradients,
 )
 from .nets import ReferencePredictor
@@ -139,7 +141,7 @@ def render_targets(coords, decomps, gamma, shape) -> np.ndarray:
     out = np.empty((len(decomps), *shape))
     for i, d in enumerate(decomps):
         g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
-        out[i] = render_with_param_gradients(g, shape)[0]
+        out[i] = render_anisotropic(g, shape).values
     return out
 
 
@@ -421,11 +423,9 @@ def predict(model: TrainedModel, image, dropout_enabled: bool = False,
 def write_checkpoint(model: TrainedModel, path) -> None:
     """Binary model file: magic, version, per-landmark covariance (f64),
     predictor parameters (f32), and a key=value config snapshot."""
-    from .dataio import format_config  # local import: dataio has no trainer dependency
-
     decomps = model.target_decomps
     params = model.predictor.get_params().astype("<f4")
-    snapshot = format_config(train_config_to_dict(model.config)).encode("utf-8")
+    snapshot = format_config(config_to_dict(model.config)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
@@ -439,89 +439,32 @@ def write_checkpoint(model: TrainedModel, path) -> None:
 
 
 def read_checkpoint(path) -> TrainedModel:
-    from .dataio import parse_config_text
-
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise InvalidParameterError(f"{path}: not a model checkpoint")
-    (version,) = struct.unpack_from("<H", raw, 4)
+    pos = 4
+
+    def take(size):
+        nonlocal pos
+        if pos + size > len(raw):
+            raise InvalidParameterError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+        pos += size
+        return raw[pos - size:pos]
+
+    (version,) = struct.unpack("<H", take(2))
     if version != CHECKPOINT_VERSION:
         raise InvalidParameterError(f"{path}: unsupported checkpoint version {version}")
-    pos = 6
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    decomps = []
-    for _ in range(count):
-        t, a, b = struct.unpack_from("<3d", raw, pos)
-        pos += 24
-        decomps.append(CovarianceDecomposition(t, a, b))
-    (n_params,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    params = np.frombuffer(raw, dtype="<f4", count=n_params, offset=pos).astype(np.float64)
-    pos += 4 * n_params
-    (cfg_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    cfg = train_config_from_dict(parse_config_text(raw[pos:pos + cfg_len].decode("utf-8")))
+    (count,) = struct.unpack("<I", take(4))
+    decomps = [CovarianceDecomposition(*struct.unpack("<3d", take(24))) for _ in range(count)]
+    (n_params,) = struct.unpack("<I", take(4))
+    params = np.frombuffer(take(4 * n_params), dtype="<f4").astype(np.float64)
+    (cfg_len,) = struct.unpack("<I", take(4))
+    snapshot = take(cfg_len).decode("utf-8")
+    cfg = config_from_dict(TrainConfig, parse_config_text(snapshot, source=str(path)))
     net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed)
     if net.num_params() != n_params:
         raise InvalidParameterError(
             f"{path}: parameter count {n_params} does not match architecture")
     net.set_params(params)
     return TrainedModel(net, decomps, cfg, np.empty(0))
-
-
-# --- config (de)serialization ------------------------------------------------------
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict[str, str]:
-    out = {}
-    for name in ("alpha", "gamma", "weight_decay", "iterations", "learning_rate",
-                 "covariance_lr_multiplier", "dropout_rate", "batch_size", "seed",
-                 "target_mode", "sigma_init", "predictor_width", "freeze_predictor"):
-        out[name] = _fmt(getattr(cfg, name))
-    for name in ("enable_intensity_shift", "intensity_shift_range",
-                 "enable_intensity_scale", "intensity_scale_range",
-                 "enable_translation", "translation_range",
-                 "enable_rotation", "rotation_range",
-                 "enable_scale", "scale_range",
-                 "enable_elastic", "elastic_grid_size", "elastic_magnitude"):
-        out[f"augmentation.{name}"] = _fmt(getattr(cfg.augmentation, name))
-    return out
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _parse_field(cls, name, text):
-    kind = cls.__dataclass_fields__[name].type
-    if kind == "bool":
-        if text not in ("true", "false"):
-            raise InvalidParameterError(f"{name}: expected true/false, got {text!r}")
-        return text == "true"
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
-
-
-def train_config_from_dict(items: dict[str, str]) -> TrainConfig:
-    cfg_kwargs = {}
-    aug_kwargs = {}
-    for key, value in items.items():
-        if key.startswith("augmentation."):
-            name = key[len("augmentation."):]
-            if name not in AugmentConfig.__dataclass_fields__:
-                raise InvalidParameterError(f"unknown config key {key!r}")
-            aug_kwargs[name] = _parse_field(AugmentConfig, name, value)
-        else:
-            if key not in TrainConfig.__dataclass_fields__ or key == "augmentation":
-                raise InvalidParameterError(f"unknown config key {key!r}")
-            cfg_kwargs[key] = _parse_field(TrainConfig, key, value)
-    cfg = TrainConfig(augmentation=AugmentConfig(**aug_kwargs), **cfg_kwargs)
-    cfg.validate()
-    return cfg

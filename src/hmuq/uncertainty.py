@@ -1,5 +1,5 @@
-"""Sample-based and dataset-based uncertainty extraction, plus the two
-Monte-Carlo-Dropout baselines (argmax spread vs fit of the mean heatmap)."""
+"""Per-sample uncertainty from heatmap fits, plus the two Monte-Carlo-Dropout
+baselines (argmax spread vs fit of the mean heatmap)."""
 
 from __future__ import annotations
 
@@ -12,10 +12,8 @@ from .gauss import (
     CovarianceDecomposition,
     HeatmapGrid,
     InvalidParameterError,
-    decompose_covariance,
+    population_distribution,
 )
-
-SOURCES = ("fit", "mcd_max", "mcd_heatmap_fit")
 
 
 @dataclass(frozen=True)
@@ -56,11 +54,7 @@ def points_prediction(points, source: str) -> LandmarkPrediction:
     A zero-variance direction is legitimate (e.g. identical argmaxes), so the
     decomposition is returned with its degenerate flag set instead of failing.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered / len(pts)
-    decomp = decompose_covariance(cov, allow_semidefinite=True)
+    mean, decomp = population_distribution(points)
     return LandmarkPrediction((float(mean[0]), float(mean[1])), decomp, source, True)
 
 
@@ -94,7 +88,3 @@ def mcd_predict(model, image, cfg: McdConfig = McdConfig()) -> list[list[Heatmap
     n_landmarks = len(per_pass[0])
     return [[per_pass[k][i] for k in range(cfg.k)] for i in range(n_landmarks)]
 
-
-def dataset_uncertainty(model) -> list[CovarianceDecomposition]:
-    """The per-landmark covariances learned jointly with the predictor."""
-    return [d.canonical() for d in model.target_decomps]

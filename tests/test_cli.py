@@ -249,6 +249,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "img_0000" in err and "out of bounds" in err
 
+    def test_truncated_checkpoint_runtime_exit(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"HMUQ\x01\x00\x04\x00")
+        assert main(["predict", "--model", str(ckpt), "--data", str(tmp_path),
+                     "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "truncated" in err
+
     def test_bad_config_key_runtime_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("image_sise = 32\n")

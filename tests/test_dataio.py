@@ -1,9 +1,13 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
 from hmuq.dataio import (
     AnnotationRow,
     DataFormatError,
+    config_to_dict,
     format_config,
     load_dataset,
     parse_config_text,
@@ -13,6 +17,11 @@ from hmuq.dataio import (
     write_dataset,
     write_pgm,
 )
+from hmuq.fitting import FitConfig
+from hmuq.synthdata import SynthConfig, synth_config_to_dict
+from hmuq.trainer import TrainConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 class TestConfig:
@@ -31,6 +40,21 @@ class TestConfig:
     def test_duplicate_key(self):
         with pytest.raises(DataFormatError, match="duplicate key"):
             parse_config_text("a = 1\na = 2\n")
+
+
+class TestConfigCodec:
+    def test_readme_names_every_config_key(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        section = re.search(r"^## Configuration files\n(.*?)^## ", text, re.S | re.M).group(1)
+        keys = (list(config_to_dict(TrainConfig())) + list(synth_config_to_dict(SynthConfig()))
+                + list(config_to_dict(FitConfig())))
+        for key in keys:
+            top, dot, _ = key.partition(".")
+            named = f"`{top}.*`" if dot else f"`{key}`"
+            if top.startswith("landmark_"):  # per-landmark blocks are shown by example
+                named = re.sub(r"^landmark_\d+", "landmark_0", key) + " ="
+            assert named in section, f"README configuration section does not name {key!r}"
 
 
 class TestPgm:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import random_decomposition
+from hmuq.dataio import config_from_dict, config_to_dict
 from hmuq.fitting import FitConfig, FitDegenerateError, argmax_coord, fit_gaussian
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     HeatmapGrid,
+    InvalidParameterError,
     axis_angle_difference_deg,
     render_anisotropic,
     render_isotropic,
@@ -128,3 +130,14 @@ class TestFitInvariances:
         res = fit_gaussian(render_anisotropic(g, (160, 160)))
         assert res.gaussian.decomp.sigma_maj == pytest.approx(8.0, rel=0.01)
         assert res.gaussian.decomp.sigma_min == pytest.approx(5.0, rel=0.01)
+
+
+class TestFitConfigDict:
+    def test_round_trip(self):
+        cfg = FitConfig(max_iterations=50, tolerance=1e-6, robust_loss_scale=0.5,
+                        window_halfwidth_sigmas=4.0)
+        assert config_from_dict(FitConfig, config_to_dict(cfg)) == cfg
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unknown config key 'tolerence'"):
+            config_from_dict(FitConfig, {"tolerence": "1e-6"})

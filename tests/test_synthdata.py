@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hmuq.dataio import load_dataset
+from hmuq.dataio import format_config, load_dataset
 from hmuq.gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
@@ -20,6 +20,37 @@ from hmuq.synthdata import (
     synth_config_to_dict,
     write_synth_dataset,
 )
+
+
+DEFAULT_GENERATOR_CFG = """\
+image_size = 64
+num_images = 200
+contrast = 0.7
+noise_floor = 0.02
+position_jitter = 3.0
+seed = 0
+num_landmarks = 4
+landmark_0.structure = corner
+landmark_0.orientation_deg = 0.0
+landmark_0.noise_theta_deg = 0.0
+landmark_0.noise_sigma_maj = 0.0
+landmark_0.noise_sigma_min = 0.0
+landmark_1.structure = edge
+landmark_1.orientation_deg = 30.0
+landmark_1.noise_theta_deg = 29.999999999999996
+landmark_1.noise_sigma_maj = 4.0
+landmark_1.noise_sigma_min = 1.5
+landmark_2.structure = blob
+landmark_2.orientation_deg = 0.0
+landmark_2.noise_theta_deg = 0.0
+landmark_2.noise_sigma_maj = 1.5
+landmark_2.noise_sigma_min = 1.5
+landmark_3.structure = corner
+landmark_3.orientation_deg = 45.0
+landmark_3.noise_theta_deg = 0.0
+landmark_3.noise_sigma_maj = 0.0
+landmark_3.noise_sigma_min = 0.0
+"""
 
 
 def population_decomp(points):
@@ -93,6 +124,16 @@ class TestConfigDict:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown config key"):
             synth_config_from_dict({"imag_size": "64"})
+
+    def test_landmark_beyond_count_rejected(self):
+        d = synth_config_to_dict(SynthConfig())
+        d["num_landmarks"] = "3"
+        with pytest.raises(InvalidParameterError, match="unknown config key 'landmark_3"):
+            synth_config_from_dict(d)
+
+    def test_default_generator_cfg_text(self):
+        # the generator.cfg that write_synth_dataset writes, byte for byte
+        assert format_config(synth_config_to_dict(SynthConfig())) == DEFAULT_GENERATOR_CFG
 
 
 class TestWrite:

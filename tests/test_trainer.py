@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import max_rel_error
-from hmuq.dataio import Dataset
+from hmuq.dataio import Dataset, config_from_dict, config_to_dict, format_config
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
 from hmuq.synthdata import LandmarkSpec, SynthConfig, generate
@@ -23,8 +23,6 @@ from hmuq.trainer import (
     read_checkpoint,
     render_targets,
     train,
-    train_config_from_dict,
-    train_config_to_dict,
     write_checkpoint,
 )
 
@@ -246,7 +244,7 @@ class TestPredict:
     def test_zero_rate_dropout_equals_disabled(self, model):
         m, ds = model
         plain = TrainedModel(m.predictor, m.target_decomps,
-                             train_config_from_dict({"dropout_rate": "0.0"}), m.loss_trace)
+                             config_from_dict(TrainConfig, {"dropout_rate": "0.0"}), m.loss_trace)
         a = predict(plain, ds.images[0], dropout_enabled=True, seed=3)
         b = predict(plain, ds.images[0])
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
@@ -350,18 +348,86 @@ class TestCheckpoint:
         with pytest.raises(InvalidParameterError):
             read_checkpoint(p)
 
+    @staticmethod
+    def tiny_checkpoint(tmp_path):
+        """A valid two-landmark checkpoint (untrained) and its section offsets."""
+        decomps = [CovarianceDecomposition(0.3, 4.0, 2.0), CovarianceDecomposition(0.0, 3.0, 3.0)]
+        cfg = TrainConfig(predictor_width=4, dropout_rate=0.1, seed=7)
+        net = ReferencePredictor(2, cfg.predictor_width, seed=cfg.seed)
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(TrainedModel(net, decomps, cfg, np.empty(0)), path)
+        covariances = 4 + 2 + 4
+        params = covariances + 24 * len(decomps) + 4
+        snapshot = params + 4 * net.num_params() + 4
+        return path, path.read_bytes(), covariances, params, snapshot
+
+    @pytest.mark.parametrize("section", ["header", "covariances", "params", "snapshot"])
+    def test_truncation_names_path(self, tmp_path, section):
+        path, raw, covariances, params, snapshot = self.tiny_checkpoint(tmp_path)
+        text = raw[snapshot:]
+        cuts = {
+            "header": [5, 8, covariances - 1],
+            "covariances": [covariances, covariances + 30],
+            "params": [params, params + 4 * 10 + 2, snapshot - 1],
+            # a cut at a line boundary parses as a shorter, valid config
+            "snapshot": [snapshot, snapshot + text.index(b"\n") + 1, len(raw) - 1],
+        }[section]
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(InvalidParameterError, match="truncated checkpoint") as info:
+                read_checkpoint(path)
+            assert str(path) in str(info.value)
+
+
+DEFAULT_SNAPSHOT = """\
+alpha = 5.0
+gamma = 100.0
+weight_decay = 0.001
+iterations = 40000
+learning_rate = 0.0001
+covariance_lr_multiplier = 1.0
+dropout_rate = 0.0
+batch_size = 4
+seed = 0
+target_mode = learned_aniso
+sigma_init = 3.0
+predictor_width = 16
+freeze_predictor = false
+augmentation.enable_intensity_shift = false
+augmentation.intensity_shift_range = 0.0
+augmentation.enable_intensity_scale = false
+augmentation.intensity_scale_range = 0.0
+augmentation.enable_translation = false
+augmentation.translation_range = 0.0
+augmentation.enable_rotation = false
+augmentation.rotation_range = 0.0
+augmentation.enable_scale = false
+augmentation.scale_range = 0.0
+augmentation.enable_elastic = false
+augmentation.elastic_grid_size = 4
+augmentation.elastic_magnitude = 0.0
+"""
+
 
 class TestConfigDict:
     def test_round_trip(self):
         cfg = TrainConfig(alpha=2.5, iterations=123, target_mode="learned_iso",
                           augmentation=AugmentConfig(enable_rotation=True,
                                                      rotation_range=0.25))
-        assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+        assert config_from_dict(TrainConfig, config_to_dict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown config key"):
-            train_config_from_dict({"alhpa": "5"})
+            config_from_dict(TrainConfig, {"alhpa": "5"})
+
+    def test_unknown_nested_key_rejected(self):
+        with pytest.raises(InvalidParameterError, match="augmentation.enable_rotaton"):
+            config_from_dict(TrainConfig, {"augmentation.enable_rotaton": "true"})
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
-            train_config_from_dict({"target_mode": "banana"})
+            config_from_dict(TrainConfig, {"target_mode": "banana"})
+
+    def test_default_snapshot_text(self):
+        # the config snapshot that write_checkpoint stores, byte for byte
+        assert format_config(config_to_dict(TrainConfig())) == DEFAULT_SNAPSHOT
