@@ -17,8 +17,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .clinical import (
     accuracy_uncertainty_curve,
     classify,
@@ -39,6 +37,7 @@ from .fitting import FitConfig, FitDegenerateError, argmax_coord
 from .gauss import AnisotropicGaussian, InvalidParameterError
 from .metrics import (
     aggregate_stats,
+    error_offsets,
     fit_annotation_distribution,
     interobserver_decomps,
     point_error,
@@ -98,15 +97,37 @@ def _fit_config(args) -> FitConfig:
     return config_from_dict(FitConfig, read_config_file(path))
 
 
-def _fit_landmarks(model, image, fit_cfg):
-    """Per-landmark Gaussian fits of one forward pass (None where degenerate)."""
-    out = []
-    for heatmap in predict(model, image):
-        try:
-            out.append(sample_uncertainty(heatmap, fit_cfg))
-        except FitDegenerateError:
-            out.append(None)
-    return out
+def _fit_dataset(model, ds, fit_cfg, landmarks=None):
+    """One forward pass per image, then a Gaussian fit of each requested heatmap.
+
+    Returns fits[i][j] for image i and landmark j (every landmark unless
+    `landmarks` names some), None where the heatmap is too flat to fit;
+    one warning counts those.
+    """
+    fits = []
+    skipped = 0
+    for image in ds.images:
+        heatmaps = predict(model, image)
+        per_image = {}
+        for j in range(len(heatmaps)) if landmarks is None else landmarks:
+            try:
+                per_image[j] = sample_uncertainty(heatmaps[j], fit_cfg)
+            except FitDegenerateError:
+                per_image[j] = None
+                skipped += 1
+        fits.append(per_image)
+    if skipped:
+        _warn(f"{skipped} heatmaps were too flat for a Gaussian fit and were skipped")
+    return fits
+
+
+def _write_report(args, name, rows, summary):
+    os.makedirs(args.out, exist_ok=True)
+    out_path = os.path.join(args.out, name)
+    write_report_csv(out_path, rows)
+    _say(args, f"wrote {out_path}: {summary}")
+    for row in rows:
+        _say(args, "  " + " ".join(f"{k}={v}" for k, v in row.items() if v != ""))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -172,20 +193,15 @@ def cmd_predict(args) -> int:
 def cmd_fit(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
     ds = load_dataset(_manifest_path(args.data))
-    fit_cfg = _fit_config(args)
     rows = []
-    skipped = 0
-    for image_id, image in zip(ds.ids, ds.images):
-        for j, pred in enumerate(_fit_landmarks(model, image, fit_cfg)):
+    for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _fit_config(args))):
+        for j, pred in fits.items():
             if pred is None:
-                skipped += 1
                 continue
             d = pred.covariance
             rows.append((image_id, j, repr(pred.coord[0]), repr(pred.coord[1]),
                          repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min),
                          int(pred.converged)))
-    if skipped:
-        _warn(f"{skipped} heatmaps were too flat for a Gaussian fit; rows omitted")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fits.csv")
     write_csv(out_path, ["image_id", "landmark_id", "x_px", "y_px",
@@ -226,32 +242,22 @@ def cmd_mcd(args) -> int:
 def cmd_eval(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
     ds = _load_training_dataset(args.data)
-    fit_cfg = _fit_config(args)
     n_landmarks = model.predictor.landmark_count
     decomps_mm = [[] for _ in range(n_landmarks)]
     errors_mm = [[] for _ in range(n_landmarks)]
-    skipped = 0
-    for i, image in enumerate(ds.images):
+    for i, fits in enumerate(_fit_dataset(model, ds, _fit_config(args))):
         spacing = float(ds.spacing[i])
-        for j, pred in enumerate(_fit_landmarks(model, image, fit_cfg)):
+        for j, pred in fits.items():
             if pred is None:
-                skipped += 1
                 continue
             decomps_mm[j].append(pred.covariance.scaled(spacing))
             errors_mm[j].append(point_error(ds.coords[i, j], pred.coord) * spacing)
-    if skipped:
-        _warn(f"{skipped} heatmaps were too flat for a Gaussian fit; "
-              f"those images are excluded from the affected landmark's row")
     rows = []
     for j in range(n_landmarks):
         stats = aggregate_stats(decomps_mm[j]) if decomps_mm[j] else None
         rows.append(report_row(j, stats, errors_mm[j] or None))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "metrics.csv")
-    write_report_csv(out_path, rows)
-    _say(args, f"wrote {out_path}: {n_landmarks} landmarks over {len(ds.ids)} images")
-    for row in rows:
-        _say(args, "  " + " ".join(f"{k}={v}" for k, v in row.items() if v != ""))
+    _write_report(args, "metrics.csv", rows,
+                  f"{n_landmarks} landmarks over {len(ds.ids)} images")
     return 0
 
 
@@ -263,14 +269,9 @@ def cmd_interobs(args) -> int:
     for j in range(ds.landmark_count):
         stats = aggregate_stats(interobserver_decomps(ds, j))
         rows.append(report_row(j, stats))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "interobserver.csv")
-    write_report_csv(out_path, rows)
     n_rows = sum(len(v) for v in ds.observers.values())
-    _say(args, f"wrote {out_path}: {n_rows} observer annotations over "
-               f"{len(ds.ids)} images")
-    for row in rows:
-        _say(args, "  " + " ".join(f"{k}={v}" for k, v in row.items() if v != ""))
+    _write_report(args, "interobserver.csv", rows,
+                  f"{n_rows} observer annotations over {len(ds.ids)} images")
     return 0
 
 
@@ -296,7 +297,6 @@ def _landmark_names(path, landmark_count):
 def cmd_clinical(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
     ds = _load_training_dataset(args.data)
-    fit_cfg = _fit_config(args)
     measurements = list(load_measurements(args.measurements).values())
     names = _landmark_names(args.names, ds.landmark_count)
     available = set(names.values())
@@ -312,9 +312,9 @@ def cmd_clinical(args) -> int:
     prob_rows = []
     per_measurement = {mdef.name: ([], [], []) for mdef, _ in measurements}
     skipped = 0
-    for i, (image_id, image) in enumerate(zip(ds.ids, ds.images)):
+    all_fits = _fit_dataset(model, ds, _fit_config(args), sorted(names))
+    for i, (image_id, fits) in enumerate(zip(ds.ids, all_fits)):
         spacing = float(ds.spacing[i])
-        fits = _fit_landmarks(model, image, fit_cfg)
         gaussians = {}
         for j, name in names.items():
             if fits[j] is not None:
@@ -379,7 +379,14 @@ def cmd_plot(args, parser) -> int:
                 header = next(reader, None)
                 if header != ["fraction", "accuracy_percent"]:
                     raise InvalidParameterError(f"{path}: not an accuracy-curve CSV")
-                pts = [(float(a), float(b)) for a, b in reader]
+                pts = []
+                for lineno, rec in enumerate(reader, start=2):
+                    try:
+                        a, b = rec
+                        pts.append((float(a), float(b)))
+                    except ValueError:
+                        raise InvalidParameterError(
+                            f"{path}:{lineno}: expected two numbers, got {rec!r}") from None
             label = os.path.splitext(os.path.basename(path))[0]
             curves[label.removeprefix("curve_")] = pts
         svg = render_accuracy_curve(curves, title="accuracy vs considered fraction",
@@ -403,21 +410,15 @@ def cmd_plot(args, parser) -> int:
             if not 0 <= j < ds.landmark_count:
                 raise InvalidParameterError(
                     f"landmark {j} outside 0..{ds.landmark_count - 1}")
-            fit_cfg = FitConfig()
-            coords, products, errors = [], [], []
-            for i, image in enumerate(ds.images):
-                pred = _fit_landmarks(model, image, fit_cfg)[j]
-                if pred is None:
-                    continue
-                coords.append((i, pred))
-                products.append(pred.covariance.product)
-                errors.append(point_error(ds.coords[i, j], pred.coord))
-            if not coords:
+            fits = [(i, f[j]) for i, f in enumerate(_fit_dataset(model, ds, FitConfig(), [j]))
+                    if f[j] is not None]
+            if not fits:
                 raise InvalidParameterError(
                     f"no usable Gaussian fit for landmark {j} on any image")
+            gts = ds.coords[[i for i, _ in fits], j]
+            preds = [p.coord for _, p in fits]
             if spec.kind == "offset_scatter":
-                offsets = np.array([np.asarray(p.coord) - ds.coords[i, j]
-                                    for i, p in coords])
+                offsets = error_offsets(gts, preds)
                 overlays = [("learned", model.target_decomps[j].canonical())]
                 if len(offsets) >= 3:
                     overlays.append(("empirical", fit_annotation_distribution(offsets)[1]))
@@ -425,6 +426,8 @@ def cmd_plot(args, parser) -> int:
                                             title=f"landmark {j} offsets (px)",
                                             timestamp=timestamp)
             else:
+                products = [p.covariance.product for _, p in fits]
+                errors = [point_error(gt, pred) for gt, pred in zip(gts, preds)]
                 svg = render_sigma_vs_error(products, errors,
                                             title=f"landmark {j} spread vs error",
                                             timestamp=timestamp)

@@ -169,6 +169,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(f) for f in fields)
     except ValueError:
         raise DataFormatError(f"{path}: malformed PGM header") from None
+    if w < 1 or h < 1:
+        raise DataFormatError(f"{path}: image dimensions must be positive, got {w}x{h}")
     if maxval not in (255, 65535):
         raise DataFormatError(f"{path}: unsupported maxval {maxval}")
     dtype = ">u2" if maxval == 65535 else "u1"
@@ -245,13 +247,23 @@ class Dataset:
     observers: dict[tuple[str, int], list[tuple[str, float, float]]] | None = None
 
 
-def _check_bounds(row: AnnotationRow, shape, source) -> None:
-    h, w = shape
-    if not (0 <= row.x <= w - 1 and 0 <= row.y <= h - 1):
-        raise DataFormatError(
-            f"{source}: annotation out of bounds for image {row.image_id!r} "
-            f"landmark {row.landmark_id}: ({row.x}, {row.y}) not inside "
-            f"[0, {w - 1}] x [0, {h - 1}]")
+def _read_checked_annotations(path, index, images, landmark_count) -> list[AnnotationRow]:
+    """An annotation table whose rows name known images and landmarks, in bounds."""
+    rows = read_annotations(path)
+    for row in rows:
+        if row.image_id not in index:
+            raise DataFormatError(f"{path}: unknown image id {row.image_id!r}")
+        if not 0 <= row.landmark_id < landmark_count:
+            raise DataFormatError(
+                f"{path}: landmark id {row.landmark_id} outside "
+                f"0..{landmark_count - 1} for image {row.image_id!r}")
+        h, w = images[index[row.image_id]].shape
+        if not (0 <= row.x <= w - 1 and 0 <= row.y <= h - 1):
+            raise DataFormatError(
+                f"{path}: annotation out of bounds for image {row.image_id!r} "
+                f"landmark {row.landmark_id}: ({row.x}, {row.y}) not inside "
+                f"[0, {w - 1}] x [0, {h - 1}]")
+    return rows
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -303,14 +315,7 @@ def load_dataset(manifest_path) -> Dataset:
     if "annotations" in manifest:
         ann_path = os.path.join(base, manifest["annotations"])
         coords = np.full((len(ids), landmark_count, 2), np.nan)
-        for row in read_annotations(ann_path):
-            if row.image_id not in index:
-                raise DataFormatError(f"{ann_path}: unknown image id {row.image_id!r}")
-            if not 0 <= row.landmark_id < landmark_count:
-                raise DataFormatError(
-                    f"{ann_path}: landmark id {row.landmark_id} outside "
-                    f"0..{landmark_count - 1} for image {row.image_id!r}")
-            _check_bounds(row, images[index[row.image_id]].shape, ann_path)
+        for row in _read_checked_annotations(ann_path, index, images, landmark_count):
             coords[index[row.image_id], row.landmark_id] = (row.x, row.y)
         if np.isnan(coords).any():
             missing = [(ids[i], j) for i, j in zip(*np.nonzero(np.isnan(coords[:, :, 0])))]
@@ -320,14 +325,7 @@ def load_dataset(manifest_path) -> Dataset:
     if "observer_annotations" in manifest:
         obs_path = os.path.join(base, manifest["observer_annotations"])
         observers = {}
-        for row in read_annotations(obs_path):
-            if row.image_id not in index:
-                raise DataFormatError(f"{obs_path}: unknown image id {row.image_id!r}")
-            if not 0 <= row.landmark_id < landmark_count:
-                raise DataFormatError(
-                    f"{obs_path}: landmark id {row.landmark_id} outside "
-                    f"0..{landmark_count - 1} for image {row.image_id!r}")
-            _check_bounds(row, images[index[row.image_id]].shape, obs_path)
+        for row in _read_checked_annotations(obs_path, index, images, landmark_count):
             key = (row.image_id, row.landmark_id)
             entries = observers.setdefault(key, [])
             if any(o == row.observer_id for o, _, _ in entries):

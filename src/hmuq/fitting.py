@@ -20,6 +20,7 @@ from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     HeatmapGrid,
+    _gaussian,
 )
 
 INIT_SIGMA = 3.0
@@ -66,24 +67,17 @@ def _window(shape, center, halfwidth):
     return x0, x1, y0, y1
 
 
-def _model_and_jacobian(p, xs, ys):
+def _model(p, xs, ys, mean_gradients=False):
+    """The Gaussian with solver parameters p at pixel centers (xs, ys)."""
     mx, my, theta, log_a, log_b, log_amp = p
-    a, b = math.exp(log_a), math.exp(log_b)
-    amp = math.exp(log_amp)
-    c, s = math.cos(theta), math.sin(theta)
-    dx, dy = xs - mx, ys - my
-    u1 = c * dx + s * dy
-    u2 = -s * dx + c * dy
-    q1, q2 = (u1 / a) ** 2, (u2 / b) ** 2
-    model = (amp / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
-    jac = np.empty((xs.size, 6))
-    jac[:, 0] = model * (c * u1 / a ** 2 - s * u2 / b ** 2)
-    jac[:, 1] = model * (s * u1 / a ** 2 + c * u2 / b ** 2)
-    jac[:, 2] = model * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2)
-    jac[:, 3] = model * (q1 - 1.0)
-    jac[:, 4] = model * (q2 - 1.0)
-    jac[:, 5] = model
-    return model, jac
+    return _gaussian(xs - mx, ys - my, theta, math.exp(log_a), math.exp(log_b),
+                     math.exp(log_amp), mean_gradients=mean_gradients)
+
+
+def _jacobian(p, xs, ys):
+    """d model / d(mean x, mean y, theta, log sigma_maj, log sigma_min, log amplitude)."""
+    h, dtheta, dlog_a, dlog_b, dmx, dmy = _model(p, xs, ys, mean_gradients=True)
+    return np.column_stack((dmx, dmy, dtheta, dlog_a, dlog_b, h))
 
 
 def _solve(values, p0, window, cfg, max_nfev):
@@ -93,19 +87,11 @@ def _solve(values, p0, window, cfg, max_nfev):
     xs = xs.ravel().astype(np.float64)
     ys = ys.ravel().astype(np.float64)
     data = patch.ravel()
-
-    def residuals(p):
-        return _model_and_jacobian(p, xs, ys)[0] - data
-
-    def jacobian(p):
-        return _model_and_jacobian(p, xs, ys)[1]
-
-    result = least_squares(
-        residuals, p0, jac=jacobian, method="trf",
-        loss="soft_l1", f_scale=cfg.robust_loss_scale,
+    return least_squares(
+        lambda p: _model(p, xs, ys) - data, p0, jac=lambda p: _jacobian(p, xs, ys),
+        method="trf", loss="soft_l1", f_scale=cfg.robust_loss_scale,
         xtol=cfg.tolerance, ftol=cfg.tolerance, gtol=None,
         max_nfev=max_nfev)
-    return result, residuals
 
 
 def fit_gaussian(h: HeatmapGrid | np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -137,19 +123,19 @@ def fit_gaussian(h: HeatmapGrid | np.ndarray, cfg: FitConfig = FitConfig()) -> F
 
     window = _window(values.shape, (x0, y0), cfg.window_halfwidth_sigmas * INIT_SIGMA)
     warmup = min(10, cfg.max_iterations)
-    res, _ = _solve(values, p, window, cfg, warmup)
+    res = _solve(values, p, window, cfg, warmup)
     iterations = res.nfev
 
     sigma_est = max(math.exp(res.x[3]), math.exp(res.x[4]))
     new_window = _window(values.shape, (res.x[0], res.x[1]),
                          cfg.window_halfwidth_sigmas * max(sigma_est, INIT_SIGMA))
     budget = max(cfg.max_iterations - iterations, 1)
-    res, residuals = _solve(values, res.x, new_window, cfg, budget)
+    res = _solve(values, res.x, new_window, cfg, budget)
     iterations += res.nfev
 
     mx, my, theta, log_a, log_b, log_amp = res.x
     decomp = CovarianceDecomposition(theta, math.exp(log_a), math.exp(log_b)).canonical()
     gaussian = AnisotropicGaussian((float(mx), float(my)), decomp, math.exp(log_amp))
-    residual_norm = float(np.linalg.norm(residuals(res.x)))
+    residual_norm = float(np.linalg.norm(res.fun))
     converged = res.status > 0
     return FitResult(gaussian, residual_norm, iterations, converged)

@@ -173,35 +173,41 @@ def decompose_covariance(m: np.ndarray, allow_semidefinite: bool = False) -> Cov
     return CovarianceDecomposition(theta, math.sqrt(vals[1]), math.sqrt(vals[0])).canonical()
 
 
-def _rotated_offsets(mean, theta, shape):
-    """Offsets from `mean` at integer pixel centers, in the rotated frame (u1, u2)."""
-    h, w = shape
-    dx = np.arange(w, dtype=np.float64)[None, :] - mean[0]
-    dy = np.arange(h, dtype=np.float64)[:, None] - mean[1]
+def _gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False):
+    """Gaussian of mass amp and extents (a, b) at offsets (dx, dy) = pixel - mean.
+
+    dx and dy broadcast: a row and a column for a grid, or two flat arrays for
+    a fit window.  Returns the values; with `gradients`, (values, d/dtheta,
+    d/dlog a, d/dlog b); with `mean_gradients`, that tuple followed by
+    d/dmean_x and d/dmean_y.  Nothing is validated here.
+    """
     c, s = math.cos(theta), math.sin(theta)
     u1 = c * dx + s * dy
     u2 = -s * dx + c * dy
-    return u1, u2
-
-
-def _eval_gaussian(g: AnisotropicGaussian, shape, with_gradients: bool):
-    g.validate()
-    a, b = g.decomp.sigma_maj, g.decomp.sigma_min
-    u1, u2 = _rotated_offsets(g.mean, g.decomp.theta, shape)
     q1 = (u1 / a) ** 2
     q2 = (u2 / b) ** 2
-    h = (g.amplitude / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
-    if not with_gradients:
+    h = (amp / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
+    if not (gradients or mean_gradients):
         return h
-    dtheta = h * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2)
-    dmaj = h * (q1 - 1.0) / a
-    dmin = h * (q2 - 1.0) / b
-    return h, dtheta, dmaj, dmin
+    out = (h, h * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2), h * (q1 - 1.0), h * (q2 - 1.0))
+    if not mean_gradients:
+        return out
+    return out + (h * (c * u1 / a ** 2 - s * u2 / b ** 2),
+                  h * (s * u1 / a ** 2 + c * u2 / b ** 2))
+
+
+def _grid_args(g: AnisotropicGaussian, shape):
+    """Kernel arguments of a validated Gaussian over the pixel centers of an (H, W) grid."""
+    g.validate()
+    d = g.decomp
+    return (np.arange(shape[1], dtype=np.float64)[None, :] - g.mean[0],
+            np.arange(shape[0], dtype=np.float64)[:, None] - g.mean[1],
+            d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
 
 
 def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> HeatmapGrid:
     """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
-    return HeatmapGrid(_eval_gaussian(g, grid_shape, with_gradients=False))
+    return HeatmapGrid(_gaussian(*_grid_args(g, grid_shape)))
 
 
 def render_isotropic(mean: tuple[float, float], sigma: float, gamma: float,
@@ -219,13 +225,14 @@ def heatmap_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]
 
     Returns (dh/dtheta, dh/dsigma_maj, dh/dsigma_min) as heatmap grids.
     """
-    _, dtheta, dmaj, dmin = _eval_gaussian(g, grid_shape, with_gradients=True)
+    _, dtheta, dmaj, dmin = render_with_param_gradients(g, grid_shape)
     return HeatmapGrid(dtheta), HeatmapGrid(dmaj), HeatmapGrid(dmin)
 
 
 def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
     """Fused render + parameter gradients (single exp evaluation), as raw arrays."""
-    return _eval_gaussian(g, grid_shape, with_gradients=True)
+    h, dtheta, dlog_maj, dlog_min = _gaussian(*_grid_args(g, grid_shape), gradients=True)
+    return h, dtheta, dlog_maj / g.decomp.sigma_maj, dlog_min / g.decomp.sigma_min
 
 
 def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:

@@ -3,7 +3,7 @@ baselines (argmax spread vs fit of the mean heatmap)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,10 +66,8 @@ def mcd_max(heatmaps) -> LandmarkPrediction:
 
 def mcd_heatmap_fit(heatmaps, fit_cfg: FitConfig = FitConfig()) -> LandmarkPrediction:
     """Gaussian fit of the pixel-wise mean of the K passes."""
-    values = _as_stack(heatmaps)
-    res = fit_gaussian(HeatmapGrid(values.mean(axis=0)), fit_cfg)
-    return LandmarkPrediction(res.gaussian.mean, res.gaussian.decomp,
-                              "mcd_heatmap_fit", res.converged)
+    mean = HeatmapGrid(_as_stack(heatmaps).mean(axis=0))
+    return replace(sample_uncertainty(mean, fit_cfg), source="mcd_heatmap_fit")
 
 
 def mcd_predict(model, image, cfg: McdConfig = McdConfig()) -> list[list[HeatmapGrid]]:

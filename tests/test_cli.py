@@ -1,6 +1,9 @@
 import csv
+import importlib.util
+import re
 import shutil
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from hmuq.cli import main
 from hmuq.dataio import load_dataset, read_annotations
 
 from helpers import write_interobserver_fixture
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SYNTH_CFG = """\
 image_size = 32
@@ -257,6 +262,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "truncated" in err
 
+    @pytest.mark.parametrize("row", ["0.5,abc", "0.5,50.0,1.0"])
+    def test_malformed_accuracy_curve_names_file(self, tmp_path, capsys, row):
+        curve = tmp_path / "curve_bad.csv"
+        curve.write_text(f"fraction,accuracy_percent\n1.0,100.0\n{row}\n")
+        assert main(["plot", "--kind", "accuracy_curve", "--curves", str(curve),
+                     "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"{curve}:3" in capsys.readouterr().err
+
     def test_bad_config_key_runtime_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("image_sise = 32\n")
@@ -281,3 +294,47 @@ class TestConfigEnvVar:
         assert main(["synth", "--config", str(pipeline / "synth.cfg"),
                      "--out", str(tmp_path / "dq"), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
+
+
+class TestReadme:
+    def test_quick_start_trains(self, tmp_path):
+        """The quick start's train.cfg keeps training stable (the defaults diverge)."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        quick = re.search(r"^## Quick start\n(.*?)^## ", text, re.S | re.M).group(1)
+        assert "hmuq train --data data --config train.cfg" in quick
+        (tmp_path / "train.cfg").write_text(re.search(r"```ini\n(.*?)```", quick, re.S).group(1))
+        assert main(["synth", "--out", str(tmp_path / "data"), "--quiet"]) == 0
+        assert main(["train", "--data", str(tmp_path / "data"),
+                     "--config", str(tmp_path / "train.cfg"), "--iterations", "20",
+                     "--out", str(tmp_path / "model"), "--quiet"]) == 0
+
+
+def load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchTracing:
+    """The benchmark traces hmuq through module attributes; renaming one breaks it."""
+
+    def test_every_target_resolves(self):
+        tracing = load_bench_tracing()
+        for name, owner, attr, _ in tracing.hmuq_targets():
+            fn = owner.get(attr) if isinstance(owner, dict) else getattr(owner, attr, None)
+            assert callable(fn), f"{name}: {owner!r} has no callable {attr!r}"
+
+    def test_fits_are_counted(self, pipeline, tmp_path):
+        # fit fits every landmark of every image; plot fits only the plotted one
+        tracing = load_bench_tracing()
+        with tracing.Tracer(tracing.fit_targets()) as tracer:
+            assert main(["fit", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                         "--out", str(tmp_path), "--quiet"]) == 0
+        assert tracing.fit_tally(tracer.spans)[0] == 12 * 2
+        with tracing.Tracer(tracing.fit_targets()) as tracer:
+            assert main(["plot", "--kind", "sigma_vs_error", "--landmark", "1",
+                         "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                         "--out", str(tmp_path), "--quiet"]) == 0
+        assert tracing.fit_tally(tracer.spans)[0] == 12

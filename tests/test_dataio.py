@@ -92,6 +92,24 @@ class TestPgm:
         with pytest.raises(DataFormatError, match="truncated"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n-4 4\n255\n", b"P5\n0 4\n255\n"])
+    def test_rejects_nonpositive_dimensions(self, tmp_path, header):
+        path = tmp_path / "dims.pgm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*dimensions"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_every_truncation_rejected(self, tmp_path, bits):
+        full = tmp_path / "full.pgm"
+        write_pgm(full, np.linspace(0.0, 1.0, 12).reshape(3, 4), bits=bits)
+        data = full.read_bytes()
+        path = tmp_path / "cut.pgm"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataFormatError, match=re.escape(str(path))):
+                read_pgm(path)
+
     def test_rejects_other_formats(self, tmp_path):
         path = tmp_path / "g.ppm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

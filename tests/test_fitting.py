@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_decomposition
+from helpers import max_rel_error, random_decomposition
 from hmuq.dataio import config_from_dict, config_to_dict
-from hmuq.fitting import FitConfig, FitDegenerateError, argmax_coord, fit_gaussian
+from hmuq.fitting import (
+    FitConfig,
+    FitDegenerateError,
+    _jacobian,
+    _model,
+    argmax_coord,
+    fit_gaussian,
+)
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
@@ -96,6 +103,32 @@ class TestFitRoundTrip:
         res = fit_gaussian(h, FitConfig(max_iterations=2))
         assert not res.converged
         assert res.iterations <= 4  # warmup + main stage evaluations
+
+
+class TestFitJacobian:
+    def test_matches_finite_differences(self):
+        # every column the solver uses (mean x, mean y, theta, log sigma_maj,
+        # log sigma_min, log amplitude) on a flattened 31x31 window
+        ys, xs = np.mgrid[5:36, 7:38]
+        xs = xs.ravel().astype(np.float64)
+        ys = ys.ravel().astype(np.float64)
+        rng = np.random.default_rng(23)
+        step = 1e-5
+        checked = 0
+        while checked < 20:
+            d = random_decomposition(rng, 1.5, 6.0)
+            if d.ratio < 1.3:
+                continue
+            p = np.array([rng.uniform(18.0, 26.0), rng.uniform(16.0, 24.0), d.theta,
+                          math.log(d.sigma_maj), math.log(d.sigma_min), math.log(100.0)])
+            jac = _jacobian(p, xs, ys)
+            assert jac.shape == (xs.size, 6)
+            for k in range(6):
+                e = np.zeros(6)
+                e[k] = step
+                fd = (_model(p + e, xs, ys) - _model(p - e, xs, ys)) / (2 * step)
+                assert max_rel_error(fd, jac[:, k]) < 1e-6, f"column {k}"
+            checked += 1
 
 
 class TestFitInvariances:
