@@ -7,42 +7,43 @@ import numpy as np
 from .gauss import InvalidParameterError
 
 
-def _im2col3(x):
-    """(C, H, W) -> (H*W, C*9) patch matrix for a 3x3 same-padded convolution."""
-    c, h, w = x.shape
-    padded = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
-    padded[:, 1:-1, 1:-1] = x
-    win = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * 9)
+def _patches(x):
+    """(H, W, C) -> (H*W, 9*C) patch matrix of a 3x3 same-padded convolution.
+
+    Row i*W + j holds the 3x3 neighbourhood of pixel (i, j) with columns in
+    (ki, kj, c) order, i.e. the 9 shifted slices of the zero-padded input side
+    by side; a channels-last input needs no transpose to get there.
+    """
+    h, w, c = x.shape
+    padded = np.zeros((h + 2, w + 2, c))
+    padded[1:-1, 1:-1] = x
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3, c)).reshape(h * w, 9 * c)
 
 
-def _col2im3(dcol, shape):
-    """Adjoint of _im2col3: scatter patch gradients back onto the (C, H, W) image."""
-    c, h, w = shape
-    dpad = np.zeros((c, h + 2, w + 2), dtype=dcol.dtype)
-    d = dcol.reshape(h, w, c, 3, 3)
-    for ki in range(3):
-        for kj in range(3):
-            dpad[:, ki:ki + h, kj:kj + w] += d[:, :, :, ki, kj].transpose(2, 0, 1)
-    return dpad[:, 1:-1, 1:-1]
+def _kernel_matrix(w):
+    """(Cout, Cin, 3, 3) kernel -> (9*Cin, Cout) matrix matching the _patches columns."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+
+
+def _sum2x2(x):
+    """Sum over 2x2 blocks of the leading axes (faster than a reshaped reduction)."""
+    return x[0::2, 0::2] + x[1::2, 0::2] + x[0::2, 1::2] + x[1::2, 1::2]
 
 
 def avgpool2(x):
-    c, h, w = x.shape
-    return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    return 0.25 * _sum2x2(x)
 
 
 def avgpool2_backward(dy):
-    return np.repeat(np.repeat(dy, 2, axis=1), 2, axis=2) * 0.25
+    return upsample2(dy) * 0.25
 
 
 def upsample2(x):
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    return np.repeat(np.repeat(x, 2, axis=0), 2, axis=1)
 
 
 def upsample2_backward(dy):
-    c, h, w = dy.shape
-    return dy.reshape(c, h // 2, 2, w // 2, 2).sum(axis=(2, 4))
+    return _sum2x2(dy)
 
 
 class ReferencePredictor:
@@ -51,8 +52,11 @@ class ReferencePredictor:
     conv+ReLU on the way back, one (inverted) dropout layer in front of the
     final stage, and a linear 1x1 head with one output channel per landmark.
 
-    All arithmetic is float64.  Gradients come from the explicit backward pass
-    below; the finite-difference checks in the test suite are the contract.
+    All arithmetic is float64 on channels-last (H, W, C) activations; each 3x3
+    convolution is one patch-matrix product.  Gradients come from the explicit
+    backward pass below; the finite-difference checks in the test suite are
+    the contract.  Weights keep the (Cout, Cin, 3, 3) layout in the parameter
+    vector and in checkpoints.
     """
 
     def __init__(self, landmark_count: int, width: int = 16, seed: int = 0):
@@ -72,6 +76,7 @@ class ReferencePredictor:
         # already points each landmark channel at its feature-target correlation
         self.weights.append(np.zeros((n, c)))
         self.biases.append(np.zeros(n))
+        self._trunk_cache = None
         self._cache = None
 
     # --- parameter vector ---------------------------------------------------
@@ -100,48 +105,61 @@ class ReferencePredictor:
 
     # --- forward / backward ---------------------------------------------------
 
-    def _conv(self, x, layer, cache):
-        w, b = self.weights[layer], self.biases[layer]
-        col = _im2col3(x)
-        y = col @ w.reshape(w.shape[0], -1).T + b
-        h, wd = x.shape[1], x.shape[2]
-        cache.append((col, x.shape))
-        return y.T.reshape(w.shape[0], h, wd)
+    def _conv_relu(self, x, layer):
+        """3x3 conv + ReLU of an (H, W, Cin) input; returns it with the patch
+        matrix that backward needs."""
+        w = self.weights[layer]
+        col = _patches(x)
+        y = col @ _kernel_matrix(w)
+        y += self.biases[layer]
+        return np.maximum(y, 0.0, out=y).reshape(x.shape[0], x.shape[1], w.shape[0]), col
 
-    def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        """Run the network on a (H, W) image; returns (N, H, W) heatmaps.
+    def trunk(self, image: np.ndarray) -> np.ndarray:
+        """Deterministic part of forward: stages 0-3 and the last upsampling.
 
-        H and W must be divisible by 4 (two pooling stages).  A nonzero
-        dropout_rate needs an rng and rescales kept activations by 1/(1-rate)
-        so the expected activation is unchanged.
+        Maps a (H, W) image to (H, W, C) features for head(); with dropout
+        only in the head, Monte-Carlo passes over one image share one trunk.
         """
         image = np.asarray(image, dtype=np.float64)
         if image.ndim != 2 or image.shape[0] % 4 or image.shape[1] % 4:
             raise InvalidParameterError(
                 f"image must be 2-D with sides divisible by 4, got {image.shape}")
+        a1, col0 = self._conv_relu(image[:, :, None], 0)
+        a2, col1 = self._conv_relu(avgpool2(a1), 1)
+        a3, col2 = self._conv_relu(avgpool2(a2), 2)
+        a4, col3 = self._conv_relu(upsample2(a3), 3)
+        self._trunk_cache = ((col0, col1, col2, col3), (a1, a2, a3, a4))
+        return upsample2(a4)
+
+    def head(self, features: np.ndarray, dropout_rate: float = 0.0,
+             rng: np.random.Generator | None = None) -> np.ndarray:
+        """Dropout, the last conv stage and the 1x1 head on trunk() features.
+
+        Returns (N, H, W) heatmaps.  A nonzero dropout_rate needs an rng; the
+        mask is drawn as rng.random((C, H, W)), and kept activations are
+        rescaled by 1/(1-rate) so the expected activation is unchanged.
+        """
         if dropout_rate and rng is None:
             raise InvalidParameterError("dropout_rate > 0 requires an rng")
-        cols = []
-        x = image[None]
-        a1 = np.maximum(self._conv(x, 0, cols), 0.0)
-        p1 = avgpool2(a1)
-        a2 = np.maximum(self._conv(p1, 1, cols), 0.0)
-        p2 = avgpool2(a2)
-        a3 = np.maximum(self._conv(p2, 2, cols), 0.0)
-        u1 = upsample2(a3)
-        a4 = np.maximum(self._conv(u1, 3, cols), 0.0)
-        u2 = upsample2(a4)
+        h, w, c = features.shape
         if dropout_rate:
-            mask = (rng.random(u2.shape) >= dropout_rate) / (1.0 - dropout_rate)
+            mask = ((rng.random((c, h, w)) >= dropout_rate)
+                    / (1.0 - dropout_rate)).transpose(1, 2, 0)
+            features = features * mask
         else:
             mask = None
-        d = u2 * mask if mask is not None else u2
-        a5 = np.maximum(self._conv(d, 4, cols), 0.0)
-        wh, bh = self.weights[5], self.biases[5]
-        y = np.einsum("nc,chw->nhw", wh, a5) + bh[:, None, None]
-        self._cache = (cols, (a1, a2, a3, a4, a5), mask)
-        return y
+        a5, col4 = self._conv_relu(features, 4)
+        y = a5.reshape(h * w, c) @ self.weights[5].T + self.biases[5]
+        self._cache = (self._trunk_cache, col4, a5, mask)
+        return y.T.reshape(-1, h, w)
+
+    def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
+                rng: np.random.Generator | None = None) -> np.ndarray:
+        """Run the network on a (H, W) image; returns (N, H, W) heatmaps.
+
+        H and W must be divisible by 4 (two pooling stages); dropout as in head().
+        """
+        return self.head(self.trunk(image), dropout_rate, rng)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Backpropagate (N, H, W) output gradients from the latest forward call.
@@ -150,33 +168,35 @@ class ReferencePredictor:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cols, (a1, a2, a3, a4, a5), mask = self._cache
+        (cols, (a1, a2, a3, a4)), col4, a5, mask = self._cache
+        cols = (*cols, col4)
         gw = [None] * 6
         gb = [None] * 6
-        wh = self.weights[5]
-        gw[5] = np.einsum("nhw,chw->nc", dy, a5)
-        gb[5] = dy.sum(axis=(1, 2))
-        da5 = np.einsum("nc,nhw->chw", wh, dy)
+        dyf = dy.reshape(dy.shape[0], -1)
+        gw[5] = dyf @ a5.reshape(dyf.shape[1], -1)
+        gb[5] = dyf.sum(axis=1)
+        da5 = (dyf.T @ self.weights[5]).reshape(a5.shape)
 
         def conv_back(dyc, act, layer):
             dyc = dyc * (act > 0.0)
-            col, in_shape = cols[layer]
             w = self.weights[layer]
-            dym = dyc.reshape(dyc.shape[0], -1).T
-            gw[layer] = (dym.T @ col).reshape(w.shape)
+            cout, cin = w.shape[:2]
+            dym = dyc.reshape(-1, cout)
+            gw[layer] = (dym.T @ cols[layer]).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
             gb[layer] = dym.sum(axis=0)
-            return _col2im3(dym @ w.reshape(w.shape[0], -1), in_shape)
+            if layer == 0:
+                return None  # nothing reads the image gradient
+            # transposed convolution: the patches of the output gradient times
+            # the spatially flipped kernel with input and output channels swapped
+            dx = _patches(dyc) @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            return dx.reshape(dyc.shape[0], dyc.shape[1], cin)
 
         dd = conv_back(da5, a5, 4)
         du2 = dd * mask if mask is not None else dd
-        da4 = upsample2_backward(du2)
-        du1 = conv_back(da4, a4, 3)
-        da3 = upsample2_backward(du1)
-        dp2 = conv_back(da3, a3, 2)
-        da2 = avgpool2_backward(dp2)
-        dp1 = conv_back(da2, a2, 1)
-        da1 = avgpool2_backward(dp1)
-        conv_back(da1, a1, 0)
+        du1 = conv_back(upsample2_backward(du2), a4, 3)
+        dp2 = conv_back(upsample2_backward(du1), a3, 2)
+        dp1 = conv_back(avgpool2_backward(dp2), a2, 1)
+        conv_back(avgpool2_backward(dp1), a1, 0)
         parts = []
         for w, b in zip(gw, gb):
             parts.append(w.ravel())

@@ -87,8 +87,8 @@ class TrainConfig:
     gamma: float = 100.0
     weight_decay: float = 0.001
     iterations: int = 40000
-    learning_rate: float = 1e-4
-    covariance_lr_multiplier: float = 1.0
+    learning_rate: float = 1e-5
+    covariance_lr_multiplier: float = 3.0
     dropout_rate: float = 0.0
     batch_size: int = 4
     seed: int = 0

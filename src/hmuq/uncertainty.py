@@ -73,16 +73,18 @@ def mcd_heatmap_fit(heatmaps, fit_cfg: FitConfig = FitConfig()) -> LandmarkPredi
 def mcd_predict(model, image, cfg: McdConfig = McdConfig()) -> list[list[HeatmapGrid]]:
     """K stochastic forward passes; returns per-landmark lists of K heatmaps.
 
-    Pass seeds derive from cfg.seed, so the set is deterministic and each
-    pass could equally run concurrently.
+    Dropout sits only in the predictor head, so the deterministic trunk runs
+    once and the K heads run on its features.  Pass k draws its mask from
+    default_rng([cfg.seed, k]), exactly as predict(..., dropout_enabled=True,
+    seed=[cfg.seed, k]) does, so the set is deterministic and matches K
+    separate passes.
     """
-    from .trainer import predict  # deferred: trainer imports this module's types' siblings
-
     cfg.validate()
-    if not model.config.dropout_rate > 0:
+    rate = model.config.dropout_rate
+    if not rate > 0:
         raise InvalidParameterError("Monte-Carlo dropout needs a model trained with dropout")
-    per_pass = [predict(model, image, dropout_enabled=True, seed=[cfg.seed, pass_idx])
+    net = model.predictor
+    features = net.trunk(image)
+    per_pass = [net.head(features, rate, np.random.default_rng([cfg.seed, pass_idx]))
                 for pass_idx in range(cfg.k)]
-    n_landmarks = len(per_pass[0])
-    return [[per_pass[k][i] for k in range(cfg.k)] for i in range(n_landmarks)]
-
+    return [[HeatmapGrid(pred[i]) for pred in per_pass] for i in range(net.landmark_count)]

@@ -298,7 +298,7 @@ class TestConfigEnvVar:
 
 class TestReadme:
     def test_quick_start_trains(self, tmp_path):
-        """The quick start's train.cfg keeps training stable (the defaults diverge)."""
+        """The quick start's train.cfg trains stably."""
         text = (ROOT / "README.md").read_text(encoding="utf-8")
         quick = re.search(r"^## Quick start\n(.*?)^## ", text, re.S | re.M).group(1)
         assert "hmuq train --data data --config train.cfg" in quick
@@ -306,6 +306,14 @@ class TestReadme:
         assert main(["synth", "--out", str(tmp_path / "data"), "--quiet"]) == 0
         assert main(["train", "--data", str(tmp_path / "data"),
                      "--config", str(tmp_path / "train.cfg"), "--iterations", "20",
+                     "--out", str(tmp_path / "model"), "--quiet"]) == 0
+
+
+class TestTrainDefaults:
+    def test_default_config_trains(self, tmp_path):
+        """Without --config, the TrainConfig defaults train stably on the default dataset."""
+        assert main(["synth", "--out", str(tmp_path / "data"), "--quiet"]) == 0
+        assert main(["train", "--data", str(tmp_path / "data"), "--iterations", "20",
                      "--out", str(tmp_path / "model"), "--quiet"]) == 0
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from helpers import max_rel_error
 from hmuq.gauss import InvalidParameterError
@@ -54,17 +55,65 @@ class TestShapes:
         assert ReferencePredictor(2, width=8).num_params() <= 5000
 
 
+def direct_forward(net, image, dropout_rate=0.0, rng=None):
+    """Independent (C, H, W) oracle: per-channel-pair ndimage.correlate, 2x2
+    mean pooling, slice-assigned upsampling, the same dropout draw, einsum head."""
+
+    def conv_relu(x, layer):
+        w, b = net.weights[layer], net.biases[layer]
+        y = np.empty((w.shape[0],) + x.shape[1:])
+        for co in range(w.shape[0]):
+            y[co] = b[co] + sum(ndimage.correlate(x[ci], w[co, ci], mode="constant")
+                                for ci in range(w.shape[1]))
+        return np.maximum(y, 0.0)
+
+    def pool(x):
+        c, h, w = x.shape
+        return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+
+    def up(x):
+        y = np.empty((x.shape[0], 2 * x.shape[1], 2 * x.shape[2]))
+        for di in (0, 1):
+            for dj in (0, 1):
+                y[:, di::2, dj::2] = x
+        return y
+
+    a1 = conv_relu(image[None], 0)
+    a3 = conv_relu(pool(conv_relu(pool(a1), 1)), 2)
+    u2 = up(conv_relu(up(a3), 3))
+    if dropout_rate:
+        u2 = u2 * (rng.random(u2.shape) >= dropout_rate) / (1.0 - dropout_rate)
+    a5 = conv_relu(u2, 4)
+    return np.einsum("nc,chw->nhw", net.weights[5], a5) + net.biases[5][:, None, None]
+
+
+class TestDirectConvolutionOracle:
+    """A self-consistent weight-layout mistake passes the finite-difference
+    checks but changes what a stored checkpoint computes; this pins the layout."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_forward_matches_direct_convolution(self, rate):
+        rng = np.random.default_rng(21)
+        net = ReferencePredictor(3, width=5, seed=21)
+        randomize(net, rng)
+        image = rng.random((12, 16))
+        got = net.forward(image, rate, np.random.default_rng(8))
+        want = direct_forward(net, image, rate, np.random.default_rng(8))
+        assert got.shape == want.shape == (3, 12, 16)
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestPoolAdjoints:
     def test_avgpool_adjoint_identity(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 8, 8))
-        y = rng.normal(size=(3, 4, 4))
+        x = rng.normal(size=(8, 8, 3))
+        y = rng.normal(size=(4, 4, 3))
         assert np.vdot(avgpool2(x), y) == pytest.approx(np.vdot(x, avgpool2_backward(y)))
 
     def test_upsample_adjoint_identity(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 4, 4))
-        y = rng.normal(size=(2, 8, 8))
+        x = rng.normal(size=(4, 4, 2))
+        y = rng.normal(size=(8, 8, 2))
         assert np.vdot(upsample2(x), y) == pytest.approx(np.vdot(x, upsample2_backward(y)))
 
 

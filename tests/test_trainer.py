@@ -384,8 +384,8 @@ alpha = 5.0
 gamma = 100.0
 weight_decay = 0.001
 iterations = 40000
-learning_rate = 0.0001
-covariance_lr_multiplier = 1.0
+learning_rate = 1e-05
+covariance_lr_multiplier = 3.0
 dropout_rate = 0.0
 batch_size = 4
 seed = 0

@@ -14,10 +14,13 @@ from hmuq.gauss import (
     render_isotropic,
     sample_gaussian,
 )
+from hmuq.nets import ReferencePredictor
+from hmuq.trainer import TrainConfig, TrainedModel, predict
 from hmuq.uncertainty import (
     McdConfig,
     mcd_heatmap_fit,
     mcd_max,
+    mcd_predict,
     points_prediction,
     sample_uncertainty,
 )
@@ -134,3 +137,24 @@ class TestMcdConfig:
         with pytest.raises(InvalidParameterError):
             McdConfig(k=1).validate()
         McdConfig(k=2).validate()
+
+
+class TestMcdPredict:
+    def test_shared_trunk_matches_separate_passes(self):
+        # mcd_predict runs the trunk once; each pass must still equal one full
+        # dropout forward pass with the pass seed [cfg.seed, k]
+        rng = np.random.default_rng(31)
+        net = ReferencePredictor(2, width=4, seed=31)
+        net.set_params(rng.normal(0.0, 0.3, net.num_params()))
+        decomps = [CovarianceDecomposition(0.0, 3.0, 3.0)] * 2
+        model = TrainedModel(net, decomps, TrainConfig(dropout_rate=0.2, predictor_width=4),
+                             np.empty(0))
+        image = rng.random((16, 20))
+        cfg = McdConfig(k=5, seed=9)
+        stacks = mcd_predict(model, image, cfg)
+        assert [len(s) for s in stacks] == [cfg.k, cfg.k]
+        for k in range(cfg.k):
+            single = predict(model, image, dropout_enabled=True, seed=[cfg.seed, k])
+            for j in range(2):
+                assert np.abs(stacks[j][k].values - single[j].values).max() <= 1e-12
+        assert not np.array_equal(stacks[0][0].values, stacks[0][1].values)
