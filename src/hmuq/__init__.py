@@ -31,7 +31,6 @@ from .fitting import FitConfig, FitDegenerateError, FitResult, argmax_coord, fit
 from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
-    HeatmapGrid,
     InvalidParameterError,
     axis_angle_difference_deg,
     compose_covariance,

@@ -12,7 +12,6 @@ errors (with a diagnostic on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -28,8 +27,10 @@ from .clinical import (
 from .dataio import (
     AnnotationRow,
     config_from_dict,
+    errors_named,
     load_dataset,
     read_config_file,
+    read_csv,
     write_annotations,
     write_csv,
 )
@@ -68,9 +69,13 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _config_path(args):
-    """--config wins; the environment variable only fills in an absent flag."""
-    return args.config if args.config is not None else os.environ.get(CONFIG_ENV_VAR)
+def _read_config(args, default, decode):
+    """decode() of the --config file (the environment fills in an absent flag), else default."""
+    path = args.config if args.config is not None else os.environ.get(CONFIG_ENV_VAR)
+    if path is None:
+        return default
+    with errors_named(path):
+        return decode(read_config_file(path))
 
 
 def _manifest_path(data):
@@ -91,10 +96,7 @@ def _load_training_dataset(data):
 
 
 def _fit_config(args) -> FitConfig:
-    path = _config_path(args)
-    if path is None:
-        return FitConfig()
-    return config_from_dict(FitConfig, read_config_file(path))
+    return _read_config(args, FitConfig(), lambda items: config_from_dict(FitConfig, items))
 
 
 def _fit_dataset(model, ds, fit_cfg, landmarks=None):
@@ -134,8 +136,7 @@ def _write_report(args, name, rows, summary):
 
 
 def cmd_synth(args) -> int:
-    path = _config_path(args)
-    cfg = synth_config_from_dict(read_config_file(path)) if path else SynthConfig()
+    cfg = _read_config(args, SynthConfig(), synth_config_from_dict)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     cfg.validate()
@@ -149,8 +150,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     ds = _load_training_dataset(args.data)
-    path = _config_path(args)
-    cfg = config_from_dict(TrainConfig, read_config_file(path)) if path else TrainConfig()
+    cfg = _read_config(args, TrainConfig(), lambda items: config_from_dict(TrainConfig, items))
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, target_mode=args.mode)
     if args.seed is not None:
@@ -374,19 +374,14 @@ def cmd_plot(args, parser) -> int:
         _require(args, parser, "curves")
         curves = {}
         for path in args.curves:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header != ["fraction", "accuracy_percent"]:
-                    raise InvalidParameterError(f"{path}: not an accuracy-curve CSV")
-                pts = []
-                for lineno, rec in enumerate(reader, start=2):
-                    try:
-                        a, b = rec
-                        pts.append((float(a), float(b)))
-                    except ValueError:
-                        raise InvalidParameterError(
-                            f"{path}:{lineno}: expected two numbers, got {rec!r}") from None
+            pts = []
+            for lineno, rec in read_csv(path, ["fraction", "accuracy_percent"]):
+                try:
+                    a, b = rec
+                    pts.append((float(a), float(b)))
+                except ValueError:
+                    raise InvalidParameterError(
+                        f"{path}:{lineno}: expected two numbers, got {rec!r}") from None
             label = os.path.splitext(os.path.basename(path))[0]
             curves[label.removeprefix("curve_")] = pts
         svg = render_accuracy_curve(curves, title="accuracy vs considered fraction",

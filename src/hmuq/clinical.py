@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import read_config_file, write_csv
+from .dataio import errors_named, read_config_file, write_csv
 from .gauss import InvalidParameterError, sample_gaussian
 
 DEFAULT_MEASUREMENTS_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -371,4 +371,6 @@ def measurements_from_config(items: dict[str, str]):
 
 def load_measurements(path=None):
     """Load a measurement config file (the shipped defaults when path is None)."""
-    return measurements_from_config(read_config_file(path or DEFAULT_MEASUREMENTS_PATH))
+    path = path or DEFAULT_MEASUREMENTS_PATH
+    with errors_named(path, (InvalidParameterError, ExpressionError)):
+        return measurements_from_config(read_config_file(path))

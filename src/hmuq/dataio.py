@@ -11,6 +11,7 @@ that a read/write round trip preserves them exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import os
@@ -56,6 +57,15 @@ def format_config(items: dict[str, str]) -> str:
 def read_config_file(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), source=str(path))
+
+
+@contextlib.contextmanager
+def errors_named(path, errors=(InvalidParameterError,)):
+    """Re-raise `errors` from the block with `path: ` in front of their message."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _format_value(value) -> str:
@@ -192,6 +202,15 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def read_csv(path, header):
+    """Yield (line number, row) for each non-empty row of a CSV that starts with `header`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
+        yield from ((lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
+
+
 @dataclass(frozen=True)
 class AnnotationRow:
     image_id: str
@@ -209,21 +228,13 @@ def write_annotations(path, rows) -> None:
 
 def read_annotations(path) -> list[AnnotationRow]:
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ANNOTATION_HEADER:
-            raise DataFormatError(f"{path}:1: expected header {','.join(ANNOTATION_HEADER)}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 5:
-                raise DataFormatError(f"{path}:{lineno}: expected 5 columns, got {len(rec)}")
-            try:
-                rows.append(AnnotationRow(rec[0], int(rec[1]), rec[2],
-                                          float(rec[3]), float(rec[4])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, rec in read_csv(path, ANNOTATION_HEADER):
+        if len(rec) != 5:
+            raise DataFormatError(f"{path}:{lineno}: expected 5 columns, got {len(rec)}")
+        try:
+            rows.append(AnnotationRow(rec[0], int(rec[1]), rec[2], float(rec[3]), float(rec[4])))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
@@ -279,7 +290,8 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataFormatError(f"{manifest_path}: missing required key {key!r}")
     if "annotations" not in manifest and "observer_annotations" not in manifest:
         raise DataFormatError(f"{manifest_path}: need annotations or observer_annotations")
-    landmark_count = int(manifest["landmark_count"])
+    with errors_named(manifest_path):
+        landmark_count = _parse_value("landmark_count", int, manifest["landmark_count"])
     if landmark_count < 1:
         raise DataFormatError(f"{manifest_path}: landmark_count must be >= 1")
 
@@ -287,28 +299,21 @@ def load_dataset(manifest_path) -> Dataset:
     images: list[np.ndarray] = []
     spacing: list[float] = []
     images_path = os.path.join(base, manifest["images"])
-    with open(images_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != IMAGES_HEADER:
-            raise DataFormatError(f"{images_path}:1: expected header {','.join(IMAGES_HEADER)}")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise DataFormatError(f"{images_path}:{lineno}: expected 3 columns")
-            image_id, rel, spc = rec
-            if image_id in ids:
-                raise DataFormatError(f"{images_path}:{lineno}: duplicate image id {image_id!r}")
-            try:
-                spc_val = float(spc)
-            except ValueError:
-                raise DataFormatError(f"{images_path}:{lineno}: bad spacing {spc!r}") from None
-            if not spc_val > 0:
-                raise DataFormatError(f"{images_path}:{lineno}: spacing must be > 0")
-            ids.append(image_id)
-            images.append(read_pgm(os.path.join(base, rel)))
-            spacing.append(spc_val)
+    for lineno, rec in read_csv(images_path, IMAGES_HEADER):
+        if len(rec) != 3:
+            raise DataFormatError(f"{images_path}:{lineno}: expected 3 columns")
+        image_id, rel, spc = rec
+        if image_id in ids:
+            raise DataFormatError(f"{images_path}:{lineno}: duplicate image id {image_id!r}")
+        try:
+            spc_val = float(spc)
+        except ValueError:
+            raise DataFormatError(f"{images_path}:{lineno}: bad spacing {spc!r}") from None
+        if not spc_val > 0:
+            raise DataFormatError(f"{images_path}:{lineno}: spacing must be > 0")
+        ids.append(image_id)
+        images.append(read_pgm(os.path.join(base, rel)))
+        spacing.append(spc_val)
     index = {image_id: i for i, image_id in enumerate(ids)}
 
     coords = None

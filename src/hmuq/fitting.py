@@ -19,7 +19,7 @@ from .gauss import (
     TWO_PI,
     AnisotropicGaussian,
     CovarianceDecomposition,
-    HeatmapGrid,
+    InvalidParameterError,
     _gaussian,
 )
 
@@ -51,10 +51,9 @@ class FitResult:
     converged: bool
 
 
-def argmax_coord(h: HeatmapGrid | np.ndarray) -> tuple[int, int]:
+def argmax_coord(h: np.ndarray) -> tuple[int, int]:
     """(x, y) of the maximum pixel; ties break to the smallest row, then column."""
-    values = h.values if isinstance(h, HeatmapGrid) else np.asarray(h)
-    row, col = np.unravel_index(np.argmax(values), values.shape)
+    row, col = np.unravel_index(np.argmax(h), np.shape(h))
     return int(col), int(row)
 
 
@@ -94,20 +93,23 @@ def _solve(values, p0, window, cfg, max_nfev):
         max_nfev=max_nfev)
 
 
-def fit_gaussian(h: HeatmapGrid | np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult:
+def fit_gaussian(h: np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit mean, covariance and amplitude of an anisotropic Gaussian to a heatmap.
 
     Initialized at the heatmap maximum with sigma_maj = sigma_min = 3, theta = 0
     and the amplitude implied by the peak value.  Sigmas and amplitude are
     optimized in log space; the fit runs on a window of +-window_halfwidth_sigmas
     times the current extent around the maximum, re-cropped once after 10
-    solver iterations.  Raises FitDegenerateError when fewer than 6 pixels rise
-    above 1% of the maximum (6 free parameters).
+    solver iterations.  Raises InvalidParameterError unless h is a non-empty
+    2-D grid of finite values, and FitDegenerateError when fewer than 6 pixels
+    rise above 1% of the maximum (6 free parameters).
     """
     cfg.validate()
-    if not isinstance(h, HeatmapGrid):
-        h = HeatmapGrid(h)
-    values = h.values
+    values = np.asarray(h, dtype=np.float64)
+    if values.ndim != 2 or values.size == 0:
+        raise InvalidParameterError(f"heatmap must be a 2-D grid, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise InvalidParameterError("heatmap values must be finite")
     peak = values.max()
     if peak <= 0 or np.count_nonzero(values > 0.01 * peak) < 6:
         raise FitDegenerateError(

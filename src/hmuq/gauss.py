@@ -2,7 +2,7 @@
 
 Covariances are parameterized either as plain 2x2 matrices (pixel^2) or as a
 rotation/extent decomposition (theta, sigma_maj, sigma_min).  Heatmaps are
-rendered by pointwise evaluation of the Gaussian density at integer pixel
+float64 (H, W) arrays of the Gaussian density evaluated at integer pixel
 centers; image arrays are indexed [row, col] = [y, x] while coordinates are
 (x, y) pairs.
 """
@@ -74,32 +74,6 @@ class CovarianceDecomposition:
         """Same orientation with extents multiplied by factor (unit change)."""
         return replace(self, sigma_maj=self.sigma_maj * factor,
                        sigma_min=self.sigma_min * factor)
-
-
-@dataclass
-class HeatmapGrid:
-    """Rectangular grid of real intensities, indexed [row, col] = [y, x] in px."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise InvalidParameterError(f"heatmap must be a 2-D grid, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidParameterError("heatmap values must be finite")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -205,13 +179,13 @@ def _grid_args(g: AnisotropicGaussian, shape):
             d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
 
 
-def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> HeatmapGrid:
+def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> np.ndarray:
     """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
-    return HeatmapGrid(_gaussian(*_grid_args(g, grid_shape)))
+    return _gaussian(*_grid_args(g, grid_shape))
 
 
 def render_isotropic(mean: tuple[float, float], sigma: float, gamma: float,
-                     grid_shape: tuple[int, int]) -> HeatmapGrid:
+                     grid_shape: tuple[int, int]) -> np.ndarray:
     """Render an isotropic Gaussian with extent sigma and total mass gamma."""
     if not sigma > 0:
         raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
@@ -219,18 +193,8 @@ def render_isotropic(mean: tuple[float, float], sigma: float, gamma: float,
     return render_anisotropic(g, grid_shape)
 
 
-def heatmap_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]
-                            ) -> tuple[HeatmapGrid, HeatmapGrid, HeatmapGrid]:
-    """Per-pixel partial derivatives of the rendered heatmap.
-
-    Returns (dh/dtheta, dh/dsigma_maj, dh/dsigma_min) as heatmap grids.
-    """
-    _, dtheta, dmaj, dmin = render_with_param_gradients(g, grid_shape)
-    return HeatmapGrid(dtheta), HeatmapGrid(dmaj), HeatmapGrid(dmin)
-
-
 def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
-    """Fused render + parameter gradients (single exp evaluation), as raw arrays."""
+    """Fused render + parameter gradients: h, dh/dtheta, dh/dsigma_maj, dh/dsigma_min."""
     h, dtheta, dlog_maj, dlog_min = _gaussian(*_grid_args(g, grid_shape), gradients=True)
     return h, dtheta, dlog_maj / g.decomp.sigma_maj, dlog_min / g.decomp.sigma_min
 

@@ -19,6 +19,7 @@ import numpy as np
 from .dataio import (
     AnnotationRow,
     Dataset,
+    _parse_value,
     config_from_dict,
     config_to_dict,
     format_config,
@@ -182,24 +183,23 @@ def synth_config_from_dict(items: dict[str, str]) -> SynthConfig:
     items = dict(items)
     if "num_landmarks" not in items:
         return config_from_dict(SynthConfig, items)
-    count = int(items.pop("num_landmarks"))
+    count = _parse_value("num_landmarks", int, items.pop("num_landmarks"))
     if count < 1:
         raise InvalidParameterError("num_landmarks must be >= 1")
-    landmarks = []
-    for i in range(count):
-        fields = {}
-        for suffix in ("structure", "orientation_deg", "noise_theta_deg",
-                       "noise_sigma_maj", "noise_sigma_min"):
-            key = f"landmark_{i}.{suffix}"
-            if key not in items:
-                raise InvalidParameterError(f"missing config key {key!r}")
-            fields[suffix] = items.pop(key)
-        noise = CovarianceDecomposition(math.radians(float(fields["noise_theta_deg"])),
-                                        float(fields["noise_sigma_maj"]),
-                                        float(fields["noise_sigma_min"]))
-        landmarks.append(LandmarkSpec(fields["structure"],
-                                      float(fields["orientation_deg"]), noise))
-    return config_from_dict(SynthConfig, items, landmarks=tuple(landmarks))
+
+    def take(i, suffix, kind=float):
+        key = f"landmark_{i}.{suffix}"
+        if key not in items:
+            raise InvalidParameterError(f"missing config key {key!r}")
+        return _parse_value(key, kind, items.pop(key))
+
+    landmarks = tuple(  # arguments evaluate, and report errors, in key order
+        LandmarkSpec(take(i, "structure", str), take(i, "orientation_deg"),
+                     CovarianceDecomposition(math.radians(take(i, "noise_theta_deg")),
+                                             take(i, "noise_sigma_maj"),
+                                             take(i, "noise_sigma_min")))
+        for i in range(count))
+    return config_from_dict(SynthConfig, items, landmarks=landmarks)
 
 
 def write_synth_dataset(out_dir, ds: SynthDataset, cfg: SynthConfig) -> str:

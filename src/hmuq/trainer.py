@@ -18,11 +18,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .dataio import config_from_dict, config_to_dict, format_config, parse_config_text
+from .dataio import (
+    config_from_dict,
+    config_to_dict,
+    errors_named,
+    format_config,
+    parse_config_text,
+)
 from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
-    HeatmapGrid,
     InvalidParameterError,
     render_anisotropic,
     render_with_param_gradients,
@@ -141,7 +146,7 @@ def render_targets(coords, decomps, gamma, shape) -> np.ndarray:
     out = np.empty((len(decomps), *shape))
     for i, d in enumerate(decomps):
         g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
-        out[i] = render_anisotropic(g, shape).values
+        out[i] = render_anisotropic(g, shape)
     return out
 
 
@@ -409,12 +414,11 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None) -
 
 
 def predict(model: TrainedModel, image, dropout_enabled: bool = False,
-            seed: int = 0) -> list[HeatmapGrid]:
-    """One forward pass; dropout (at the training rate) only when enabled."""
+            seed: int = 0) -> np.ndarray:
+    """One forward pass, (N, H, W); dropout (at the training rate) only when enabled."""
     rate = model.config.dropout_rate if dropout_enabled else 0.0
     rng = np.random.default_rng(seed) if rate else None
-    pred = model.predictor.forward(np.asarray(image, dtype=np.float64), rate, rng)
-    return [HeatmapGrid(pred[i]) for i in range(pred.shape[0])]
+    return model.predictor.forward(np.asarray(image, dtype=np.float64), rate, rng)
 
 
 # --- checkpoint IO ----------------------------------------------------------------
@@ -459,9 +463,14 @@ def read_checkpoint(path) -> TrainedModel:
     decomps = [CovarianceDecomposition(*struct.unpack("<3d", take(24))) for _ in range(count)]
     (n_params,) = struct.unpack("<I", take(4))
     params = np.frombuffer(take(4 * n_params), dtype="<f4").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise InvalidParameterError(f"{path}: predictor parameters must be finite")
     (cfg_len,) = struct.unpack("<I", take(4))
     snapshot = take(cfg_len).decode("utf-8")
-    cfg = config_from_dict(TrainConfig, parse_config_text(snapshot, source=str(path)))
+    with errors_named(path):
+        for d in decomps:
+            d.validate()
+        cfg = config_from_dict(TrainConfig, parse_config_text(snapshot, source=str(path)))
     net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed)
     if net.num_params() != n_params:
         raise InvalidParameterError(

@@ -8,12 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fitting import FitConfig, argmax_coord, fit_gaussian
-from .gauss import (
-    CovarianceDecomposition,
-    HeatmapGrid,
-    InvalidParameterError,
-    population_distribution,
-)
+from .gauss import CovarianceDecomposition, InvalidParameterError, population_distribution
 
 
 @dataclass(frozen=True)
@@ -34,16 +29,15 @@ class McdConfig:
             raise InvalidParameterError(f"k must be >= 2, got {self.k}")
 
 
-def sample_uncertainty(h: HeatmapGrid, cfg: FitConfig = FitConfig()) -> LandmarkPrediction:
+def sample_uncertainty(h: np.ndarray, cfg: FitConfig = FitConfig()) -> LandmarkPrediction:
     """Gaussian fit of one predicted heatmap: coordinate plus directional spread."""
     res = fit_gaussian(h, cfg)
     return LandmarkPrediction(res.gaussian.mean, res.gaussian.decomp, "fit", res.converged)
 
 
 def _as_stack(heatmaps) -> np.ndarray:
-    values = np.stack([h.values if isinstance(h, HeatmapGrid) else np.asarray(h, np.float64)
-                       for h in heatmaps])
-    if values.shape[0] < 2:
+    values = np.asarray(heatmaps, dtype=np.float64)
+    if len(values) < 2:
         raise InvalidParameterError("need at least 2 forward passes")
     return values
 
@@ -66,12 +60,12 @@ def mcd_max(heatmaps) -> LandmarkPrediction:
 
 def mcd_heatmap_fit(heatmaps, fit_cfg: FitConfig = FitConfig()) -> LandmarkPrediction:
     """Gaussian fit of the pixel-wise mean of the K passes."""
-    mean = HeatmapGrid(_as_stack(heatmaps).mean(axis=0))
+    mean = _as_stack(heatmaps).mean(axis=0)
     return replace(sample_uncertainty(mean, fit_cfg), source="mcd_heatmap_fit")
 
 
-def mcd_predict(model, image, cfg: McdConfig = McdConfig()) -> list[list[HeatmapGrid]]:
-    """K stochastic forward passes; returns per-landmark lists of K heatmaps.
+def mcd_predict(model, image, cfg: McdConfig = McdConfig()) -> np.ndarray:
+    """K stochastic forward passes as an (N, K, H, W) array: landmark, pass, grid.
 
     Dropout sits only in the predictor head, so the deterministic trunk runs
     once and the K heads run on its features.  Pass k draws its mask from
@@ -87,4 +81,4 @@ def mcd_predict(model, image, cfg: McdConfig = McdConfig()) -> list[list[Heatmap
     features = net.trunk(image)
     per_pass = [net.head(features, rate, np.random.default_rng([cfg.seed, pass_idx]))
                 for pass_idx in range(cfg.k)]
-    return [[HeatmapGrid(pred[i]) for pred in per_pass] for i in range(net.landmark_count)]
+    return np.stack(per_pass, axis=1)

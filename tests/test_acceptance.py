@@ -164,7 +164,7 @@ def test_criterion_2_fit_round_trip():
         d = CovarianceDecomposition(rng_i.uniform(-1.0, 1.0), 4.0, 2.0)
         mean = (32.0 + rng_i.uniform(-2, 2), 32.0 + rng_i.uniform(-2, 2))
         g = AnisotropicGaussian(mean, d, 100.0)
-        grid = render_anisotropic(g, (64, 64)).values.copy()
+        grid = render_anisotropic(g, (64, 64)).copy()
         peak = grid.max()
         placed = 0
         while placed < 5:  # hot pixels clear of the blob core

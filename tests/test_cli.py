@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import re
 import shutil
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -276,6 +277,124 @@ class TestErrors:
         assert main(["synth", "--config", str(cfg),
                      "--out", str(tmp_path), "--quiet"]) == 1
         assert "image_sise" in capsys.readouterr().err
+
+
+SYNTH_LANDMARK_CFG = """\
+num_landmarks = 1
+landmark_0.structure = blob
+landmark_0.noise_theta_deg = 0.0
+landmark_0.noise_sigma_maj = 1.0
+landmark_0.noise_sigma_min = 1.0
+"""
+
+
+def _config_case(command, text):
+    def build(pipeline, tmp):
+        path = tmp / "bad.cfg"
+        path.write_text(text)
+        data = [] if command == "synth" else ["--data", str(pipeline / "d")]
+        model = ["--model", str(pipeline / "m")] if command == "fit" else []
+        return [command, "--config", str(path)] + data + model, path
+    return build
+
+
+def _checkpoint_case(command, edit):
+    """A copy of the pipeline checkpoint with edit(raw, params_at, snapshot_at) applied."""
+    def build(pipeline, tmp):
+        raw = bytearray((pipeline / "m" / "model.ckpt").read_bytes())
+        (count,) = struct.unpack_from("<I", raw, 6)
+        params_at = 10 + 24 * count + 4
+        (n_params,) = struct.unpack_from("<I", raw, params_at - 4)
+        path = tmp / "model.ckpt"
+        path.write_bytes(edit(raw, params_at, params_at + 4 * n_params))
+        argv = [command, "--model", str(path), "--data", str(pipeline / "d")]
+        return argv + (["--kind", "ellipse_overlay"] if command == "plot" else []), path
+    return build
+
+
+def _nan_parameter(raw, params_at, snapshot_at):
+    struct.pack_into("<f", raw, params_at, float("nan"))
+    return bytes(raw)
+
+
+def _sigma_maj(value):
+    def edit(raw, params_at, snapshot_at):
+        struct.pack_into("<d", raw, 10 + 8, value)  # landmark 0
+        return bytes(raw)
+    return edit
+
+
+def _unknown_snapshot_key(raw, params_at, snapshot_at):
+    snapshot = bytes(raw[snapshot_at + 4:]) + b"bogus = 1\n"
+    return bytes(raw[:snapshot_at]) + struct.pack("<I", len(snapshot)) + snapshot
+
+
+def _manifest_case(pipeline, tmp):
+    bad = tmp / "bad"
+    shutil.copytree(pipeline / "d", bad)
+    manifest = bad / "manifest.cfg"
+    manifest.write_text("landmark_count = four\nimages = images.csv\n"
+                        "annotations = annotations.csv\n")
+    return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], manifest
+
+
+def _measurements_case(text):
+    def build(pipeline, tmp):
+        path = tmp / "meas.cfg"
+        path.write_text(text)
+        return ["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                "--names", str(pipeline / "names.cfg"), "--measurements", str(path),
+                "--samples", "10"], path
+    return build
+
+
+def _curve_case(pipeline, tmp):
+    path = tmp / "curve_bad.csv"
+    path.write_text("fraction,accuracy\n1.0,100.0\n")
+    return ["plot", "--kind", "accuracy_curve", "--curves", str(path)], path
+
+
+BAD_INPUTS = {
+    "train-unknown-key": (_config_case("train", "bogus = 1\n"), "unknown config key 'bogus'"),
+    "train-bad-float": (_config_case("train", "learning_rate = fast\n"),
+                        "learning_rate: expected float, got 'fast'"),
+    "fit-unknown-key": (_config_case("fit", "bogus = 1\n"), "unknown config key 'bogus'"),
+    "synth-bad-count": (_config_case("synth", "num_landmarks = x\n"),
+                        "num_landmarks: expected int, got 'x'"),
+    "synth-bad-landmark-float": (
+        _config_case("synth", SYNTH_LANDMARK_CFG + "landmark_0.orientation_deg = abc\n"),
+        "landmark_0.orientation_deg: expected float, got 'abc'"),
+    "checkpoint-unknown-snapshot-key": (_checkpoint_case("predict", _unknown_snapshot_key),
+                                        "unknown config key 'bogus'"),
+    "checkpoint-nan-parameter": (_checkpoint_case("predict", _nan_parameter),
+                                 "predictor parameters must be finite"),
+    "checkpoint-inf-covariance": (_checkpoint_case("plot", _sigma_maj(float("inf"))),
+                                  "covariance parameters must be finite"),
+    "checkpoint-negative-sigma": (_checkpoint_case("plot", _sigma_maj(-3.0)), "must be >= 0"),
+    "manifest-bad-count": (_manifest_case, "landmark_count: expected int, got 'four'"),
+    "measurements-bad-breakpoints": (
+        _measurements_case(MEAS_CFG.replace("6.0, 12.0", "6.0, x")), "bad breakpoints"),
+    "measurements-missing-labels": (
+        _measurements_case(MEAS_CFG.replace("span.labels = short, mid, long\n", "")),
+        "missing 'labels'"),
+    "measurements-unbalanced": (
+        _measurements_case(MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta")),
+        "expected ')'"),
+    "curve-bad-header": (_curve_case, ":1: expected header fraction,accuracy_percent"),
+}
+
+
+class TestBadInputs:
+    """Every bad input file exits 1 with a message that names the file and the fault."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_1_names_file(self, pipeline, tmp_path, capsys, case):
+        build, fragment = BAD_INPUTS[case]
+        argv, path = build(pipeline, tmp_path)
+        assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and fragment in err
+        assert "Traceback" not in err
 
 
 class TestConfigEnvVar:

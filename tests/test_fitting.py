@@ -16,7 +16,6 @@ from hmuq.fitting import (
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
-    HeatmapGrid,
     InvalidParameterError,
     axis_angle_difference_deg,
     render_anisotropic,
@@ -49,10 +48,10 @@ class TestArgmax:
         values = np.zeros((12, 12))
         values[7, 3] = 5.0  # (x=3, y=7)
         values[2, 9] = 5.0  # (x=9, y=2): smaller row wins
-        assert argmax_coord(HeatmapGrid(values)) == (9, 2)
+        assert argmax_coord(values) == (9, 2)
 
     def test_uniform_zero_returns_origin(self):
-        assert argmax_coord(HeatmapGrid(np.zeros((5, 8)))) == (0, 0)
+        assert argmax_coord(np.zeros((5, 8))) == (0, 0)
 
 
 class TestFitRoundTrip:
@@ -74,14 +73,14 @@ class TestFitRoundTrip:
     def test_noiseless_residual_norm_small(self):
         h = render_isotropic((30.0, 31.5), 2.5, 100.0, (64, 64))
         res = fit_gaussian(h)
-        assert res.residual_norm < 1e-6 * h.values.max()
+        assert res.residual_norm < 1e-6 * h.max()
 
     def test_robust_to_impulse_outliers(self):
         g = AnisotropicGaussian((32.3, 30.7),
                                 CovarianceDecomposition(math.radians(25.0), 4.0, 2.0), 100.0)
-        clean = render_anisotropic(g, (64, 64)).values
+        clean = render_anisotropic(g, (64, 64))
         rng = np.random.default_rng(3)
-        noisy = HeatmapGrid(add_impulses(clean, (32.3, 30.7), 5, rng))
+        noisy = add_impulses(clean, (32.3, 30.7), 5, rng)
         robust = fit_gaussian(noisy)
         err_robust = math.hypot(robust.gaussian.mean[0] - 32.3, robust.gaussian.mean[1] - 30.7)
         # plain least squares: soft-L1 with a huge scale degenerates to L2
@@ -92,11 +91,20 @@ class TestFitRoundTrip:
 
     def test_degenerate_heatmap_rejected(self):
         with pytest.raises(FitDegenerateError):
-            fit_gaussian(HeatmapGrid(np.zeros((16, 16))))
+            fit_gaussian(np.zeros((16, 16)))
         spike = np.zeros((16, 16))
         spike[8, 8] = 1.0
         with pytest.raises(FitDegenerateError):
-            fit_gaussian(HeatmapGrid(spike))
+            fit_gaussian(spike)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.ones(16), "2-D grid"),
+        (np.zeros((0, 16)), "2-D grid"),
+        (np.where(np.eye(16) > 0, np.nan, 1.0), "finite"),
+    ])
+    def test_malformed_heatmap_rejected(self, values, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            fit_gaussian(values)
 
     def test_iteration_budget_reports_nonconvergence(self):
         h = render_isotropic((32.0, 32.0), 4.0, 100.0, (64, 64))

@@ -12,9 +12,9 @@ from hmuq.gauss import (
     axis_angle_difference_deg,
     compose_covariance,
     decompose_covariance,
-    heatmap_param_gradients,
     render_anisotropic,
     render_isotropic,
+    render_with_param_gradients,
     sample_gaussian,
 )
 
@@ -98,13 +98,13 @@ class TestRender:
     def test_peak_value(self):
         g = AnisotropicGaussian((16.0, 16.0), CovarianceDecomposition(0.0, 3.0, 3.0), 100.0)
         h = render_anisotropic(g, (33, 33))
-        assert h.values[16, 16] == pytest.approx(PEAK_G100_S3, rel=1e-12)
+        assert h[16, 16] == pytest.approx(PEAK_G100_S3, rel=1e-12)
 
     def test_isotropic_peak_and_sigma_falloff(self):
         h = render_isotropic((16.0, 16.0), 3.0, 100.0, (33, 33))
-        peak = h.values[16, 16]
+        peak = h[16, 16]
         assert peak == pytest.approx(PEAK_G100_S3, rel=1e-12)
-        assert h.values[16, 19] == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
+        assert h[16, 19] == pytest.approx(peak * math.exp(-0.5), rel=1e-12)
 
     def test_mass_matches_quadrature_oracle(self):
         # independent oracle: adaptive quadrature of the analytic density
@@ -123,7 +123,7 @@ class TestRender:
             oracle, _ = integrate.dblquad(density, mean[0] - lim, mean[0] + lim,
                                           mean[1] - lim, mean[1] + lim, epsabs=1e-9)
             g = AnisotropicGaussian(mean, CovarianceDecomposition(theta, maj, mnr), gamma)
-            pixel_mass = render_anisotropic(g, (81, 81)).values.sum()
+            pixel_mass = render_anisotropic(g, (81, 81)).sum()
             assert oracle == pytest.approx(gamma, rel=1e-6)
             assert pixel_mass == pytest.approx(oracle, rel=5e-3)
 
@@ -134,15 +134,15 @@ class TestRender:
             theta = rng.uniform(-np.pi / 2, np.pi / 2)
             mean = tuple(rng.uniform(10, 22, size=2))
             g = AnisotropicGaussian(mean, CovarianceDecomposition(theta, sigma, sigma), 100.0)
-            ha = render_anisotropic(g, (32, 32)).values
-            hi = render_isotropic(mean, sigma, 100.0, (32, 32)).values
+            ha = render_anisotropic(g, (32, 32))
+            hi = render_isotropic(mean, sigma, 100.0, (32, 32))
             np.testing.assert_allclose(ha, hi, atol=1e-12)
 
     def test_invariant_under_half_turn(self):
         g1 = AnisotropicGaussian((15.2, 17.8), CovarianceDecomposition(0.4, 4.0, 2.0), 100.0)
         g2 = AnisotropicGaussian((15.2, 17.8), CovarianceDecomposition(0.4 + math.pi, 4.0, 2.0), 100.0)
-        np.testing.assert_allclose(render_anisotropic(g1, (40, 40)).values,
-                                   render_anisotropic(g2, (40, 40)).values, atol=1e-12)
+        np.testing.assert_allclose(render_anisotropic(g1, (40, 40)),
+                                   render_anisotropic(g2, (40, 40)), atol=1e-12)
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -152,13 +152,13 @@ class TestRender:
 class TestParamGradients:
     def test_isotropic_theta_gradient_is_zero(self):
         g = AnisotropicGaussian((16.0, 16.0), CovarianceDecomposition(0.3, 3.0, 3.0), 100.0)
-        dtheta, _, _ = heatmap_param_gradients(g, (33, 33))
-        assert np.abs(dtheta.values).max() == 0.0
+        dtheta, _, _ = render_with_param_gradients(g, (33, 33))[1:]
+        assert np.abs(dtheta).max() == 0.0
 
     def test_peak_shrinks_with_sigma_maj(self):
         g = AnisotropicGaussian((16.0, 16.0), CovarianceDecomposition(0.0, 3.0, 2.0), 100.0)
-        _, dmaj, _ = heatmap_param_gradients(g, (33, 33))
-        assert dmaj.values[16, 16] < 0.0
+        _, dmaj, _ = render_with_param_gradients(g, (33, 33))[1:]
+        assert dmaj[16, 16] < 0.0
 
     def test_matches_finite_differences(self):
         # central differences with step 1e-4 over 100 seeded parameter draws
@@ -169,11 +169,11 @@ class TestParamGradients:
             d = random_decomposition(rng, 1.0, 8.0)
             mean = tuple(rng.uniform(12, 28, size=2))
             g = AnisotropicGaussian(mean, d, 100.0)
-            dtheta, dmaj, dmin = (grid.values for grid in heatmap_param_gradients(g, shape))
+            dtheta, dmaj, dmin = render_with_param_gradients(g, shape)[1:]
 
             def render(theta=d.theta, maj=d.sigma_maj, mnr=d.sigma_min):
                 gg = AnisotropicGaussian(mean, CovarianceDecomposition(theta, maj, mnr), 100.0)
-                return render_anisotropic(gg, shape).values
+                return render_anisotropic(gg, shape)
 
             fd_theta = (render(theta=d.theta + step) - render(theta=d.theta - step)) / (2 * step)
             fd_maj = (render(maj=d.sigma_maj + step) - render(maj=d.sigma_maj - step)) / (2 * step)

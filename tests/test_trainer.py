@@ -231,15 +231,15 @@ class TestPredict:
         m, ds = model
         a = predict(m, ds.images[0])
         b = predict(m, ds.images[0])
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_dropout_seeds(self, model):
         m, ds = model
         a = predict(m, ds.images[0], dropout_enabled=True, seed=1)
         b = predict(m, ds.images[0], dropout_enabled=True, seed=2)
         c = predict(m, ds.images[0], dropout_enabled=True, seed=1)
-        assert not all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, c))
+        assert not all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_zero_rate_dropout_equals_disabled(self, model):
         m, ds = model
@@ -247,7 +247,7 @@ class TestPredict:
                              config_from_dict(TrainConfig, {"dropout_rate": "0.0"}), m.loss_trace)
         a = predict(plain, ds.images[0], dropout_enabled=True, seed=3)
         b = predict(plain, ds.images[0])
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestAugment:
@@ -277,7 +277,7 @@ class TestAugment:
         from hmuq.gauss import render_isotropic
         from hmuq.fitting import fit_gaussian
 
-        image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48)).values
+        image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
         cfg = AugmentConfig(enable_rotation=True, rotation_range=0.4,
                             enable_scale=True, scale_range=0.1,
                             enable_translation=True, translation_range=3.0)
@@ -291,7 +291,7 @@ class TestAugment:
         from hmuq.gauss import render_isotropic
         from hmuq.fitting import fit_gaussian
 
-        image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48)).values
+        image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
         cfg = AugmentConfig(enable_elastic=True, elastic_grid_size=4,
                             elastic_magnitude=0.5)
         out = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)

@@ -7,7 +7,6 @@ from hmuq.fitting import FitConfig
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
-    HeatmapGrid,
     InvalidParameterError,
     compose_covariance,
     render_anisotropic,
@@ -29,7 +28,7 @@ from hmuq.uncertainty import (
 def one_hot(shape, x, y):
     values = np.zeros(shape)
     values[y, x] = 1.0
-    return HeatmapGrid(values)
+    return values
 
 
 class TestSampleUncertainty:
@@ -156,5 +155,5 @@ class TestMcdPredict:
         for k in range(cfg.k):
             single = predict(model, image, dropout_enabled=True, seed=[cfg.seed, k])
             for j in range(2):
-                assert np.abs(stacks[j][k].values - single[j].values).max() <= 1e-12
-        assert not np.array_equal(stacks[0][0].values, stacks[0][1].values)
+                assert np.abs(stacks[j][k] - single[j]).max() <= 1e-12
+        assert not np.array_equal(stacks[0][0], stacks[0][1])
