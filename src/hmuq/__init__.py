@@ -36,7 +36,6 @@ from .gauss import (
     compose_covariance,
     decompose_covariance,
     render_anisotropic,
-    render_isotropic,
     sample_gaussian,
     wrap_axis_angle,
 )
@@ -68,9 +67,7 @@ from .trainer import (
     TrainDivergedError,
     TrainedModel,
     augment,
-    loss_fixed,
     loss_learned_aniso,
-    loss_learned_iso,
     predict,
     read_checkpoint,
     train,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 
 from .clinical import (
     accuracy_uncertainty_curve,
@@ -67,6 +68,32 @@ def _say(args, message: str) -> None:
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _train_progress(total: int):
+    """train() callback: one stderr line every max(1, total // 10) iterations
+    with the mean loss since the previous line, the target extents
+    sigma_maj/sigma_min (px) per landmark, it/s and the ETA."""
+    stride = max(1, total // 10)
+    losses = []
+    last = time.perf_counter()
+
+    def report(it, loss, sigma_maj, sigma_min):
+        nonlocal last
+        losses.append(loss)
+        if (it + 1) % stride:
+            return
+        now = time.perf_counter()
+        rate = len(losses) / max(now - last, 1e-9)
+        sigmas = " ".join(f"{max(a, b):.2f}/{min(a, b):.2f}"
+                          for a, b in zip(sigma_maj, sigma_min))
+        print(f"iteration {it + 1}/{total}: loss {sum(losses) / len(losses):.4f}, "
+              f"sigma {sigmas} px, {rate:.1f} it/s, ETA {(total - it - 1) / rate:.0f} s",
+              file=sys.stderr)
+        losses.clear()
+        last = now
+
+    return report
 
 
 def _read_config(args, default, decode):
@@ -158,7 +185,7 @@ def cmd_train(args) -> int:
     if args.iterations is not None:
         cfg = dataclasses.replace(cfg, iterations=args.iterations)
     cfg.validate()
-    model = train(ds, cfg)
+    model = train(ds, cfg, progress=None if args.quiet else _train_progress(cfg.iterations))
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
     write_checkpoint(model, ckpt)

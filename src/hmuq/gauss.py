@@ -184,15 +184,6 @@ def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> n
     return _gaussian(*_grid_args(g, grid_shape))
 
 
-def render_isotropic(mean: tuple[float, float], sigma: float, gamma: float,
-                     grid_shape: tuple[int, int]) -> np.ndarray:
-    """Render an isotropic Gaussian with extent sigma and total mass gamma."""
-    if not sigma > 0:
-        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
-    g = AnisotropicGaussian(mean, CovarianceDecomposition(0.0, sigma, sigma), gamma)
-    return render_anisotropic(g, grid_shape)
-
-
 def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
     """Fused render + parameter gradients: h, dh/dtheta, dh/dsigma_maj, dh/dsigma_min."""
     h, dtheta, dlog_maj, dlog_min = _gaussian(*_grid_args(g, grid_shape), gradients=True)

@@ -15,7 +15,7 @@ def _patches(x):
     by side; a channels-last input needs no transpose to get there.
     """
     h, w, c = x.shape
-    padded = np.zeros((h + 2, w + 2, c))
+    padded = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
     padded[1:-1, 1:-1] = x
     return np.lib.stride_tricks.sliding_window_view(padded, (3, 3, c)).reshape(h * w, 9 * c)
 
@@ -52,16 +52,23 @@ class ReferencePredictor:
     conv+ReLU on the way back, one (inverted) dropout layer in front of the
     final stage, and a linear 1x1 head with one output channel per landmark.
 
-    All arithmetic is float64 on channels-last (H, W, C) activations; each 3x3
-    convolution is one patch-matrix product.  Gradients come from the explicit
-    backward pass below; the finite-difference checks in the test suite are
+    Parameters, activations, patch matrices, dropout masks and every matrix
+    product are in `dtype` (float32 or float64) on channels-last (H, W, C)
+    activations; each 3x3 convolution is one patch-matrix product.  Inputs are
+    cast to `dtype` once on the way in; heatmaps and gradients are cast up to
+    float64 once on the way out.  Gradients come from the explicit backward
+    pass below; the finite-difference checks in the test suite (float64) are
     the contract.  Weights keep the (Cout, Cin, 3, 3) layout in the parameter
     vector and in checkpoints.
     """
 
-    def __init__(self, landmark_count: int, width: int = 16, seed: int = 0):
+    def __init__(self, landmark_count: int, width: int = 16, seed: int = 0,
+                 dtype=np.float64):
         if landmark_count < 1 or width < 1:
             raise InvalidParameterError("landmark_count and width must be >= 1")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise InvalidParameterError(f"dtype must be float32 or float64, got {self.dtype}")
         self.landmark_count = int(landmark_count)
         self.width = int(width)
         rng = np.random.default_rng(seed)
@@ -70,12 +77,13 @@ class ReferencePredictor:
         self.biases = []
         for cin in (1, c, c, c, c):
             fan_in = cin * 9
-            self.weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c, cin, 3, 3)))
-            self.biases.append(np.zeros(c))
+            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c, cin, 3, 3))
+            self.weights.append(w.astype(self.dtype, copy=False))
+            self.biases.append(np.zeros(c, dtype=self.dtype))
         # zero head: initial output is exactly 0, so the first gradient step
         # already points each landmark channel at its feature-target correlation
-        self.weights.append(np.zeros((n, c)))
-        self.biases.append(np.zeros(n))
+        self.weights.append(np.zeros((n, c), dtype=self.dtype))
+        self.biases.append(np.zeros(n, dtype=self.dtype))
         self._trunk_cache = None
         self._cache = None
 
@@ -85,6 +93,7 @@ class ReferencePredictor:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def get_params(self) -> np.ndarray:
+        """Flat parameter vector in the predictor's dtype."""
         parts = []
         for w, b in zip(self.weights, self.biases):
             parts.append(w.ravel())
@@ -92,15 +101,16 @@ class ReferencePredictor:
         return np.concatenate(parts)
 
     def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
+        """Copy a flat parameter vector of any float dtype in, cast to the predictor's."""
+        flat = np.asarray(flat)
         if flat.shape != (self.num_params(),):
             raise InvalidParameterError(
                 f"expected {self.num_params()} parameters, got {flat.shape}")
         pos = 0
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).copy()
+            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).astype(self.dtype)
             pos += w.size
-            self.biases[i] = flat[pos:pos + b.size].copy()
+            self.biases[i] = flat[pos:pos + b.size].astype(self.dtype)
             pos += b.size
 
     # --- forward / backward ---------------------------------------------------
@@ -120,7 +130,7 @@ class ReferencePredictor:
         Maps a (H, W) image to (H, W, C) features for head(); with dropout
         only in the head, Monte-Carlo passes over one image share one trunk.
         """
-        image = np.asarray(image, dtype=np.float64)
+        image = np.asarray(image, dtype=self.dtype)
         if image.ndim != 2 or image.shape[0] % 4 or image.shape[1] % 4:
             raise InvalidParameterError(
                 f"image must be 2-D with sides divisible by 4, got {image.shape}")
@@ -135,23 +145,24 @@ class ReferencePredictor:
              rng: np.random.Generator | None = None) -> np.ndarray:
         """Dropout, the last conv stage and the 1x1 head on trunk() features.
 
-        Returns (N, H, W) heatmaps.  A nonzero dropout_rate needs an rng; the
-        mask is drawn as rng.random((C, H, W)), and kept activations are
-        rescaled by 1/(1-rate) so the expected activation is unchanged.
+        Returns float64 (N, H, W) heatmaps.  A nonzero dropout_rate needs an
+        rng; the mask comes from the float64 draw rng.random((C, H, W)) in
+        either dtype, so both dtypes drop the same units, and kept activations
+        are rescaled by 1/(1-rate) so the expected activation is unchanged.
         """
         if dropout_rate and rng is None:
             raise InvalidParameterError("dropout_rate > 0 requires an rng")
         h, w, c = features.shape
         if dropout_rate:
-            mask = ((rng.random((c, h, w)) >= dropout_rate)
-                    / (1.0 - dropout_rate)).transpose(1, 2, 0)
+            mask = np.divide(rng.random((c, h, w)) >= dropout_rate, 1.0 - dropout_rate,
+                             dtype=self.dtype).transpose(1, 2, 0)
             features = features * mask
         else:
             mask = None
         a5, col4 = self._conv_relu(features, 4)
         y = a5.reshape(h * w, c) @ self.weights[5].T + self.biases[5]
         self._cache = (self._trunk_cache, col4, a5, mask)
-        return y.T.reshape(-1, h, w)
+        return np.array(y.T, dtype=np.float64, order="C").reshape(-1, h, w)
 
     def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -164,7 +175,8 @@ class ReferencePredictor:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Backpropagate (N, H, W) output gradients from the latest forward call.
 
-        Returns the loss gradient with respect to the flat parameter vector.
+        Returns the float64 loss gradient with respect to the flat parameter
+        vector; the pass itself runs in the predictor's dtype.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -172,7 +184,7 @@ class ReferencePredictor:
         cols = (*cols, col4)
         gw = [None] * 6
         gb = [None] * 6
-        dyf = dy.reshape(dy.shape[0], -1)
+        dyf = np.asarray(dy, dtype=self.dtype).reshape(dy.shape[0], -1)
         gw[5] = dyf @ a5.reshape(dyf.shape[1], -1)
         gb[5] = dyf.sum(axis=1)
         da5 = (dyf.T @ self.weights[5]).reshape(a5.shape)
@@ -201,4 +213,4 @@ class ReferencePredictor:
         for w, b in zip(gw, gb):
             parts.append(w.ravel())
             parts.append(b)
-        return np.concatenate(parts)
+        return np.concatenate(parts, dtype=np.float64)

@@ -38,6 +38,8 @@ TARGET_MODES = ("fixed_iso", "learned_iso", "learned_aniso")
 MOMENTUM = 0.9
 CHECKPOINT_MAGIC = b"HMUQ"
 CHECKPOINT_VERSION = 1
+# the predictor computes in float32; train() keeps float64 master weights
+NET_DTYPE = np.float32
 
 
 class TrainDivergedError(RuntimeError):
@@ -133,14 +135,6 @@ class TrainedModel:
 # --- losses -------------------------------------------------------------------
 
 
-def _check_pred(pred, count):
-    pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim != 3 or pred.shape[0] != count:
-        raise InvalidParameterError(
-            f"expected {count} predicted heatmaps, got array of shape {pred.shape}")
-    return pred
-
-
 def render_targets(coords, decomps, gamma, shape) -> np.ndarray:
     """Stack of target heatmaps, one per landmark, on an (H, W) grid."""
     out = np.empty((len(decomps), *shape))
@@ -148,27 +142,6 @@ def render_targets(coords, decomps, gamma, shape) -> np.ndarray:
         g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
         out[i] = render_anisotropic(g, shape)
     return out
-
-
-def loss_fixed(pred, coords, sigma: float, gamma: float) -> float:
-    """Pixel-wise squared-error loss against isotropic targets of extent sigma."""
-    coords = np.asarray(coords, dtype=np.float64)
-    pred = _check_pred(pred, len(coords))
-    decomps = [CovarianceDecomposition(0.0, sigma, sigma)] * len(coords)
-    targets = render_targets(coords, decomps, gamma, pred.shape[1:])
-    return float(((pred - targets) ** 2).sum())
-
-
-def loss_learned_iso(pred, coords, sigmas, alpha: float, gamma: float) -> float:
-    """Pixel loss with per-landmark isotropic targets plus alpha * sum sigma_i^2."""
-    coords = np.asarray(coords, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    pred = _check_pred(pred, len(coords))
-    if sigmas.shape != (len(coords),):
-        raise InvalidParameterError("one sigma per landmark required")
-    decomps = [CovarianceDecomposition(0.0, s, s) for s in sigmas]
-    targets = render_targets(coords, decomps, gamma, pred.shape[1:])
-    return float(((pred - targets) ** 2).sum() + alpha * (sigmas ** 2).sum())
 
 
 def loss_learned_aniso(pred, coords, decomps, alpha: float, gamma: float) -> float:
@@ -185,7 +158,10 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
     the predicted heatmaps, ready to feed into a predictor backward pass.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    pred = _check_pred(pred, len(coords))
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.ndim != 3 or pred.shape[0] != len(coords):
+        raise InvalidParameterError(
+            f"expected {len(coords)} predicted heatmaps, got array of shape {pred.shape}")
     if len(decomps) != len(coords):
         raise InvalidParameterError("one covariance decomposition per landmark required")
     loss = 0.0
@@ -311,7 +287,8 @@ def _mode_grads(pred, coords, theta, log_maj, log_min, cfg):
     return loss, cov, dpred
 
 
-def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None) -> TrainedModel:
+def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
+          progress=None) -> TrainedModel:
     """Stochastic gradient descent (momentum 0.9, weight decay) over a dataset.
 
     `dataset` needs `.images` (list of equally shaped 2-D arrays) and
@@ -320,6 +297,13 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None) -
     (when the mode learns them); the run is deterministic for a fixed seed.
     `initial_params` overrides the random predictor initialization, which
     also enables freeze_predictor studies of the covariance dynamics alone.
+    The predictor computes in NET_DTYPE; its parameters, their momentum and
+    the covariance parameters are float64 master copies updated here, and
+    the predictor gets the master weights cast down after every step.
+    `progress`, if given, is called after every iteration as
+    progress(iteration, batch_loss, sigma_maj, sigma_min) with the current
+    per-landmark extent arrays (not yet in canonical order); it does not
+    affect the run.
     """
     cfg.validate()
     images = list(dataset.images)
@@ -334,10 +318,12 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None) -
     n_landmarks = coords.shape[1]
 
     rng = np.random.default_rng(cfg.seed)
-    net = ReferencePredictor(n_landmarks, cfg.predictor_width, seed=cfg.seed)
-    if initial_params is not None:
-        net.set_params(initial_params)
-    params = net.get_params()
+    net = ReferencePredictor(n_landmarks, cfg.predictor_width, seed=cfg.seed, dtype=NET_DTYPE)
+    if initial_params is None:
+        params = net.get_params().astype(np.float64)
+    else:
+        params = np.array(initial_params, dtype=np.float64)
+        net.set_params(params)
     vel = np.zeros_like(params)
 
     theta = np.zeros(n_landmarks)
@@ -402,6 +388,8 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None) -
                 raise TrainDivergedError(
                     f"covariance parameters diverged at iteration {it}; lower "
                     f"learning_rate * covariance_lr_multiplier")
+        if progress is not None:
+            progress(it, batch_loss, np.exp(log_maj), np.exp(log_min))
 
     if learn_cov:
         decomps = [CovarianceDecomposition(theta[i], math.exp(log_maj[i]),
@@ -415,10 +403,10 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None) -
 
 def predict(model: TrainedModel, image, dropout_enabled: bool = False,
             seed: int = 0) -> np.ndarray:
-    """One forward pass, (N, H, W); dropout (at the training rate) only when enabled."""
+    """One forward pass, float64 (N, H, W); dropout (at the training rate) only when enabled."""
     rate = model.config.dropout_rate if dropout_enabled else 0.0
     rng = np.random.default_rng(seed) if rate else None
-    return model.predictor.forward(np.asarray(image, dtype=np.float64), rate, rng)
+    return model.predictor.forward(image, rate, rng)
 
 
 # --- checkpoint IO ----------------------------------------------------------------
@@ -462,7 +450,7 @@ def read_checkpoint(path) -> TrainedModel:
     (count,) = struct.unpack("<I", take(4))
     decomps = [CovarianceDecomposition(*struct.unpack("<3d", take(24))) for _ in range(count)]
     (n_params,) = struct.unpack("<I", take(4))
-    params = np.frombuffer(take(4 * n_params), dtype="<f4").astype(np.float64)
+    params = np.frombuffer(take(4 * n_params), dtype="<f4")
     if not np.isfinite(params).all():
         raise InvalidParameterError(f"{path}: predictor parameters must be finite")
     (cfg_len,) = struct.unpack("<I", take(4))
@@ -471,7 +459,7 @@ def read_checkpoint(path) -> TrainedModel:
         for d in decomps:
             d.validate()
         cfg = config_from_dict(TrainConfig, parse_config_text(snapshot, source=str(path)))
-    net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed)
+    net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed, dtype=NET_DTYPE)
     if net.num_params() != n_params:
         raise InvalidParameterError(
             f"{path}: parameter count {n_params} does not match architecture")

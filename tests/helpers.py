@@ -1,8 +1,52 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, including the isotropic renderer and
+losses that serve as independent oracles for the anisotropic code paths."""
 
 import numpy as np
 
-from hmuq.gauss import CovarianceDecomposition
+from hmuq.gauss import (
+    AnisotropicGaussian,
+    CovarianceDecomposition,
+    InvalidParameterError,
+    render_anisotropic,
+)
+from hmuq.trainer import render_targets
+
+
+def render_isotropic(mean, sigma, gamma, grid_shape):
+    """Render an isotropic Gaussian with extent sigma and total mass gamma."""
+    if not sigma > 0:
+        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
+    g = AnisotropicGaussian(mean, CovarianceDecomposition(0.0, sigma, sigma), gamma)
+    return render_anisotropic(g, grid_shape)
+
+
+def _check_pred(pred, count):
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.ndim != 3 or pred.shape[0] != count:
+        raise InvalidParameterError(
+            f"expected {count} predicted heatmaps, got array of shape {pred.shape}")
+    return pred
+
+
+def loss_fixed(pred, coords, sigma, gamma):
+    """Pixel-wise squared-error loss against isotropic targets of extent sigma."""
+    coords = np.asarray(coords, dtype=np.float64)
+    pred = _check_pred(pred, len(coords))
+    decomps = [CovarianceDecomposition(0.0, sigma, sigma)] * len(coords)
+    targets = render_targets(coords, decomps, gamma, pred.shape[1:])
+    return float(((pred - targets) ** 2).sum())
+
+
+def loss_learned_iso(pred, coords, sigmas, alpha, gamma):
+    """Pixel loss with per-landmark isotropic targets plus alpha * sum sigma_i^2."""
+    coords = np.asarray(coords, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    pred = _check_pred(pred, len(coords))
+    if sigmas.shape != (len(coords),):
+        raise InvalidParameterError("one sigma per landmark required")
+    decomps = [CovarianceDecomposition(0.0, s, s) for s in sigmas]
+    targets = render_targets(coords, decomps, gamma, pred.shape[1:])
+    return float(((pred - targets) ** 2).sum() + alpha * (sigmas ** 2).sum())
 
 
 def random_decomposition(rng, sigma_lo=1.0, sigma_hi=8.0, max_ratio=None):

@@ -415,6 +415,24 @@ class TestConfigEnvVar:
         assert capsys.readouterr().out == ""
 
 
+class TestTrainProgress:
+    @pytest.mark.parametrize("iterations, lines", [(25, 12), (7, 7)])
+    def test_one_stderr_line_per_stride(self, pipeline, tmp_path, capsys, iterations, lines):
+        args = ["train", "--data", str(pipeline / "d"), "--config", str(pipeline / "train.cfg"),
+                "--iterations", str(iterations)]
+        assert main(args + ["--out", str(tmp_path / "loud")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == lines
+        pattern = (rf"iteration \d+/{iterations}: loss \d+\.\d{{4}}, "
+                   r"sigma( \d+\.\d\d/\d+\.\d\d){2} px, \d+\.\d it/s, ETA \d+ s")
+        assert all(re.fullmatch(pattern, line) for line in err), err
+        assert main(args + ["--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("loss.csv", "learned_covariances.csv", "model.ckpt"):
+            assert (tmp_path / "loud" / name).read_bytes() == \
+                (tmp_path / "quiet" / name).read_bytes()
+
+
 class TestReadme:
     def test_quick_start_trains(self, tmp_path):
         """The quick start's train.cfg trains stably."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import max_rel_error, random_decomposition
+from helpers import max_rel_error, random_decomposition, render_isotropic
 from hmuq.dataio import config_from_dict, config_to_dict
 from hmuq.fitting import (
     FitConfig,
@@ -19,7 +19,6 @@ from hmuq.gauss import (
     InvalidParameterError,
     axis_angle_difference_deg,
     render_anisotropic,
-    render_isotropic,
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import max_rel_error, random_decomposition
+from helpers import max_rel_error, random_decomposition, render_isotropic
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
@@ -13,7 +13,6 @@ from hmuq.gauss import (
     compose_covariance,
     decompose_covariance,
     render_anisotropic,
-    render_isotropic,
     render_with_param_gradients,
     sample_gaussian,
 )

@@ -154,6 +154,49 @@ class TestGradients:
         assert max_rel_error(grad, fd) < 1e-7
 
 
+class TestFloat32:
+    """The float32 engine against the float64 one on identical parameters."""
+
+    @staticmethod
+    def twin_nets():
+        rng = np.random.default_rng(31)
+        net64 = ReferencePredictor(4, width=16, seed=31)
+        # float32-representable parameters: the two nets differ only in compute
+        params = rng.normal(0.0, 0.1, net64.num_params()).astype(np.float32)
+        net64.set_params(params)
+        net32 = ReferencePredictor(4, width=16, seed=31, dtype=np.float32)
+        net32.set_params(params)
+        assert net32.get_params().dtype == np.float32
+        return net64, net32, rng.random((64, 64))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_forward_matches_float64(self, rate):
+        net64, net32, image = self.twin_nets()
+        rng64, rng32 = np.random.default_rng(8), np.random.default_rng(8)
+        want = net64.forward(image, rate, rng64)
+        got = net32.forward(image, rate, rng32)
+        assert got.dtype == np.float64 and got.shape == want.shape == (4, 64, 64)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        if rate:
+            # same stream, same draws: the dropout masks keep the same units
+            assert rng32.random() == rng64.random()
+            assert np.array_equal(net32._cache[-1] != 0, net64._cache[-1] != 0)
+
+    def test_backward_matches_float64(self):
+        net64, net32, image = self.twin_nets()
+        dy = np.random.default_rng(9).normal(size=(4, 64, 64))
+        net64.forward(image, 0.1, np.random.default_rng(8))
+        net32.forward(image, 0.1, np.random.default_rng(8))
+        want = net64.backward(dy)
+        got = net32.backward(dy)
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+
+    def test_rejects_other_dtypes(self):
+        with pytest.raises(InvalidParameterError, match="dtype"):
+            ReferencePredictor(1, width=4, dtype=np.float16)
+
+
 class TestDropout:
     def test_zero_rate_is_identity(self):
         net = ReferencePredictor(2, width=4, seed=2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import max_rel_error
+from helpers import loss_fixed, loss_learned_iso, max_rel_error, render_isotropic
 from hmuq.dataio import Dataset, config_from_dict, config_to_dict, format_config
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
@@ -16,9 +16,7 @@ from hmuq.trainer import (
     aniso_loss_gradients,
     apply_spatial,
     augment,
-    loss_fixed,
     loss_learned_aniso,
-    loss_learned_iso,
     predict,
     read_checkpoint,
     render_targets,
@@ -274,7 +272,6 @@ class TestAugment:
 
     def test_image_follows_coords_affine(self):
         # a rendered blob must land where the transformed coordinate says
-        from hmuq.gauss import render_isotropic
         from hmuq.fitting import fit_gaussian
 
         image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
@@ -288,7 +285,6 @@ class TestAugment:
     def test_image_follows_coords_elastic(self):
         # elastic warps distort the blob shape, so the fit drifts a little;
         # the mapped coordinate must still track the peak
-        from hmuq.gauss import render_isotropic
         from hmuq.fitting import fit_gaussian
 
         image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
@@ -360,6 +356,40 @@ class TestCheckpoint:
         params = covariances + 24 * len(decomps) + 4
         snapshot = params + 4 * net.num_params() + 4
         return path, path.read_bytes(), covariances, params, snapshot
+
+    def test_float64_master_weights_stored_once_rounded(self, tmp_path, monkeypatch):
+        masters = []
+        set_params = ReferencePredictor.set_params
+
+        def record(net, flat):
+            masters.append(flat)
+            set_params(net, flat)
+
+        monkeypatch.setattr(ReferencePredictor, "set_params", record)
+        ds, cfg = small_synth(iterations=5)
+        model = train(ds.training_view(), cfg)
+        assert model.predictor.dtype == np.float32
+        assert len(masters) == cfg.iterations
+        assert all(m.dtype == np.float64 for m in masters)
+        # the master holds what float32 cannot: updates are not rounded away
+        assert not np.array_equal(masters[-1], masters[-1].astype(np.float32))
+        path = tmp_path / "model.ckpt"
+        write_checkpoint(model, path)
+        start = 4 + 2 + 4 + 24 * len(model.target_decomps) + 4
+        stored = path.read_bytes()[start:start + 4 * model.predictor.num_params()]
+        assert stored == model.predictor.get_params().astype("<f4").tobytes()
+        assert stored == masters[-1].astype("<f4").tobytes()
+
+    def test_loaded_predictor_is_float32_with_float64_heatmaps(self, tmp_path):
+        ds, cfg = small_synth(iterations=5)
+        model = train(ds.training_view(), cfg)
+        write_checkpoint(model, tmp_path / "model.ckpt")
+        loaded = read_checkpoint(tmp_path / "model.ckpt")
+        assert loaded.predictor.dtype == np.float32
+        heatmaps = predict(loaded, ds.images[0])
+        assert heatmaps.dtype == np.float64
+        assert heatmaps.shape == (2, 32, 32)
+        assert np.array_equal(heatmaps, predict(model, ds.images[0]))
 
     @pytest.mark.parametrize("section", ["header", "covariances", "params", "snapshot"])
     def test_truncation_names_path(self, tmp_path, section):

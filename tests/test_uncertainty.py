@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import render_isotropic
 from hmuq.fitting import FitConfig
 from hmuq.gauss import (
     AnisotropicGaussian,
@@ -10,7 +11,6 @@ from hmuq.gauss import (
     InvalidParameterError,
     compose_covariance,
     render_anisotropic,
-    render_isotropic,
     sample_gaussian,
 )
 from hmuq.nets import ReferencePredictor
