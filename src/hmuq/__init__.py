@@ -67,7 +67,6 @@ from .trainer import (
     TrainDivergedError,
     TrainedModel,
     augment,
-    loss_learned_aniso,
     predict,
     read_checkpoint,
     train,

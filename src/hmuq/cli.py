@@ -131,7 +131,7 @@ def _fit_dataset(model, ds, fit_cfg, landmarks=None):
 
     Returns fits[i][j] for image i and landmark j (every landmark unless
     `landmarks` names some), None where the heatmap is too flat to fit;
-    one warning counts those.
+    one warning counts those and another the fits that did not converge.
     """
     fits = []
     skipped = 0
@@ -147,6 +147,10 @@ def _fit_dataset(model, ds, fit_cfg, landmarks=None):
         fits.append(per_image)
     if skipped:
         _warn(f"{skipped} heatmaps were too flat for a Gaussian fit and were skipped")
+    done = [p for per_image in fits for p in per_image.values() if p is not None]
+    unconverged = sum(not p.converged for p in done)
+    if unconverged:
+        _warn(f"{unconverged} of {len(done)} fits did not converge")
     return fits
 
 

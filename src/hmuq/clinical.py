@@ -17,9 +17,11 @@ or below the first breakpoint mapping to the first label.
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -44,106 +46,50 @@ class DegenerateGeometryError(ValueError):
 
 # --- expression parsing ----------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|([A-Za-z_]\w*)|([-+/(),]))")
+_STRAY = re.compile(r"[^\w\s+\-/().,]")
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Div: "div"}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character {text[pos:].strip()[0]!r} "
-                                      f"in expression {text!r}")
-            break
-        number, ident, symbol = m.groups()
-        if number is not None:
-            tokens.append(("num", float(number)))
-        elif ident is not None:
-            tokens.append(("name", ident))
-        else:
-            tokens.append((symbol, symbol))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+def _parse(text: str):
+    """(tree, landmark names in order of appearance) of a measurement expression.
 
+    Python's parser reads the text; the walker admits only numbers, +, -, /,
+    unary - and calls of the measurement functions on bare landmark names.
+    """
+    stray = _STRAY.search(text)
+    if stray:
+        raise ExpressionError(f"unexpected character {stray.group()!r} in expression {text!r}")
+    try:
+        body = ast.parse(text.strip(), mode="eval").body
+    except (SyntaxError, RecursionError):
+        fault = "expected ')'" if text.count("(") > text.count(")") else "invalid syntax"
+        raise ExpressionError(f"{fault} in expression {text!r}") from None
+    names: list[str] = []
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, got {tok[1]!r} "
-                                  f"in expression {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in "+-":
-            op = self.take()[0]
-            node = ("add" if op == "+" else "sub", node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == "/":
-            self.take()
-            node = ("div", node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.unary())
-        return self.atom()
-
-    def atom(self):
-        kind = self.peek()
-        if kind == "num":
-            return ("num", self.take()[1])
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if kind == "name":
-            fname = self.take()[1]
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            if not abs(node.value) <= sys.float_info.max:
+                raise ExpressionError(f"number out of range in expression {text!r}")
+            return ("num", float(node.value))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            fname = node.func.id
             if fname not in FUNC_ARITY:
-                raise ExpressionError(f"unknown function {fname!r} "
-                                      f"in expression {self.text!r}")
-            self.take("(")
-            args = [self.take("name")[1]]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.take("name")[1])
-            self.take(")")
-            if len(args) != FUNC_ARITY[fname]:
+                raise ExpressionError(f"unknown function {fname!r} in expression {text!r}")
+            if node.keywords or not all(isinstance(a, ast.Name) for a in node.args):
+                raise ExpressionError(f"{fname} takes landmark names in expression {text!r}")
+            if len(node.args) != FUNC_ARITY[fname]:
                 raise ExpressionError(f"{fname} takes {FUNC_ARITY[fname]} landmarks, "
-                                      f"got {len(args)} in expression {self.text!r}")
-            return ("call", fname, tuple(args))
-        raise ExpressionError(f"unexpected {self.tokens[self.pos][1]!r} "
-                              f"in expression {self.text!r}")
+                                      f"got {len(node.args)} in expression {text!r}")
+            args = tuple(a.id for a in node.args)
+            names.extend(a for a in dict.fromkeys(args) if a not in names)
+            return ("call", fname, args)
+        raise ExpressionError(f"unexpected {ast.unparse(node)!r} in expression {text!r}")
 
-
-def _collect_names(node, out):
-    if node[0] == "call":
-        for name in node[2]:
-            if name not in out:
-                out.append(name)
-    elif node[0] == "neg":
-        _collect_names(node[1], out)
-    elif node[0] in ("add", "sub", "div"):
-        _collect_names(node[1], out)
-        _collect_names(node[2], out)
+    return walk(body), names
 
 
 @dataclass(frozen=True)
@@ -156,11 +102,7 @@ class MeasurementDef:
     tree: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        parser = _Parser(self.expression)
-        tree = parser.expr()
-        parser.take("end")
-        names: list[str] = []
-        _collect_names(tree, names)
+        tree, names = _parse(self.expression)
         if not names:
             raise ExpressionError(f"expression {self.expression!r} uses no landmarks")
         object.__setattr__(self, "tree", tree)

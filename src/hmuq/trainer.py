@@ -29,7 +29,6 @@ from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    render_anisotropic,
     render_with_param_gradients,
 )
 from .nets import ReferencePredictor
@@ -133,21 +132,6 @@ class TrainedModel:
 
 
 # --- losses -------------------------------------------------------------------
-
-
-def render_targets(coords, decomps, gamma, shape) -> np.ndarray:
-    """Stack of target heatmaps, one per landmark, on an (H, W) grid."""
-    out = np.empty((len(decomps), *shape))
-    for i, d in enumerate(decomps):
-        g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
-        out[i] = render_anisotropic(g, shape)
-    return out
-
-
-def loss_learned_aniso(pred, coords, decomps, alpha: float, gamma: float) -> float:
-    """Pixel loss with anisotropic targets plus alpha * sum sigma_maj_i * sigma_min_i."""
-    loss, _, _ = aniso_loss_gradients(pred, coords, decomps, alpha, gamma)
-    return loss
 
 
 def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):

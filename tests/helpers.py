@@ -1,15 +1,18 @@
-"""Shared helpers for the test suite, including the isotropic renderer and
-losses that serve as independent oracles for the anisotropic code paths."""
+"""Shared helpers for the test suite, including the isotropic renderer,
+losses and scipy's least-squares solver that serve as independent oracles
+for the anisotropic code paths."""
 
 import numpy as np
+from scipy.optimize import least_squares
 
+from hmuq.fitting import _model
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
     render_anisotropic,
 )
-from hmuq.trainer import render_targets
+from hmuq.trainer import aniso_loss_gradients
 
 
 def render_isotropic(mean, sigma, gamma, grid_shape):
@@ -18,6 +21,38 @@ def render_isotropic(mean, sigma, gamma, grid_shape):
         raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
     g = AnisotropicGaussian(mean, CovarianceDecomposition(0.0, sigma, sigma), gamma)
     return render_anisotropic(g, grid_shape)
+
+
+def render_targets(coords, decomps, gamma, shape):
+    """Stack of target heatmaps, one per landmark, on an (H, W) grid."""
+    out = np.empty((len(decomps), *shape))
+    for i, d in enumerate(decomps):
+        out[i] = render_anisotropic(AnisotropicGaussian(tuple(coords[i]), d, gamma), shape)
+    return out
+
+
+def loss_learned_aniso(pred, coords, decomps, alpha, gamma):
+    """Pixel loss with anisotropic targets plus alpha * sum sigma_maj_i * sigma_min_i."""
+    return aniso_loss_gradients(pred, coords, decomps, alpha, gamma)[0]
+
+
+def scipy_solve(values, p0, window, cfg, max_nfev):
+    """scipy's trust-region soft-L1 fit of fitting._model to one window: the
+    oracle of fitting._solve, with the same stop tolerances and budget."""
+    x0, x1, y0, y1 = window
+    ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
+    xs = xs.ravel().astype(np.float64)
+    ys = ys.ravel().astype(np.float64)
+    data = values[y0:y1 + 1, x0:x1 + 1].ravel()
+
+    def jac(p):
+        h, dtheta, dlog_a, dlog_b, dmx, dmy = _model(p, xs, ys, mean_gradients=True)
+        return np.column_stack((dmx, dmy, dtheta, dlog_a, dlog_b, h))
+
+    return least_squares(
+        lambda p: _model(p, xs, ys) - data, p0, jac=jac,
+        method="trf", loss="soft_l1", f_scale=cfg.robust_loss_scale,
+        xtol=cfg.tolerance, ftol=cfg.tolerance, gtol=None, max_nfev=max_nfev)
 
 
 def _check_pred(pred, count):

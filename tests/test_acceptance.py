@@ -45,14 +45,13 @@ from hmuq.synthdata import SynthConfig, generate, write_synth_dataset
 from hmuq.trainer import (
     TrainConfig,
     aniso_loss_gradients,
-    loss_learned_aniso,
     predict,
     train,
     write_checkpoint,
 )
 from hmuq.uncertainty import McdConfig, mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
-from helpers import write_interobserver_fixture
+from helpers import loss_learned_aniso, write_interobserver_fixture
 
 
 def report(n, ok, detail):

@@ -211,6 +211,27 @@ class TestDeterminism:
             (pipeline / "d" / "annotations.csv").read_bytes()
 
 
+class TestFitWarnings:
+    def test_unconverged_fits_counted_on_stderr(self, pipeline, tmp_path, capsys):
+        (tmp_path / "fit.cfg").write_text("max_iterations = 2\n")
+        common = ["--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                  "--config", str(tmp_path / "fit.cfg"), "--quiet"]
+        assert main(["fit", *common, "--out", str(tmp_path / "f")]) == 0
+        rows = read_rows(tmp_path / "f" / "fits.csv")
+        unconverged = sum(row["converged"] == "0" for row in rows)
+        assert 0 < unconverged
+        capsys.readouterr()
+        assert main(["eval", *common, "--out", str(tmp_path / "r")]) == 0
+        out, err = capsys.readouterr()
+        assert err == f"warning: {unconverged} of {len(rows)} fits did not converge\n"
+        assert out == ""
+
+    def test_no_warning_when_every_fit_converges(self, pipeline, tmp_path, capsys):
+        assert main(["eval", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestInterobs:
     def test_report_matches_fixture(self, tmp_path):
         manifest = write_interobserver_fixture(tmp_path / "iobs", num_images=10)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import max_rel_error, random_decomposition, render_isotropic
+from helpers import max_rel_error, random_decomposition, render_isotropic, scipy_solve
+from hmuq import fitting
 from hmuq.dataio import config_from_dict, config_to_dict
 from hmuq.fitting import (
     FitConfig,
@@ -128,7 +129,7 @@ class TestFitJacobian:
                 continue
             p = np.array([rng.uniform(18.0, 26.0), rng.uniform(16.0, 24.0), d.theta,
                           math.log(d.sigma_maj), math.log(d.sigma_min), math.log(100.0)])
-            jac = _jacobian(p, xs, ys)
+            jac = _jacobian(_model(p, xs, ys, mean_gradients=True), np.empty((6, xs.size)))
             assert jac.shape == (xs.size, 6)
             for k in range(6):
                 e = np.zeros(6)
@@ -136,6 +137,61 @@ class TestFitJacobian:
                 fd = (_model(p + e, xs, ys) - _model(p - e, xs, ys)) / (2 * step)
                 assert max_rel_error(fd, jac[:, k]) < 1e-6, f"column {k}"
             checked += 1
+
+
+def noisy_anisotropic(rng, shape=(64, 64)):
+    """A rendered anisotropic Gaussian with additive noise and impulse outliers."""
+    d = random_decomposition(rng, 1.5, 6.0, max_ratio=3.0)
+    mean = (rng.uniform(24.0, 40.0), rng.uniform(24.0, 40.0))
+    clean = render_anisotropic(AnisotropicGaussian(mean, d, 100.0), shape)
+    noisy = clean + rng.normal(0.0, 0.01 * clean.max(), shape)
+    return add_impulses(noisy, mean, 4, rng)
+
+
+class TestSolverOracle:
+    """fitting._solve restates scipy's trust-region solver; scipy is the oracle."""
+
+    @staticmethod
+    def recorded_solves(monkeypatch, heatmaps, cfg):
+        calls = []
+        solve = fitting._solve
+
+        def recording(values, p0, window, cfg, max_nfev):
+            out = solve(values, p0, window, cfg, max_nfev)
+            calls.append(((values, p0.copy(), window, cfg, max_nfev), out))
+            return out
+
+        monkeypatch.setattr(fitting, "_solve", recording)
+        for h in heatmaps:
+            fit_gaussian(h, cfg)
+        return calls
+
+    @staticmethod
+    def assert_matches(args, out):
+        x, fun, nfev, status = out
+        ref = scipy_solve(*args)
+        assert np.abs(x - ref.x).max() <= 1e-9
+        assert (nfev, status) == (ref.nfev, ref.status)
+        assert np.abs(fun - ref.fun).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_matches_scipy_on_noisy_heatmaps(self, monkeypatch, scale):
+        # both stages of every fit: the 10-evaluation warmup and the re-cropped solve
+        rng = np.random.default_rng(41)
+        heatmaps = [noisy_anisotropic(rng) for _ in range(12)]
+        calls = self.recorded_solves(monkeypatch, heatmaps, FitConfig(robust_loss_scale=scale))
+        assert len(calls) == 24
+        for args, out in calls:
+            self.assert_matches(args, out)
+
+    def test_budget_stop_matches_scipy(self, monkeypatch):
+        solve = fitting._solve
+        rng = np.random.default_rng(43)
+        calls = self.recorded_solves(monkeypatch, [noisy_anisotropic(rng)], FitConfig())
+        args = calls[0][0][:4] + (3,)  # the warmup's window and start, 3 evaluations
+        out = solve(*args)
+        assert out[2:] == (3, 0)  # budget spent, not converged
+        self.assert_matches(args, out)
 
 
 class TestFitInvariances:

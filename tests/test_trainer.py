@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loss_fixed, loss_learned_iso, max_rel_error, render_isotropic
+from helpers import (
+    loss_fixed,
+    loss_learned_aniso,
+    loss_learned_iso,
+    max_rel_error,
+    render_isotropic,
+    render_targets,
+)
 from hmuq.dataio import Dataset, config_from_dict, config_to_dict, format_config
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
@@ -16,10 +23,8 @@ from hmuq.trainer import (
     aniso_loss_gradients,
     apply_spatial,
     augment,
-    loss_learned_aniso,
     predict,
     read_checkpoint,
-    render_targets,
     train,
     write_checkpoint,
 )
