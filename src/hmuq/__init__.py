@@ -44,7 +44,6 @@ from .metrics import (
     aggregate_stats,
     circular_axis_mean_deg,
     error_offsets,
-    fit_annotation_distribution,
     interobserver_decomps,
     point_error,
     report_row,
@@ -54,7 +53,6 @@ from .metrics import (
 from .nets import ReferencePredictor
 from .svgplot import (
     PLOT_KINDS,
-    PlotSpec,
     render_accuracy_curve,
     render_ellipse_overlay,
     render_offset_scatter,
@@ -72,13 +70,6 @@ from .trainer import (
     train,
     write_checkpoint,
 )
-from .uncertainty import (
-    LandmarkPrediction,
-    McdConfig,
-    mcd_heatmap_fit,
-    mcd_max,
-    mcd_predict,
-    sample_uncertainty,
-)
+from .uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
 __version__ = "0.1.0"

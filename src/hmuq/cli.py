@@ -35,12 +35,11 @@ from .dataio import (
     write_annotations,
     write_csv,
 )
-from .fitting import FitConfig, FitDegenerateError, argmax_coord
-from .gauss import AnisotropicGaussian, InvalidParameterError
+from .fitting import FitConfig, argmax_coord
+from .gauss import AnisotropicGaussian, InvalidParameterError, population_distribution
 from .metrics import (
     aggregate_stats,
     error_offsets,
-    fit_annotation_distribution,
     interobserver_decomps,
     point_error,
     report_row,
@@ -48,7 +47,6 @@ from .metrics import (
 )
 from .svgplot import (
     PLOT_KINDS,
-    PlotSpec,
     render_accuracy_curve,
     render_ellipse_overlay,
     render_offset_scatter,
@@ -56,7 +54,7 @@ from .svgplot import (
 )
 from .synthdata import SynthConfig, generate, synth_config_from_dict, write_synth_dataset
 from .trainer import TrainConfig, predict, read_checkpoint, train, write_checkpoint
-from .uncertainty import McdConfig, mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
+from .uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
 CONFIG_ENV_VAR = "HMUQ_CONFIG"
 
@@ -126,31 +124,30 @@ def _fit_config(args) -> FitConfig:
     return _read_config(args, FitConfig(), lambda items: config_from_dict(FitConfig, items))
 
 
+def _warn_fit_outcomes(fits) -> None:
+    """Two stderr warnings over a flat list of fits (None = too flat to fit):
+    the count skipped, and the count of the others that did not converge."""
+    done = [f for f in fits if f is not None]
+    if len(done) < len(fits):
+        _warn(f"{len(fits) - len(done)} heatmaps were too flat for a Gaussian fit "
+              f"and were skipped")
+    unconverged = sum(not f.converged for f in done)
+    if unconverged:
+        _warn(f"{unconverged} of {len(done)} fits did not converge")
+
+
 def _fit_dataset(model, ds, fit_cfg, landmarks=None):
     """One forward pass per image, then a Gaussian fit of each requested heatmap.
 
-    Returns fits[i][j] for image i and landmark j (every landmark unless
-    `landmarks` names some), None where the heatmap is too flat to fit;
-    one warning counts those and another the fits that did not converge.
+    Returns fits[i][j], a FitResult for image i and landmark j (every landmark
+    unless `landmarks` names some), None where the heatmap is too flat to fit.
     """
     fits = []
-    skipped = 0
     for image in ds.images:
         heatmaps = predict(model, image)
-        per_image = {}
-        for j in range(len(heatmaps)) if landmarks is None else landmarks:
-            try:
-                per_image[j] = sample_uncertainty(heatmaps[j], fit_cfg)
-            except FitDegenerateError:
-                per_image[j] = None
-                skipped += 1
-        fits.append(per_image)
-    if skipped:
-        _warn(f"{skipped} heatmaps were too flat for a Gaussian fit and were skipped")
-    done = [p for per_image in fits for p in per_image.values() if p is not None]
-    unconverged = sum(not p.converged for p in done)
-    if unconverged:
-        _warn(f"{unconverged} of {len(done)} fits did not converge")
+        fits.append({j: sample_uncertainty(heatmaps[j], fit_cfg)
+                     for j in (range(len(heatmaps)) if landmarks is None else landmarks)})
+    _warn_fit_outcomes([f for per_image in fits for f in per_image.values()])
     return fits
 
 
@@ -226,13 +223,13 @@ def cmd_fit(args) -> int:
     ds = load_dataset(_manifest_path(args.data))
     rows = []
     for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _fit_config(args))):
-        for j, pred in fits.items():
-            if pred is None:
+        for j, fit in fits.items():
+            if fit is None:
                 continue
-            d = pred.covariance
-            rows.append((image_id, j, repr(pred.coord[0]), repr(pred.coord[1]),
+            (x, y), d = fit.gaussian.mean, fit.gaussian.decomp
+            rows.append((image_id, j, repr(x), repr(y),
                          repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min),
-                         int(pred.converged)))
+                         int(fit.converged)))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fits.csv")
     write_csv(out_path, ["image_id", "landmark_id", "x_px", "y_px",
@@ -245,28 +242,26 @@ def cmd_mcd(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
     ds = load_dataset(_manifest_path(args.data))
     fit_cfg = _fit_config(args)
-    mcd_cfg = McdConfig(k=args.k, seed=0 if args.seed is None else args.seed)
-    mcd_cfg.validate()
+    seed = 0 if args.seed is None else args.seed
     rows = []
-    skipped = 0
+    fits = []
     for image_id, image in zip(ds.ids, ds.images):
-        for j, stack in enumerate(mcd_predict(model, image, mcd_cfg)):
-            preds = [mcd_max(stack)]
-            try:
-                preds.append(mcd_heatmap_fit(stack, fit_cfg))
-            except FitDegenerateError:
-                skipped += 1
-            for p in preds:
-                d = p.covariance
-                rows.append((image_id, j, p.source, repr(p.coord[0]), repr(p.coord[1]),
+        for j, stack in enumerate(mcd_predict(model, image, args.k, seed)):
+            estimates = [("mcd_max", *mcd_max(stack))]
+            fit = mcd_heatmap_fit(stack, fit_cfg)
+            fits.append(fit)
+            if fit is not None:
+                estimates.append(("mcd_heatmap_fit", fit.gaussian.mean, fit.gaussian.decomp))
+            for source, (x, y), d in estimates:
+                # numpy 2 reprs a float64 as np.float64(...)
+                rows.append((image_id, j, source, repr(float(x)), repr(float(y)),
                              repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min)))
-    if skipped:
-        _warn(f"{skipped} mean heatmaps were too flat for a Gaussian fit; rows omitted")
+    _warn_fit_outcomes(fits)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "mcd.csv")
     write_csv(out_path, ["image_id", "landmark_id", "source", "x_px", "y_px",
                          "theta_deg", "sigma_maj", "sigma_min"], rows)
-    _say(args, f"wrote {out_path}: {len(rows)} rows, k={mcd_cfg.k}")
+    _say(args, f"wrote {out_path}: {len(rows)} rows, k={args.k}")
     return 0
 
 
@@ -278,11 +273,11 @@ def cmd_eval(args) -> int:
     errors_mm = [[] for _ in range(n_landmarks)]
     for i, fits in enumerate(_fit_dataset(model, ds, _fit_config(args))):
         spacing = float(ds.spacing[i])
-        for j, pred in fits.items():
-            if pred is None:
+        for j, fit in fits.items():
+            if fit is None:
                 continue
-            decomps_mm[j].append(pred.covariance.scaled(spacing))
-            errors_mm[j].append(point_error(ds.coords[i, j], pred.coord) * spacing)
+            decomps_mm[j].append(fit.gaussian.decomp.scaled(spacing))
+            errors_mm[j].append(point_error(ds.coords[i, j], fit.gaussian.mean) * spacing)
     rows = []
     for j in range(n_landmarks):
         stats = aggregate_stats(decomps_mm[j]) if decomps_mm[j] else None
@@ -349,9 +344,9 @@ def cmd_clinical(args) -> int:
         gaussians = {}
         for j, name in names.items():
             if fits[j] is not None:
-                mean = (fits[j].coord[0] * spacing, fits[j].coord[1] * spacing)
-                gaussians[name] = AnisotropicGaussian(
-                    mean, fits[j].covariance.scaled(spacing), 1.0)
+                (x, y), d = fits[j].gaussian.mean, fits[j].gaussian.decomp
+                gaussians[name] = AnisotropicGaussian((x * spacing, y * spacing),
+                                                      d.scaled(spacing), 1.0)
         gt_mm = {name: ds.coords[i, j] * spacing for j, name in names.items()}
         for m_index, (mdef, thresholds) in enumerate(measurements):
             if any(n not in gaussians for n in mdef.landmark_ids):
@@ -397,11 +392,11 @@ def _require(args, parser, *flags) -> None:
 
 
 def cmd_plot(args, parser) -> int:
-    spec = PlotSpec(args.kind, args.scale)
-    spec.validate()
+    if not args.scale > 0:
+        raise InvalidParameterError(f"ellipse scale must be > 0, got {args.scale}")
     timestamp = not args.no_timestamp
 
-    if spec.kind == "accuracy_curve":
+    if args.kind == "accuracy_curve":
         _require(args, parser, "curves")
         curves = {}
         for path in args.curves:
@@ -421,14 +416,14 @@ def cmd_plot(args, parser) -> int:
         _require(args, parser, "model", "data")
         model = read_checkpoint(_checkpoint_path(args.model))
         ds = _load_training_dataset(args.data)
-        if spec.kind == "ellipse_overlay":
+        if args.kind == "ellipse_overlay":
             if args.image is not None and args.image not in ds.ids:
                 raise InvalidParameterError(f"unknown image id {args.image!r}")
             index = ds.ids.index(args.image) if args.image is not None else 0
             items = [(f"L{j}", tuple(ds.coords[index, j]), d.canonical())
                      for j, d in enumerate(model.target_decomps)]
             svg = render_ellipse_overlay(ds.images[index].shape, items,
-                                         scale=spec.ellipse_scale,
+                                         scale=args.scale,
                                          title=f"learned covariance, {ds.ids[index]}",
                                          timestamp=timestamp)
         else:
@@ -442,24 +437,24 @@ def cmd_plot(args, parser) -> int:
                 raise InvalidParameterError(
                     f"no usable Gaussian fit for landmark {j} on any image")
             gts = ds.coords[[i for i, _ in fits], j]
-            preds = [p.coord for _, p in fits]
-            if spec.kind == "offset_scatter":
+            preds = [f.gaussian.mean for _, f in fits]
+            if args.kind == "offset_scatter":
                 offsets = error_offsets(gts, preds)
                 overlays = [("learned", model.target_decomps[j].canonical())]
                 if len(offsets) >= 3:
-                    overlays.append(("empirical", fit_annotation_distribution(offsets)[1]))
-                svg = render_offset_scatter(offsets, overlays, scale=spec.ellipse_scale,
+                    overlays.append(("empirical", population_distribution(offsets)[1]))
+                svg = render_offset_scatter(offsets, overlays, scale=args.scale,
                                             title=f"landmark {j} offsets (px)",
                                             timestamp=timestamp)
             else:
-                products = [p.covariance.product for _, p in fits]
+                products = [f.gaussian.decomp.product for _, f in fits]
                 errors = [point_error(gt, pred) for gt, pred in zip(gts, preds)]
                 svg = render_sigma_vs_error(products, errors,
                                             title=f"landmark {j} spread vs error",
                                             timestamp=timestamp)
 
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{spec.kind}.svg")
+    out_path = os.path.join(args.out, f"{args.kind}.svg")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     _say(args, f"wrote {out_path}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -98,9 +99,12 @@ def _parse_value(key, kind, text):
             raise InvalidParameterError(f"{key}: expected true/false, got {text!r}")
         return text == "true"
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise InvalidParameterError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise InvalidParameterError(f"{key}: expected a finite float, got {text!r}")
+    return value
 
 
 def _build_config(cls, items, prefix, fixed):

@@ -40,9 +40,11 @@ class FitConfig:
     window_halfwidth_sigmas: float = 5.0
 
     def validate(self) -> None:
-        if self.max_iterations <= 0 or self.tolerance <= 0 \
-                or self.robust_loss_scale <= 0 or self.window_halfwidth_sigmas <= 0:
-            raise ValueError(f"all fit configuration values must be positive: {self}")
+        for name in ("max_iterations", "tolerance", "robust_loss_scale",
+                     "window_halfwidth_sigmas"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass

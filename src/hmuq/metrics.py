@@ -53,19 +53,6 @@ def sdr(errors, r: float) -> float:
     return float(100.0 * np.count_nonzero(errors <= r) / errors.size)
 
 
-def fit_annotation_distribution(points) -> tuple[np.ndarray, CovarianceDecomposition]:
-    """Mean and population covariance of annotation points, decomposed.
-
-    Degenerate (collinear or duplicate) point sets yield sigma_min = 0 with
-    the decomposition's degenerate flag set, not an error.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 3:
-        raise InvalidParameterError(
-            f"need at least 3 (x, y) points, got array of shape {points.shape}")
-    return population_distribution(points)
-
-
 def circular_axis_mean_deg(theta_deg) -> tuple[float, float]:
     """Circular mean and SD of axis angles in degrees (period 180 deg)."""
     t = np.radians(np.asarray(theta_deg, dtype=np.float64)) * 2.0
@@ -114,7 +101,7 @@ def interobserver_decomps(dataset, landmark_id: int) -> list[CovarianceDecomposi
         if entries is None or len(entries) < 3:
             continue
         pts = np.array([(x, y) for _, x, y in entries]) * dataset.spacing[i]
-        out.append(fit_annotation_distribution(pts)[1])
+        out.append(population_distribution(pts)[1])
     if not out:
         raise InvalidParameterError(
             f"no image has >= 3 observer annotations for landmark {landmark_id}")

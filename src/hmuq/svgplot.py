@@ -8,7 +8,6 @@ timestamp comment, which callers can suppress.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,20 +20,6 @@ WIDTH = 480.0
 HEIGHT = 360.0
 MARGIN = 48.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    kind: str
-    ellipse_scale: float = 3.0
-
-    def validate(self) -> None:
-        if self.kind not in PLOT_KINDS:
-            raise InvalidParameterError(
-                f"plot kind must be one of {PLOT_KINDS}, got {self.kind!r}")
-        if not self.ellipse_scale > 0:
-            raise InvalidParameterError(
-                f"ellipse scale must be > 0, got {self.ellipse_scale}")
 
 
 def _fmt(v: float) -> str:

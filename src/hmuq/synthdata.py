@@ -62,8 +62,8 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.image_size < 16 or self.image_size % 4:
-            raise InvalidParameterError("image_size must be >= 16 and divisible by 4")
+        if not 16 <= self.image_size <= 4096 or self.image_size % 4:
+            raise InvalidParameterError("image_size must be in [16, 4096] and divisible by 4")
         if self.num_images < 1:
             raise InvalidParameterError("num_images must be >= 1")
         if not self.landmarks:
@@ -106,8 +106,8 @@ def _base_positions(cfg: SynthConfig) -> np.ndarray:
         radius = min(0.3 * cfg.image_size, half - margin)
         if radius < 0:
             raise InvalidParameterError(
-                f"landmark {i}: jitter + 6 sigma margin ({margin:.1f} px) exceeds "
-                f"the half image size ({half:.1f} px)")
+                f"landmark {i}: position_jitter + 6 sigma margin ({margin:.1f} px) "
+                f"exceeds half the image_size ({half:.1f} px)")
         angle = 2.0 * math.pi * i / n + 0.25 * math.pi
         out[i] = (half + radius * math.cos(angle), half + radius * math.sin(angle))
     return out

@@ -115,7 +115,8 @@ class TrainConfig:
         if self.iterations < 1 or self.batch_size < 1 or self.predictor_width < 1:
             raise InvalidParameterError("iterations, batch_size, predictor_width must be >= 1")
         if not (self.learning_rate > 0 and self.covariance_lr_multiplier > 0):
-            raise InvalidParameterError("learning rates must be > 0")
+            raise InvalidParameterError(
+                "learning_rate and covariance_lr_multiplier must be > 0")
         if self.weight_decay < 0:
             raise InvalidParameterError("weight_decay must be >= 0")
         if not self.sigma_init > 0:
@@ -385,12 +386,9 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
     return TrainedModel(net, decomps, cfg, trace)
 
 
-def predict(model: TrainedModel, image, dropout_enabled: bool = False,
-            seed: int = 0) -> np.ndarray:
-    """One forward pass, float64 (N, H, W); dropout (at the training rate) only when enabled."""
-    rate = model.config.dropout_rate if dropout_enabled else 0.0
-    rng = np.random.default_rng(seed) if rate else None
-    return model.predictor.forward(image, rate, rng)
+def predict(model: TrainedModel, image) -> np.ndarray:
+    """One deterministic forward pass (dropout off), float64 (N, H, W)."""
+    return model.predictor.forward(image)
 
 
 # --- checkpoint IO ----------------------------------------------------------------

@@ -49,7 +49,7 @@ from hmuq.trainer import (
     train,
     write_checkpoint,
 )
-from hmuq.uncertainty import McdConfig, mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
+from hmuq.uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
 from helpers import loss_learned_aniso, write_interobserver_fixture
 
@@ -233,7 +233,7 @@ def held_out_fits(ns):
     per_lm = [[] for _ in range(ns.held.landmark_count)]
     for image in ns.held.images:
         for j, heatmap in enumerate(predict(ns.model, image)):
-            per_lm[j].append(sample_uncertainty(heatmap).covariance)
+            per_lm[j].append(sample_uncertainty(heatmap).gaussian.decomp)
     return per_lm
 
 
@@ -288,15 +288,14 @@ def test_criterion_5_interobserver_reproduction(tmp_path):
 
 def test_criterion_6_mcd_underestimation(synth_model):
     ns = synth_model
-    mcd_cfg = McdConfig(k=20, seed=7)
     n_images = 6
     n_lm = ns.held.landmark_count
     max_products = np.zeros(n_lm)
     fit_products = np.zeros(n_lm)
     for image in ns.held.images[:n_images]:
-        for j, stack in enumerate(mcd_predict(ns.model, image, mcd_cfg)):
-            max_products[j] += mcd_max(stack).covariance.product
-            fit_products[j] += mcd_heatmap_fit(stack).covariance.product
+        for j, stack in enumerate(mcd_predict(ns.model, image, k=20, seed=7)):
+            max_products[j] += mcd_max(stack)[1].product
+            fit_products[j] += mcd_heatmap_fit(stack).gaussian.decomp.product
     max_products /= n_images
     fit_products /= n_images
     ok = bool((max_products < fit_products).all())

@@ -226,9 +226,24 @@ class TestFitWarnings:
         assert err == f"warning: {unconverged} of {len(rows)} fits did not converge\n"
         assert out == ""
 
+    def test_mcd_unconverged_fits_counted_on_stderr(self, pipeline, tmp_path, capsys):
+        (tmp_path / "fit.cfg").write_text("max_iterations = 2\n")
+        assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                     "--k", "5", "--config", str(tmp_path / "fit.cfg"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        out, err = capsys.readouterr()
+        fits = sum(row["source"] == "mcd_heatmap_fit"
+                   for row in read_rows(tmp_path / "mcd.csv"))
+        assert fits == 24
+        match = re.fullmatch(rf"warning: (\d+) of {fits} fits did not converge\n", err)
+        assert match and 0 < int(match.group(1)) <= fits, err
+        assert out == ""
+
     def test_no_warning_when_every_fit_converges(self, pipeline, tmp_path, capsys):
         assert main(["eval", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
                      "--out", str(tmp_path), "--quiet"]) == 0
+        assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                     "--k", "5", "--out", str(tmp_path), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
 
 
@@ -257,6 +272,15 @@ class TestErrors:
 
     def test_plot_missing_inputs_usage_exit(self):
         assert main(["plot", "--kind", "offset_scatter"]) == 2
+
+    def test_plot_unknown_kind_usage_exit(self, capsys):
+        assert main(["plot", "--kind", "pie_chart"]) == 2
+        assert "invalid choice: 'pie_chart'" in capsys.readouterr().err
+
+    def test_plot_nonpositive_scale_runtime_exit(self, tmp_path, capsys):
+        assert main(["plot", "--kind", "ellipse_overlay", "--scale", "0",
+                     "--out", str(tmp_path), "--quiet"]) == 1
+        assert "ellipse scale must be > 0, got 0.0" in capsys.readouterr().err
 
     def test_missing_dataset_runtime_exit(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
@@ -402,6 +426,16 @@ BAD_INPUTS = {
         _measurements_case(MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta")),
         "expected ')'"),
     "curve-bad-header": (_curve_case, ":1: expected header fraction,accuracy_percent"),
+    "fit-nan-tolerance": (_config_case("fit", "tolerance = nan\n"),
+                          "tolerance: expected a finite float, got 'nan'"),
+    "fit-inf-window": (_config_case("fit", "window_halfwidth_sigmas = inf\n"),
+                       "window_halfwidth_sigmas: expected a finite float, got 'inf'"),
+    "fit-zero-iterations": (_config_case("fit", "max_iterations = 0\n"),
+                            "max_iterations must be finite and > 0, got 0"),
+    "synth-nan-jitter": (_config_case("synth", "position_jitter = nan\n"),
+                         "position_jitter: expected a finite float, got 'nan'"),
+    "train-inf-sigma-init": (_config_case("train", "sigma_init = inf\n"),
+                             "sigma_init: expected a finite float, got 'inf'"),
 }
 
 

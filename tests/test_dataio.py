@@ -1,12 +1,17 @@
+import dataclasses
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmuq.dataio import (
     AnnotationRow,
     DataFormatError,
+    config_from_dict,
     config_to_dict,
     format_config,
     load_dataset,
@@ -18,6 +23,7 @@ from hmuq.dataio import (
     write_pgm,
 )
 from hmuq.fitting import FitConfig
+from hmuq.gauss import InvalidParameterError
 from hmuq.synthdata import SynthConfig, synth_config_to_dict
 from hmuq.trainer import TrainConfig
 
@@ -55,6 +61,42 @@ class TestConfigCodec:
             if top.startswith("landmark_"):  # per-landmark blocks are shown by example
                 named = re.sub(r"^landmark_\d+", "landmark_0", key) + " ="
             assert named in section, f"README configuration section does not name {key!r}"
+
+
+SCALAR_KEYS = [(cls, key) for cls in (TrainConfig, FitConfig, SynthConfig)
+               for key in config_to_dict(cls(), skip=("landmarks",))]
+CONFIG_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),  # includes 'nan', 'inf' and '-inf'
+    st.integers().map(str),
+    st.sampled_from(["NaN", "-Infinity", "1e400", "-0.0", "1_0", "true", "false",
+                     str(10 ** 400)]),
+)
+
+
+def float_values(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from float_values(value)
+        elif isinstance(value, float):
+            yield value
+
+
+class TestConfigProperty:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(case=st.sampled_from(SCALAR_KEYS), text=CONFIG_TEXT)
+    @example(case=(SynthConfig, "image_size"), text=str(10 ** 400))  # overflows a float
+    def test_finite_config_or_error_naming_key(self, case, text):
+        """One scalar key set to any text: a validated all-finite config, or an
+        InvalidParameterError that names the field."""
+        cls, key = case
+        try:
+            cfg = config_from_dict(cls, {key: text})
+        except InvalidParameterError as exc:
+            assert key.rpartition(".")[2] in str(exc), (key, text, str(exc))
+            return
+        assert all(math.isfinite(v) for v in float_values(cfg)), (key, text)
 
 
 class TestPgm:

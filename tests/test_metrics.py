@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from hmuq.dataio import Dataset
-from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
+from hmuq.gauss import CovarianceDecomposition, InvalidParameterError, population_distribution
 from hmuq.metrics import (
     REPORT_COLUMNS,
     aggregate_stats,
     circular_axis_mean_deg,
     error_offsets,
-    fit_annotation_distribution,
     interobserver_decomps,
     point_error,
     report_row,
@@ -47,6 +46,8 @@ class TestSdr:
 
 
 class TestFitAnnotationDistribution:
+    """population_distribution, as interobserver_decomps fits observer points."""
+
     def test_known_covariance(self):
         # 11 unit-circle points scaled by sqrt(2) have population covariance I
         k = np.arange(11)
@@ -56,7 +57,7 @@ class TestFitAnnotationDistribution:
         r = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
         pts = (r @ (z * (smaj, smin)).T).T + (5.0, -3.0)
-        mean, d = fit_annotation_distribution(pts)
+        mean, d = population_distribution(pts)
         assert mean == pytest.approx((5.0, -3.0))
         assert d.sigma_maj == pytest.approx(smaj)
         assert d.sigma_min == pytest.approx(smin)
@@ -64,13 +65,9 @@ class TestFitAnnotationDistribution:
 
     def test_collinear_degenerate_not_error(self):
         pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
-        _, d = fit_annotation_distribution(pts)
+        _, d = population_distribution(pts)
         assert d.degenerate
         assert d.sigma_min == 0.0
-
-    def test_too_few_points(self):
-        with pytest.raises(InvalidParameterError, match="at least 3"):
-            fit_annotation_distribution([(0.0, 0.0), (1.0, 0.0)])
 
 
 class TestCircularAxisMean:

@@ -6,7 +6,6 @@ import pytest
 
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.svgplot import (
-    PlotSpec,
     render_accuracy_curve,
     render_ellipse_overlay,
     render_offset_scatter,
@@ -19,19 +18,6 @@ DEC = CovarianceDecomposition(math.radians(30.0), 4.0, 1.5)
 def tags(svg):
     root = ET.fromstring(svg)
     return [el.tag.split("}")[-1] for el in root.iter()]
-
-
-class TestPlotSpec:
-    def test_valid(self):
-        PlotSpec("ellipse_overlay").validate()
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidParameterError, match="plot kind"):
-            PlotSpec("pie_chart").validate()
-
-    def test_scale_positive(self):
-        with pytest.raises(InvalidParameterError, match="scale"):
-            PlotSpec("offset_scatter", ellipse_scale=0.0).validate()
 
 
 class TestOffsetScatter:

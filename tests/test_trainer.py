@@ -238,9 +238,10 @@ class TestPredict:
 
     def test_dropout_seeds(self, model):
         m, ds = model
-        a = predict(m, ds.images[0], dropout_enabled=True, seed=1)
-        b = predict(m, ds.images[0], dropout_enabled=True, seed=2)
-        c = predict(m, ds.images[0], dropout_enabled=True, seed=1)
+        rate = m.config.dropout_rate
+        a = m.predictor.forward(ds.images[0], rate, np.random.default_rng(1))
+        b = m.predictor.forward(ds.images[0], rate, np.random.default_rng(2))
+        c = m.predictor.forward(ds.images[0], rate, np.random.default_rng(1))
         assert not all(np.array_equal(x, y) for x, y in zip(a, b))
         assert all(np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -248,7 +249,8 @@ class TestPredict:
         m, ds = model
         plain = TrainedModel(m.predictor, m.target_decomps,
                              config_from_dict(TrainConfig, {"dropout_rate": "0.0"}), m.loss_trace)
-        a = predict(plain, ds.images[0], dropout_enabled=True, seed=3)
+        a = plain.predictor.forward(ds.images[0], plain.config.dropout_rate,
+                                    np.random.default_rng(3))
         b = predict(plain, ds.images[0])
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
