@@ -45,6 +45,7 @@ from .metrics import (
     report_row,
     write_report_csv,
 )
+from .nets import check_image_shape
 from .svgplot import (
     PLOT_KINDS,
     render_accuracy_curve,
@@ -111,12 +112,25 @@ def _checkpoint_path(model):
     return os.path.join(model, "model.ckpt") if os.path.isdir(model) else model
 
 
-def _load_training_dataset(data):
+def _load_predictor_dataset(data, annotated=True, one_shape=False):
+    """The dataset at `data` for a command that runs the predictor.
+
+    Every image must have a shape the predictor takes, and with `one_shape`
+    (training) the shape of the first image; a fault names the image's file.
+    `annotated` requires the single-annotator table.
+    """
     ds = load_dataset(_manifest_path(data))
-    if ds.coords is None:
+    if annotated and ds.coords is None:
         raise InvalidParameterError(
             f"{data}: dataset has observer annotations only; this command "
             f"needs the single-annotator table")
+    for path, image in zip(ds.paths, ds.images):
+        with errors_named(path):
+            check_image_shape(image.shape)
+            if one_shape and image.shape != ds.images[0].shape:
+                raise InvalidParameterError(
+                    f"shape {image.shape} differs from {ds.images[0].shape} of "
+                    f"{ds.paths[0]}; all training images must share one shape")
     return ds
 
 
@@ -177,7 +191,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _load_training_dataset(args.data)
+    ds = _load_predictor_dataset(args.data, one_shape=True)
     cfg = _read_config(args, TrainConfig(), lambda items: config_from_dict(TrainConfig, items))
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, target_mode=args.mode)
@@ -205,7 +219,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
-    ds = load_dataset(_manifest_path(args.data))
+    ds = _load_predictor_dataset(args.data, annotated=False)
     rows = []
     for image_id, image in zip(ds.ids, ds.images):
         for j, heatmap in enumerate(predict(model, image)):
@@ -220,7 +234,7 @@ def cmd_predict(args) -> int:
 
 def cmd_fit(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
-    ds = load_dataset(_manifest_path(args.data))
+    ds = _load_predictor_dataset(args.data, annotated=False)
     rows = []
     for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _fit_config(args))):
         for j, fit in fits.items():
@@ -240,7 +254,7 @@ def cmd_fit(args) -> int:
 
 def cmd_mcd(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
-    ds = load_dataset(_manifest_path(args.data))
+    ds = _load_predictor_dataset(args.data, annotated=False)
     fit_cfg = _fit_config(args)
     seed = 0 if args.seed is None else args.seed
     rows = []
@@ -267,7 +281,7 @@ def cmd_mcd(args) -> int:
 
 def cmd_eval(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_training_dataset(args.data)
+    ds = _load_predictor_dataset(args.data)
     n_landmarks = model.predictor.landmark_count
     decomps_mm = [[] for _ in range(n_landmarks)]
     errors_mm = [[] for _ in range(n_landmarks)]
@@ -322,7 +336,7 @@ def _landmark_names(path, landmark_count):
 
 def cmd_clinical(args) -> int:
     model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_training_dataset(args.data)
+    ds = _load_predictor_dataset(args.data)
     measurements = list(load_measurements(args.measurements).values())
     names = _landmark_names(args.names, ds.landmark_count)
     available = set(names.values())
@@ -415,7 +429,7 @@ def cmd_plot(args, parser) -> int:
     else:
         _require(args, parser, "model", "data")
         model = read_checkpoint(_checkpoint_path(args.model))
-        ds = _load_training_dataset(args.data)
+        ds = _load_predictor_dataset(args.data)
         if args.kind == "ellipse_overlay":
             if args.image is not None and args.image not in ds.ids:
                 raise InvalidParameterError(f"unknown image id {args.image!r}")
@@ -464,6 +478,17 @@ def cmd_plot(args, parser) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     parser = argparse.ArgumentParser(
         prog="hmuq",
@@ -481,7 +506,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     config_help = ("flat key = value config file (the %s environment variable "
                    "supplies the path when the flag is absent)" % CONFIG_ENV_VAR)
-    seed_kw = dict(type=int, default=None, help="override the random seed")
+    seed_kw = dict(type=_seed, default=None, help="override the random seed")
     data_kw = dict(required=True, help="dataset directory or manifest path")
     model_kw = dict(required=True, help="model directory or checkpoint path")
 

@@ -251,7 +251,8 @@ class Dataset:
 
     `coords` is (num_images, landmark_count, 2) from the single-annotator
     table (None when the dataset only carries observer annotations);
-    `observers` maps (image_id, landmark_id) to [(observer_id, x, y), ...].
+    `observers` maps (image_id, landmark_id) to [(observer_id, x, y), ...];
+    `paths` names the PGM file of each image (None when not read from files).
     """
 
     ids: list[str]
@@ -260,6 +261,7 @@ class Dataset:
     spacing: np.ndarray
     landmark_count: int
     observers: dict[tuple[str, int], list[tuple[str, float, float]]] | None = None
+    paths: list[str] | None = None
 
 
 def _read_checked_annotations(path, index, images, landmark_count) -> list[AnnotationRow]:
@@ -300,6 +302,7 @@ def load_dataset(manifest_path) -> Dataset:
         raise DataFormatError(f"{manifest_path}: landmark_count must be >= 1")
 
     ids: list[str] = []
+    paths: list[str] = []
     images: list[np.ndarray] = []
     spacing: list[float] = []
     images_path = os.path.join(base, manifest["images"])
@@ -316,7 +319,8 @@ def load_dataset(manifest_path) -> Dataset:
         if not spc_val > 0:
             raise DataFormatError(f"{images_path}:{lineno}: spacing must be > 0")
         ids.append(image_id)
-        images.append(read_pgm(os.path.join(base, rel)))
+        paths.append(os.path.join(base, rel))
+        images.append(read_pgm(paths[-1]))
         spacing.append(spc_val)
     index = {image_id: i for i, image_id in enumerate(ids)}
 
@@ -342,7 +346,7 @@ def load_dataset(manifest_path) -> Dataset:
                     f"{obs_path}: duplicate observer {row.observer_id!r} for {key}")
             entries.append((row.observer_id, row.x, row.y))
 
-    return Dataset(ids, images, coords, np.asarray(spacing), landmark_count, observers)
+    return Dataset(ids, images, coords, np.asarray(spacing), landmark_count, observers, paths)
 
 
 def write_dataset(out_dir, ids, images, coords, spacing, landmark_count,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .gauss import (
     TWO_PI,
@@ -59,6 +58,22 @@ def argmax_coord(h: np.ndarray) -> tuple[int, int]:
     """(x, y) of the maximum pixel; ties break to the smallest row, then column."""
     row, col = np.unravel_index(np.argmax(h), np.shape(h))
     return int(col), int(row)
+
+
+def _smooth3(values):
+    """3x3 box mean with edge values repeated past the border.
+
+    Bit for bit scipy.ndimage.uniform_filter(values, size=3, mode="nearest"):
+    rows (axis 0) first, then columns, each as scipy's running sum
+    0 + p0 + p1 + p2, then + (p[k+3] - p[k]), divided by 3.  cumsum adds in
+    that sequence; the other axis order rounds differently.
+    """
+    out = values
+    for _ in range(2):  # the .T hands axis 1 to the second pass and restores the layout
+        p = np.concatenate((out[:1], out, out[-1:]))
+        steps = np.concatenate(((0.0 + p[0] + p[1] + p[2])[None], p[3:] - p[:-3]))
+        out = (np.cumsum(steps, axis=0) / 3).T
+    return out
 
 
 def _window(shape, center, halfwidth):
@@ -240,7 +255,7 @@ def fit_gaussian(h: np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult:
 
     # initialize at the maximum of a 3x3-smoothed copy: an isolated spike must
     # not hijack the start point, while a true peak moves by at most a pixel
-    x0, y0 = argmax_coord(uniform_filter(values, size=3, mode="nearest"))
+    x0, y0 = argmax_coord(_smooth3(values))
     amp0 = values[y0, x0] if values[y0, x0] > 0 else peak
     p = np.array([x0, y0, 0.0,
                   math.log(INIT_SIGMA), math.log(INIT_SIGMA),

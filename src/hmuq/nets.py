@@ -46,6 +46,14 @@ def upsample2_backward(dy):
     return _sum2x2(dy)
 
 
+def check_image_shape(shape) -> None:
+    """Raise InvalidParameterError unless the predictor takes images of this
+    shape: 2-D with sides divisible by 4 (two pooling stages)."""
+    if len(shape) != 2 or shape[0] % 4 or shape[1] % 4:
+        raise InvalidParameterError(
+            f"image must be 2-D with sides divisible by 4, got {tuple(shape)}")
+
+
 class ReferencePredictor:
     """Fixed image-to-heatmaps network: three 3x3 conv+ReLU stages with two 2x2
     average-poolings on the way down, two nearest-neighbour upsamplings with
@@ -131,9 +139,7 @@ class ReferencePredictor:
         only in the head, Monte-Carlo passes over one image share one trunk.
         """
         image = np.asarray(image, dtype=self.dtype)
-        if image.ndim != 2 or image.shape[0] % 4 or image.shape[1] % 4:
-            raise InvalidParameterError(
-                f"image must be 2-D with sides divisible by 4, got {image.shape}")
+        check_image_shape(image.shape)
         a1, col0 = self._conv_relu(image[:, :, None], 0)
         a2, col1 = self._conv_relu(avgpool2(a1), 1)
         a3, col2 = self._conv_relu(avgpool2(a2), 2)

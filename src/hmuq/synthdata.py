@@ -72,6 +72,8 @@ class SynthConfig:
             raise InvalidParameterError("contrast must be in (0, 1]")
         if self.noise_floor < 0 or self.position_jitter < 0:
             raise InvalidParameterError("noise_floor and position_jitter must be >= 0")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         for i, spec in enumerate(self.landmarks):
             if spec.structure not in STRUCTURES:
                 raise InvalidParameterError(

@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
+
+# no top-level scipy import: the augmentation warps import scipy.ndimage where
+# they use it, because the import costs every hmuq process ~20 MB and ~0.35 s
+# and training with the default identity augmentation never warps
 
 from .dataio import (
     config_from_dict,
@@ -121,6 +124,8 @@ class TrainConfig:
             raise InvalidParameterError("weight_decay must be >= 0")
         if not self.sigma_init > 0:
             raise InvalidParameterError("sigma_init must be > 0")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         self.augmentation.validate()
 
 
@@ -175,6 +180,8 @@ class AugmentResult(NamedTuple):
 
 def _sample_field(fields, pts):
     """Bilinear sample of stacked (2, H, W) displacement fields at (n, 2) points."""
+    from scipy import ndimage
+
     coords = np.stack([pts[:, 1], pts[:, 0]])  # map_coordinates wants (row, col)
     return np.stack([
         ndimage.map_coordinates(fields[k], coords, order=1, mode="nearest")
@@ -192,6 +199,8 @@ def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
     matching inverse displacement (fixed-point iteration; fields are smooth
     and small, so a few steps suffice).
     """
+    from scipy import ndimage
+
     image = np.asarray(image, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     h, w = image.shape
@@ -239,6 +248,8 @@ def augment(image, coords, cfg: AugmentConfig, seed) -> AugmentResult:
         shift = np.zeros(2)
     elastic = None
     if cfg.enable_elastic and cfg.elastic_magnitude > 0:
+        from scipy import ndimage
+
         g = cfg.elastic_grid_size
         h, w = image.shape
         coarse = rng.normal(0.0, cfg.elastic_magnitude, size=(2, g, g))

@@ -1,15 +1,19 @@
 import csv
 import importlib.util
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hmuq.cli import main
-from hmuq.dataio import load_dataset, read_annotations
+from hmuq.dataio import load_dataset, read_annotations, write_pgm
 
 from helpers import write_interobserver_fixture
 
@@ -273,6 +277,14 @@ class TestErrors:
     def test_plot_missing_inputs_usage_exit(self):
         assert main(["plot", "--kind", "offset_scatter"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth"], ["train", "--data", "d"], ["mcd", "--model", "m", "--data", "d"],
+        ["clinical", "--model", "m", "--data", "d", "--names", "n.cfg"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_usage_exit(self, capsys, argv):
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_plot_unknown_kind_usage_exit(self, capsys):
         assert main(["plot", "--kind", "pie_chart"]) == 2
         assert "invalid choice: 'pie_chart'" in capsys.readouterr().err
@@ -393,6 +405,18 @@ def _measurements_case(text):
     return build
 
 
+def _image_case(command, shape):
+    """A copy of the pipeline dataset with img_0003.pgm replaced by a blank image of `shape`."""
+    def build(pipeline, tmp):
+        bad = tmp / "bad"
+        shutil.copytree(pipeline / "d", bad)
+        path = bad / "images" / "img_0003.pgm"
+        write_pgm(path, np.zeros(shape))
+        model = [] if command == "train" else ["--model", str(pipeline / "m")]
+        return [command, "--data", str(bad)] + model, path
+    return build
+
+
 def _curve_case(pipeline, tmp):
     path = tmp / "curve_bad.csv"
     path.write_text("fraction,accuracy\n1.0,100.0\n")
@@ -436,6 +460,12 @@ BAD_INPUTS = {
                          "position_jitter: expected a finite float, got 'nan'"),
     "train-inf-sigma-init": (_config_case("train", "sigma_init = inf\n"),
                              "sigma_init: expected a finite float, got 'inf'"),
+    "synth-negative-seed": (_config_case("synth", "seed = -1\n"), "seed must be >= 0, got -1"),
+    "train-negative-seed": (_config_case("train", "seed = -1\n"), "seed must be >= 0, got -1"),
+    "image-sides-not-divisible": (_image_case("predict", (33, 34)),
+                                  "sides divisible by 4, got (33, 34)"),
+    "train-image-shapes-differ": (_image_case("train", (36, 36)),
+                                  "all training images must share one shape"),
 }
 
 
@@ -450,6 +480,19 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert f"{path}:" in err and fragment in err
         assert "Traceback" not in err
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        """Only augmentation imports scipy, which costs a process ~20 MB and ~0.35 s."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        code = ("import hmuq, hmuq.cli, sys; "
+                "print([m for m in sys.modules if m.startswith('scipy')])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestConfigEnvVar:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from helpers import max_rel_error, random_decomposition, render_isotropic, scipy_solve
 from hmuq import fitting
@@ -52,6 +53,23 @@ class TestArgmax:
 
     def test_uniform_zero_returns_origin(self):
         assert argmax_coord(np.zeros((5, 8))) == (0, 0)
+
+
+class TestSmoothing:
+    """fitting._smooth3 restates scipy's 3x3 uniform filter; scipy is the oracle."""
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            h, w = rng.integers(1, 71, size=2)
+            yield rng.normal(size=(h, w)) * 10.0 ** rng.uniform(-5, 5)
+        yield from (rng.random((1, 1)), rng.random((1, 9)), rng.random((9, 1)))
+
+    def test_bit_identical_to_scipy(self):
+        for values in self.grids():
+            expected = uniform_filter(values, size=3, mode="nearest")
+            assert np.array_equal(fitting._smooth3(values), expected), values.shape
 
 
 class TestFitRoundTrip:
