@@ -112,14 +112,21 @@ def _checkpoint_path(model):
     return os.path.join(model, "model.ckpt") if os.path.isdir(model) else model
 
 
-def _load_predictor_dataset(data, annotated=True, one_shape=False):
-    """The dataset at `data` for a command that runs the predictor.
+def _load_predictor_dataset(data, model=None, annotated=True, one_shape=False):
+    """The checkpoint at `model` (None without one) and the dataset at `data`,
+    for a command that runs the predictor.
 
-    Every image must have a shape the predictor takes, and with `one_shape`
-    (training) the shape of the first image; a fault names the image's file.
-    `annotated` requires the single-annotator table.
+    The dataset must have the checkpoint's landmark count.  Every image must
+    have a shape the predictor takes, and with `one_shape` (training) the
+    shape of the first image; a fault names the image's file.  `annotated`
+    requires the single-annotator table.
     """
+    trained = None if model is None else read_checkpoint(_checkpoint_path(model))
     ds = load_dataset(_manifest_path(data))
+    if trained is not None and trained.predictor.landmark_count != ds.landmark_count:
+        raise InvalidParameterError(
+            f"{_checkpoint_path(model)}: checkpoint has {trained.predictor.landmark_count} "
+            f"landmarks, dataset has {ds.landmark_count} ({_manifest_path(data)})")
     if annotated and ds.coords is None:
         raise InvalidParameterError(
             f"{data}: dataset has observer annotations only; this command "
@@ -131,7 +138,7 @@ def _load_predictor_dataset(data, annotated=True, one_shape=False):
                 raise InvalidParameterError(
                     f"shape {image.shape} differs from {ds.images[0].shape} of "
                     f"{ds.paths[0]}; all training images must share one shape")
-    return ds
+    return trained, ds
 
 
 def _fit_config(args) -> FitConfig:
@@ -191,7 +198,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _load_predictor_dataset(args.data, one_shape=True)
+    _, ds = _load_predictor_dataset(args.data, one_shape=True)
     cfg = _read_config(args, TrainConfig(), lambda items: config_from_dict(TrainConfig, items))
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, target_mode=args.mode)
@@ -218,8 +225,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_predictor_dataset(args.data, annotated=False)
+    model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
     for image_id, image in zip(ds.ids, ds.images):
         for j, heatmap in enumerate(predict(model, image)):
@@ -233,8 +239,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_predictor_dataset(args.data, annotated=False)
+    model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
     for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _fit_config(args))):
         for j, fit in fits.items():
@@ -253,8 +258,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_mcd(args) -> int:
-    model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_predictor_dataset(args.data, annotated=False)
+    model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     fit_cfg = _fit_config(args)
     seed = 0 if args.seed is None else args.seed
     rows = []
@@ -280,8 +284,7 @@ def cmd_mcd(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_predictor_dataset(args.data)
+    model, ds = _load_predictor_dataset(args.data, args.model)
     n_landmarks = model.predictor.landmark_count
     decomps_mm = [[] for _ in range(n_landmarks)]
     errors_mm = [[] for _ in range(n_landmarks)]
@@ -335,8 +338,7 @@ def _landmark_names(path, landmark_count):
 
 
 def cmd_clinical(args) -> int:
-    model = read_checkpoint(_checkpoint_path(args.model))
-    ds = _load_predictor_dataset(args.data)
+    model, ds = _load_predictor_dataset(args.data, args.model)
     measurements = list(load_measurements(args.measurements).values())
     names = _landmark_names(args.names, ds.landmark_count)
     available = set(names.values())
@@ -428,8 +430,7 @@ def cmd_plot(args, parser) -> int:
                                     timestamp=timestamp)
     else:
         _require(args, parser, "model", "data")
-        model = read_checkpoint(_checkpoint_path(args.model))
-        ds = _load_predictor_dataset(args.data)
+        model, ds = _load_predictor_dataset(args.data, args.model)
         if args.kind == "ellipse_overlay":
             if args.image is not None and args.image not in ds.ids:
                 raise InvalidParameterError(f"unknown image id {args.image!r}")

@@ -85,21 +85,14 @@ def _window(shape, center, halfwidth):
     return x0, x1, y0, y1
 
 
-def _model(p, xs, ys, mean_gradients=False):
-    """The Gaussian with solver parameters p at pixel centers (xs, ys)."""
+def _model(p, xs, ys, jac=None):
+    """The Gaussian with solver parameters p at pixel centers (xs, ys).  With
+    jac, a (6, m) array, its rows receive the derivatives by p[0], ..., p[5]."""
     mx, my, theta, log_a, log_b, log_amp = p
-    return _gaussian(xs - mx, ys - my, theta, math.exp(log_a), math.exp(log_b),
-                     math.exp(log_amp), mean_gradients=mean_gradients)
-
-
-def _jacobian(terms, out):
-    """Fill out (6, m) with d model / d(mean x, mean y, theta, log sigma_maj,
-    log sigma_min, log amplitude) from the tuple of _model(..., mean_gradients=True)
-    and return its (m, 6) transpose."""
-    h, dtheta, dlog_a, dlog_b, dmx, dmy = terms
-    for row, values in zip(out, (dmx, dmy, dtheta, dlog_a, dlog_b, h)):
-        row[...] = values
-    return out.T
+    rows = None if jac is None else [jac[k] for k in (5, 2, 3, 4, 0, 1)]  # the kernel's order
+    out = _gaussian(xs - mx, ys - my, theta, math.exp(log_a), math.exp(log_b),
+                    math.exp(log_amp), mean_gradients=jac is not None, out=rows)
+    return out if jac is None else out[0]
 
 
 def _norm(v):
@@ -115,13 +108,18 @@ def _soft_l1(f, scale):
     near-isotropic fit, and the algebraically equal weights t^(-3/4), t = 1 + z,
     moved such fits by up to 1e-4 px and changed their evaluation counts.
     """
-    t = 1 + (f / scale) ** 2
-    cost = 0.5 * scale ** 2 * np.sum(2 * (t ** 0.5 - 1))
+    t = np.divide(f, scale)  # positional outputs and .sum(): numpy's faster paths
+    np.add(1, np.square(t, t), t)  # t = 1 + (f / scale) ** 2
+    tmp = np.sqrt(t)
+    cost = 0.5 * scale ** 2 * np.multiply(2, np.subtract(tmp, 1, tmp), tmp).sum()
     rho1 = t ** -0.5
-    weight = rho1 + 2 * (-0.5 * t ** -1.5 / scale ** 2) * f ** 2
+    # weight = rho1 + 2 * (-0.5 * t ** -1.5 / scale ** 2) * f ** 2, in tmp
+    np.multiply(-0.5, np.power(t, -1.5, tmp), tmp)
+    np.multiply(2, np.divide(tmp, scale ** 2, tmp), tmp)
+    weight = np.add(rho1, np.multiply(tmp, np.square(f, t), tmp), tmp)
     weight[weight < EPS] = EPS
     weight **= 0.5
-    return cost, weight, f * (rho1 / weight)
+    return cost, weight, np.multiply(f, np.divide(rho1, weight, rho1), rho1)
 
 
 def _trust_step(uf, s, vt, delta, alpha, m):
@@ -138,7 +136,7 @@ def _trust_step(uf, s, vt, delta, alpha, m):
     def phi(alpha):
         denom = s ** 2 + alpha
         p_norm = _norm(suf / denom)
-        return p_norm - delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+        return p_norm - delta, -(suf ** 2 / denom ** 3).sum() / p_norm
 
     upper = _norm(suf) / delta
     lower = 0.0
@@ -173,24 +171,22 @@ def _solve(values, p0, window, cfg, max_nfev):
     the initial one, status): 2 ftol, 3 xtol, 4 both, 0 budget spent.
     """
     x0, x1, y0, y1 = window
-    ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-    xs = xs.ravel().astype(np.float64)
-    ys = ys.ravel().astype(np.float64)
+    xs = np.tile(np.arange(x0, x1 + 1, dtype=np.float64), y1 - y0 + 1)
+    ys = np.repeat(np.arange(y0, y1 + 1, dtype=np.float64), x1 - x0 + 1)
     data = values[y0:y1 + 1, x0:x1 + 1].ravel()
     scale, tol = cfg.robust_loss_scale, cfg.tolerance
-    jac = np.empty((6, data.size))
+    jac, jac_new = np.empty((2, 6, data.size))  # a rejected trial fills the spare one
 
     x = np.array(p0, dtype=np.float64)
-    terms = _model(x, xs, ys, mean_gradients=True)
-    fun = terms[0] - data
+    fun = _model(x, xs, ys, jac) - data
     nfev = 1
     delta = _norm(x) or 1.0
     alpha = 0.0
     status = 0
     cost, weight, f = _soft_l1(fun, scale)
     while not status and nfev < max_nfev:
-        J = _jacobian(terms, jac)
-        J *= weight[:, None]
+        jac *= weight  # J = jac.T, its rows scaled by the loss weights
+        J = jac.T
         g = J.T @ f
         u, s, vt = np.linalg.svd(J, full_matrices=False)
         uf = u.T @ f
@@ -200,8 +196,7 @@ def _solve(values, p0, window, cfg, max_nfev):
             js = J @ step
             predicted = -(0.5 * (js @ js) + step @ g)
             x_new = x + step
-            terms_new = _model(x_new, xs, ys, mean_gradients=True)
-            fun_new = terms_new[0] - data
+            fun_new = _model(x_new, xs, ys, jac_new) - data
             nfev += 1
             step_norm = _norm(step)
             if not np.isfinite(fun_new).all():
@@ -227,7 +222,8 @@ def _solve(values, p0, window, cfg, max_nfev):
             delta = delta_new
         if reduction <= 0:
             break
-        x, terms, fun, cost, weight, f = x_new, terms_new, fun_new, cost_new, weight_new, f_new
+        x, fun, cost, weight, f = x_new, fun_new, cost_new, weight_new, f_new
+        jac, jac_new = jac_new, jac
     return x, fun, nfev, status
 
 

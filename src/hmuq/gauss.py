@@ -147,27 +147,49 @@ def decompose_covariance(m: np.ndarray, allow_semidefinite: bool = False) -> Cov
     return CovarianceDecomposition(theta, math.sqrt(vals[1]), math.sqrt(vals[0])).canonical()
 
 
-def _gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False):
+def _gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False, out=None):
     """Gaussian of mass amp and extents (a, b) at offsets (dx, dy) = pixel - mean.
 
     dx and dy broadcast: a row and a column for a grid, or two flat arrays for
     a fit window.  Returns the values; with `gradients`, (values, d/dtheta,
     d/dlog a, d/dlog b); with `mean_gradients`, that tuple followed by
-    d/dmean_x and d/dmean_y.  Nothing is validated here.
+    d/dmean_x and d/dmean_y.  `out`, one array of the broadcast shape per
+    result, receives them; it is allocated when not given.  The operations
+    and their order are those of the formulas in the comments, so writing in
+    place changes no bit.  Outputs are passed positionally: numpy parses an
+    `out=` keyword more slowly.  Nothing is validated here.
     """
+    if out is None:
+        out = np.empty((6 if mean_gradients else 4 if gradients else 1,
+                        *np.broadcast(dx, dy).shape))
+    u1, u2, q1, q2 = np.empty((4, *out[0].shape))
     c, s = math.cos(theta), math.sin(theta)
-    u1 = c * dx + s * dy
-    u2 = -s * dx + c * dy
-    q1 = (u1 / a) ** 2
-    q2 = (u2 / b) ** 2
-    h = (amp / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
+    np.add(c * dx, s * dy, u1)  # a grid's products stay a row and a column
+    np.add(-s * dx, c * dy, u2)
+    np.square(np.divide(u1, a, q1), q1)  # (u1 / a)^2
+    np.square(np.divide(u2, b, q2), q2)
+    h = np.add(q1, q2, out[0])  # amp / (2 pi a b) exp(-0.5 (q1 + q2))
+    np.exp(np.multiply(-0.5, h, h), h)
+    np.multiply(h, amp / (TWO_PI * a * b), h)
     if not (gradients or mean_gradients):
         return h
-    out = (h, h * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2), h * (q1 - 1.0), h * (q2 - 1.0))
+    dtheta, dlog_a, dlog_b = out[1], out[2], out[3]
+    np.multiply(h, u1, dtheta)  # h u1 u2 (1 / b^2 - 1 / a^2)
+    np.multiply(dtheta, u2, dtheta)
+    np.multiply(dtheta, 1.0 / b ** 2 - 1.0 / a ** 2, dtheta)
+    np.multiply(h, np.subtract(q1, 1.0, q1), dlog_a)  # h (q1 - 1)
+    np.multiply(h, np.subtract(q2, 1.0, q2), dlog_b)
     if not mean_gradients:
-        return out
-    return out + (h * (c * u1 / a ** 2 - s * u2 / b ** 2),
-                  h * (s * u1 / a ** 2 + c * u2 / b ** 2))
+        return tuple(out)
+    dmx, dmy = out[4], out[5]
+    # h (c u1 / a^2 - s u2 / b^2) and h (s u1 / a^2 + c u2 / b^2)
+    np.subtract(np.divide(np.multiply(c, u1, dmx), a ** 2, dmx),
+                np.divide(np.multiply(s, u2, q1), b ** 2, q1), dmx)
+    np.add(np.divide(np.multiply(s, u1, dmy), a ** 2, dmy),
+           np.divide(np.multiply(c, u2, q2), b ** 2, q2), dmy)
+    np.multiply(dmx, h, dmx)
+    np.multiply(dmy, h, dmy)
+    return tuple(out)
 
 
 def _grid_args(g: AnisotropicGaussian, shape):

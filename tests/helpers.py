@@ -1,12 +1,15 @@
 """Shared helpers for the test suite, including the isotropic renderer,
-losses and scipy's least-squares solver that serve as independent oracles
-for the anisotropic code paths."""
+losses, scipy's least-squares solver and the allocating Gaussian kernel and
+soft-L1 loss that serve as independent oracles for the anisotropic code paths."""
+
+import math
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from hmuq.fitting import _model
+from hmuq.fitting import EPS, _model
 from hmuq.gauss import (
+    TWO_PI,
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
@@ -36,6 +39,36 @@ def loss_learned_aniso(pred, coords, decomps, alpha, gamma):
     return aniso_loss_gradients(pred, coords, decomps, alpha, gamma)[0]
 
 
+def allocating_gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False):
+    """gauss._gaussian with a fresh array for every operation: the oracle that
+    the in-place kernel must match bit for bit (same arguments, no `out`)."""
+    c, s = math.cos(theta), math.sin(theta)
+    u1 = c * dx + s * dy
+    u2 = -s * dx + c * dy
+    q1 = (u1 / a) ** 2
+    q2 = (u2 / b) ** 2
+    h = (amp / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
+    if not (gradients or mean_gradients):
+        return h
+    out = (h, h * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2), h * (q1 - 1.0), h * (q2 - 1.0))
+    if not mean_gradients:
+        return out
+    return out + (h * (c * u1 / a ** 2 - s * u2 / b ** 2),
+                  h * (s * u1 / a ** 2 + c * u2 / b ** 2))
+
+
+def allocating_soft_l1(f, scale):
+    """fitting._soft_l1 with a fresh array for every operation, in scipy's
+    formulas: the oracle that the in-place version must match bit for bit."""
+    t = 1 + (f / scale) ** 2
+    cost = 0.5 * scale ** 2 * np.sum(2 * (t ** 0.5 - 1))
+    rho1 = t ** -0.5
+    weight = rho1 + 2 * (-0.5 * t ** -1.5 / scale ** 2) * f ** 2
+    weight[weight < EPS] = EPS
+    weight **= 0.5
+    return cost, weight, f * (rho1 / weight)
+
+
 def scipy_solve(values, p0, window, cfg, max_nfev):
     """scipy's trust-region soft-L1 fit of fitting._model to one window: the
     oracle of fitting._solve, with the same stop tolerances and budget."""
@@ -46,8 +79,9 @@ def scipy_solve(values, p0, window, cfg, max_nfev):
     data = values[y0:y1 + 1, x0:x1 + 1].ravel()
 
     def jac(p):
-        h, dtheta, dlog_a, dlog_b, dmx, dmy = _model(p, xs, ys, mean_gradients=True)
-        return np.column_stack((dmx, dmy, dtheta, dlog_a, dlog_b, h))
+        out = np.empty((6, xs.size))
+        _model(p, xs, ys, out)
+        return out.T
 
     return least_squares(
         lambda p: _model(p, xs, ys) - data, p0, jac=jac,

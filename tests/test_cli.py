@@ -417,6 +417,26 @@ def _image_case(command, shape):
     return build
 
 
+def _landmark_count_case(command, count):
+    """The 2-landmark pipeline checkpoint on a synthetic dataset of `count` landmarks."""
+    def build(pipeline, tmp):
+        cfg = tmp / "synth.cfg"
+        cfg.write_text(f"image_size = 32\nnum_images = 2\nnum_landmarks = {count}\n" + "".join(
+            f"landmark_{j}.{key} = {value}\n" for j in range(count)
+            for key, value in (("structure", "blob"), ("orientation_deg", 0.0),
+                               ("noise_theta_deg", 0.0), ("noise_sigma_maj", 1.0),
+                               ("noise_sigma_min", 1.0))))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp / "d"), "--quiet"]) == 0
+        argv = [command, "--model", str(pipeline / "m"), "--data", str(tmp / "d")]
+        if command == "plot":
+            argv += ["--kind", "ellipse_overlay"]
+        elif command == "clinical":
+            argv += ["--names", str(pipeline / "names.cfg"),
+                     "--measurements", str(pipeline / "meas.cfg"), "--samples", "10"]
+        return argv, pipeline / "m" / "model.ckpt"
+    return build
+
+
 def _curve_case(pipeline, tmp):
     path = tmp / "curve_bad.csv"
     path.write_text("fraction,accuracy\n1.0,100.0\n")
@@ -466,6 +486,12 @@ BAD_INPUTS = {
                                   "sides divisible by 4, got (33, 34)"),
     "train-image-shapes-differ": (_image_case("train", (36, 36)),
                                   "all training images must share one shape"),
+    "eval-fewer-landmarks": (_landmark_count_case("eval", 1),
+                             "checkpoint has 2 landmarks, dataset has 1 ("),
+    "ellipse-overlay-fewer-landmarks": (_landmark_count_case("plot", 1),
+                                        "checkpoint has 2 landmarks, dataset has 1 ("),
+    "clinical-more-landmarks": (_landmark_count_case("clinical", 3),
+                                "checkpoint has 2 landmarks, dataset has 3 ("),
 }
 
 

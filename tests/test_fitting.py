@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
-from helpers import max_rel_error, random_decomposition, render_isotropic, scipy_solve
+from helpers import (
+    allocating_gaussian,
+    allocating_soft_l1,
+    max_rel_error,
+    random_decomposition,
+    render_isotropic,
+    scipy_solve,
+)
 from hmuq import fitting
 from hmuq.dataio import config_from_dict, config_to_dict
 from hmuq.fitting import (
     FitConfig,
     FitDegenerateError,
-    _jacobian,
     _model,
     argmax_coord,
     fit_gaussian,
@@ -133,7 +139,7 @@ class TestFitRoundTrip:
 
 class TestFitJacobian:
     def test_matches_finite_differences(self):
-        # every column the solver uses (mean x, mean y, theta, log sigma_maj,
+        # every row the solver fills (mean x, mean y, theta, log sigma_maj,
         # log sigma_min, log amplitude) on a flattened 31x31 window
         ys, xs = np.mgrid[5:36, 7:38]
         xs = xs.ravel().astype(np.float64)
@@ -147,13 +153,13 @@ class TestFitJacobian:
                 continue
             p = np.array([rng.uniform(18.0, 26.0), rng.uniform(16.0, 24.0), d.theta,
                           math.log(d.sigma_maj), math.log(d.sigma_min), math.log(100.0)])
-            jac = _jacobian(_model(p, xs, ys, mean_gradients=True), np.empty((6, xs.size)))
-            assert jac.shape == (xs.size, 6)
+            jac = np.full((6, xs.size), np.nan)
+            assert np.array_equal(_model(p, xs, ys, jac), _model(p, xs, ys))
             for k in range(6):
                 e = np.zeros(6)
                 e[k] = step
                 fd = (_model(p + e, xs, ys) - _model(p - e, xs, ys)) / (2 * step)
-                assert max_rel_error(fd, jac[:, k]) < 1e-6, f"column {k}"
+                assert max_rel_error(fd, jac[k]) < 1e-6, f"row {k}"
             checked += 1
 
 
@@ -210,6 +216,27 @@ class TestSolverOracle:
         out = solve(*args)
         assert out[2:] == (3, 0)  # budget spent, not converged
         self.assert_matches(args, out)
+
+
+class TestFitInPlaceOracle:
+    """The solver's arithmetic writes in place; with the allocating kernel and
+    soft-L1 of tests/helpers.py patched in, every fit must come out the same."""
+
+    def test_fits_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        heatmaps = [noisy_anisotropic(rng) for _ in range(24)]
+        cfgs = [FitConfig(), FitConfig(robust_loss_scale=0.1)]
+        fits = [fit_gaussian(h, cfg) for cfg in cfgs for h in heatmaps]
+
+        def oracle_kernel(*args, out=None, **kind):
+            terms = allocating_gaussian(*args, **kind)
+            for row, values in zip(out, terms):
+                row[...] = values
+            return terms
+
+        monkeypatch.setattr(fitting, "_gaussian", oracle_kernel)
+        monkeypatch.setattr(fitting, "_soft_l1", allocating_soft_l1)
+        assert [fit_gaussian(h, cfg) for cfg in cfgs for h in heatmaps] == fits
 
 
 class TestFitInvariances:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import max_rel_error, random_decomposition, render_isotropic
+from helpers import allocating_gaussian, max_rel_error, random_decomposition, render_isotropic
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
+    _gaussian,
     axis_angle_difference_deg,
     compose_covariance,
     decompose_covariance,
@@ -180,6 +181,43 @@ class TestParamGradients:
             assert max_rel_error(fd_theta, dtheta) < 1e-4
             assert max_rel_error(fd_maj, dmaj) < 1e-4
             assert max_rel_error(fd_min, dmin) < 1e-4
+
+
+class TestKernelInPlace:
+    """gauss._gaussian writes in place; the allocating kernel is its oracle."""
+
+    @staticmethod
+    def offsets(rng, flat):
+        mx, my = rng.uniform(-5.0, 45.0, size=2)
+        if flat:  # a fit window, as fitting._solve lays it out
+            x0, y0 = rng.integers(0, 20, size=2)
+            w, h = rng.integers(1, 30, size=2)
+            xs = np.tile(np.arange(x0, x0 + w, dtype=np.float64), h)
+            ys = np.repeat(np.arange(y0, y0 + h, dtype=np.float64), w)
+            return xs - mx, ys - my
+        h, w = rng.integers(1, 48, size=2)  # a grid, as render_anisotropic lays it out
+        return (np.arange(w, dtype=np.float64)[None, :] - mx,
+                np.arange(h, dtype=np.float64)[:, None] - my)
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["grid", "window"])
+    def test_bit_identical_to_allocating_oracle(self, flat):
+        rng = np.random.default_rng(71 + flat)
+        for _ in range(200):
+            dx, dy = self.offsets(rng, flat)
+            args = (dx, dy, rng.uniform(-math.pi, math.pi), *np.exp(rng.uniform(-1.0, 2.5, size=2)),
+                    rng.uniform(0.1, 200.0))
+            for kind, count in (({}, 1), ({"gradients": True}, 4), ({"mean_gradients": True}, 6)):
+                ref = allocating_gaussian(*args, **kind)
+                ref = ref if count > 1 else (ref,)
+                got = _gaussian(*args, **kind)
+                got = got if count > 1 else (got,)
+                # preallocated rows in another order, filled with NaN beforehand
+                buf = np.full((count, *np.broadcast_shapes(dx.shape, dy.shape)), np.nan)
+                rows = [buf[k] for k in reversed(range(count))]
+                _gaussian(*args, **kind, out=rows)
+                for k in range(count):
+                    assert np.array_equal(got[k], ref[k]), (kind, k)
+                    assert np.array_equal(rows[k], ref[k]), (kind, k)
 
 
 class TestSampling:
