@@ -32,10 +32,7 @@ from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    axis_angle_difference_deg,
-    compose_covariance,
     decompose_covariance,
-    render_anisotropic,
     sample_gaussian,
     wrap_axis_angle,
 )

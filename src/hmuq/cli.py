@@ -53,11 +53,9 @@ from .svgplot import (
     render_offset_scatter,
     render_sigma_vs_error,
 )
-from .synthdata import SynthConfig, generate, synth_config_from_dict, write_synth_dataset
+from .synthdata import SynthConfig, generate, write_synth_dataset
 from .trainer import TrainConfig, predict, read_checkpoint, train, write_checkpoint
 from .uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
-
-CONFIG_ENV_VAR = "HMUQ_CONFIG"
 
 
 def _say(args, message: str) -> None:
@@ -95,13 +93,18 @@ def _train_progress(total: int):
     return report
 
 
-def _read_config(args, default, decode):
-    """decode() of the --config file (the environment fills in an absent flag), else default."""
-    path = args.config if args.config is not None else os.environ.get(CONFIG_ENV_VAR)
-    if path is None:
-        return default
-    with errors_named(path):
-        return decode(read_config_file(path))
+def _read_config(args, cls):
+    """The --config file decoded as a `cls` config, else the defaults."""
+    if args.config is None:
+        return cls()
+    with errors_named(args.config):
+        return config_from_dict(cls, read_config_file(args.config))
+
+
+def _out_path(args, name):
+    """Path of the output file `name` under --out, which is created."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _manifest_path(data):
@@ -141,10 +144,6 @@ def _load_predictor_dataset(data, model=None, annotated=True, one_shape=False):
     return trained, ds
 
 
-def _fit_config(args) -> FitConfig:
-    return _read_config(args, FitConfig(), lambda items: config_from_dict(FitConfig, items))
-
-
 def _warn_fit_outcomes(fits) -> None:
     """Two stderr warnings over a flat list of fits (None = too flat to fit):
     the count skipped, and the count of the others that did not converge."""
@@ -173,8 +172,7 @@ def _fit_dataset(model, ds, fit_cfg, landmarks=None):
 
 
 def _write_report(args, name, rows, summary):
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, name)
+    out_path = _out_path(args, name)
     write_report_csv(out_path, rows)
     _say(args, f"wrote {out_path}: {summary}")
     for row in rows:
@@ -185,12 +183,10 @@ def _write_report(args, name, rows, summary):
 
 
 def cmd_synth(args) -> int:
-    cfg = _read_config(args, SynthConfig(), synth_config_from_dict)
+    cfg = _read_config(args, SynthConfig)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    cfg.validate()
     ds = generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
     manifest = write_synth_dataset(args.out, ds, cfg)
     _say(args, f"wrote {manifest}: {cfg.num_images} images, "
                f"{ds.landmark_count} landmarks, {cfg.image_size}x{cfg.image_size} px")
@@ -199,21 +195,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     _, ds = _load_predictor_dataset(args.data, one_shape=True)
-    cfg = _read_config(args, TrainConfig(), lambda items: config_from_dict(TrainConfig, items))
-    if args.mode is not None:
-        cfg = dataclasses.replace(cfg, target_mode=args.mode)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.iterations is not None:
-        cfg = dataclasses.replace(cfg, iterations=args.iterations)
-    cfg.validate()
+    cfg = _read_config(args, TrainConfig)
+    given = {"target_mode": args.mode, "seed": args.seed, "iterations": args.iterations}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
     model = train(ds, cfg, progress=None if args.quiet else _train_progress(cfg.iterations))
-    os.makedirs(args.out, exist_ok=True)
-    ckpt = os.path.join(args.out, "model.ckpt")
+    ckpt = _out_path(args, "model.ckpt")
     write_checkpoint(model, ckpt)
-    write_csv(os.path.join(args.out, "loss.csv"), ["iteration", "loss"],
+    write_csv(_out_path(args, "loss.csv"), ["iteration", "loss"],
               [(i, repr(float(v))) for i, v in enumerate(model.loss_trace)])
-    write_csv(os.path.join(args.out, "learned_covariances.csv"),
+    write_csv(_out_path(args, "learned_covariances.csv"),
               ["landmark_id", "theta_deg", "sigma_maj", "sigma_min"],
               [(j, repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min))
                for j, d in enumerate(model.target_decomps)])
@@ -231,8 +221,7 @@ def cmd_predict(args) -> int:
         for j, heatmap in enumerate(predict(model, image)):
             x, y = argmax_coord(heatmap)
             rows.append(AnnotationRow(image_id, j, "", float(x), float(y)))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "predictions.csv")
+    out_path = _out_path(args, "predictions.csv")
     write_annotations(out_path, rows)
     _say(args, f"wrote {out_path}: {len(rows)} predictions")
     return 0
@@ -241,7 +230,7 @@ def cmd_predict(args) -> int:
 def cmd_fit(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
-    for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _fit_config(args))):
+    for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _read_config(args, FitConfig))):
         for j, fit in fits.items():
             if fit is None:
                 continue
@@ -249,8 +238,7 @@ def cmd_fit(args) -> int:
             rows.append((image_id, j, repr(x), repr(y),
                          repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min),
                          int(fit.converged)))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "fits.csv")
+    out_path = _out_path(args, "fits.csv")
     write_csv(out_path, ["image_id", "landmark_id", "x_px", "y_px",
                          "theta_deg", "sigma_maj", "sigma_min", "converged"], rows)
     _say(args, f"wrote {out_path}: {len(rows)} fits")
@@ -259,12 +247,11 @@ def cmd_fit(args) -> int:
 
 def cmd_mcd(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
-    fit_cfg = _fit_config(args)
-    seed = 0 if args.seed is None else args.seed
+    fit_cfg = _read_config(args, FitConfig)
     rows = []
     fits = []
     for image_id, image in zip(ds.ids, ds.images):
-        for j, stack in enumerate(mcd_predict(model, image, args.k, seed)):
+        for j, stack in enumerate(mcd_predict(model, image, args.k, args.seed)):
             estimates = [("mcd_max", *mcd_max(stack))]
             fit = mcd_heatmap_fit(stack, fit_cfg)
             fits.append(fit)
@@ -275,8 +262,7 @@ def cmd_mcd(args) -> int:
                 rows.append((image_id, j, source, repr(float(x)), repr(float(y)),
                              repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min)))
     _warn_fit_outcomes(fits)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "mcd.csv")
+    out_path = _out_path(args, "mcd.csv")
     write_csv(out_path, ["image_id", "landmark_id", "source", "x_px", "y_px",
                          "theta_deg", "sigma_maj", "sigma_min"], rows)
     _say(args, f"wrote {out_path}: {len(rows)} rows, k={args.k}")
@@ -288,7 +274,7 @@ def cmd_eval(args) -> int:
     n_landmarks = model.predictor.landmark_count
     decomps_mm = [[] for _ in range(n_landmarks)]
     errors_mm = [[] for _ in range(n_landmarks)]
-    for i, fits in enumerate(_fit_dataset(model, ds, _fit_config(args))):
+    for i, fits in enumerate(_fit_dataset(model, ds, _read_config(args, FitConfig))):
         spacing = float(ds.spacing[i])
         for j, fit in fits.items():
             if fit is None:
@@ -348,13 +334,11 @@ def cmd_clinical(args) -> int:
             raise InvalidParameterError(
                 f"measurement {mdef.name!r} needs landmark names {missing} "
                 f"that {args.names} does not define")
-    seed = 0 if args.seed is None else args.seed
-
     class_rows = []
     prob_rows = []
     per_measurement = {mdef.name: ([], [], []) for mdef, _ in measurements}
     skipped = 0
-    all_fits = _fit_dataset(model, ds, _fit_config(args), sorted(names))
+    all_fits = _fit_dataset(model, ds, _read_config(args, FitConfig), sorted(names))
     for i, (image_id, fits) in enumerate(zip(ds.ids, all_fits)):
         spacing = float(ds.spacing[i])
         gaussians = {}
@@ -370,7 +354,7 @@ def cmd_clinical(args) -> int:
                 continue
             gt_label = classify(evaluate_measurement(gt_mm, mdef), thresholds)
             result = mc_classify(gaussians, mdef, thresholds, n=args.samples,
-                                 seed=[seed, i, m_index])
+                                 seed=[args.seed, i, m_index])
             class_rows.append((image_id, mdef.name, gt_label, result.hard_class,
                                f"{result.entropy_nats:.6f}",
                                int(result.hard_class == gt_label)))
@@ -383,11 +367,10 @@ def cmd_clinical(args) -> int:
     if skipped:
         _warn(f"{skipped} image/measurement pairs skipped (landmark fit failed)")
 
-    os.makedirs(args.out, exist_ok=True)
-    class_path = os.path.join(args.out, "classifications.csv")
+    class_path = _out_path(args, "classifications.csv")
     write_csv(class_path, ["image_id", "measurement", "gt_class", "hard_class",
                            "entropy_nats", "correct"], class_rows)
-    write_csv(os.path.join(args.out, "probabilities.csv"),
+    write_csv(_out_path(args, "probabilities.csv"),
               ["image_id", "measurement", "label", "probability"], prob_rows)
     for mdef, _ in measurements:
         ids, results, gts = per_measurement[mdef.name]
@@ -395,7 +378,7 @@ def cmd_clinical(args) -> int:
             _warn(f"measurement {mdef.name!r} classified no images; no curve written")
             continue
         curve = accuracy_uncertainty_curve(ids, results, gts)
-        write_curve_csv(os.path.join(args.out, f"curve_{mdef.name}.csv"), curve)
+        write_curve_csv(_out_path(args, f"curve_{mdef.name}.csv"), curve)
         _say(args, f"  {mdef.name}: accuracy {curve[-1][1]:.1f}% over {len(ids)} images")
     _say(args, f"wrote {class_path}: {len(class_rows)} classifications")
     return 0
@@ -468,8 +451,7 @@ def cmd_plot(args, parser) -> int:
                                             title=f"landmark {j} spread vs error",
                                             timestamp=timestamp)
 
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{args.kind}.svg")
+    out_path = _out_path(args, f"{args.kind}.svg")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     _say(args, f"wrote {out_path}")
@@ -505,16 +487,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         return p
 
-    config_help = ("flat key = value config file (the %s environment variable "
-                   "supplies the path when the flag is absent)" % CONFIG_ENV_VAR)
+    config_kw = dict(default=None, help="flat key = value config file")
     seed_kw = dict(type=_seed, default=None, help="override the random seed")
     data_kw = dict(required=True, help="dataset directory or manifest path")
     model_kw = dict(required=True, help="model directory or checkpoint path")
 
-    add("synth", "generate a synthetic landmark dataset",
-        config=dict(default=None, help=config_help), seed=seed_kw)
+    add("synth", "generate a synthetic landmark dataset", config=config_kw, seed=seed_kw)
     add("train", "train a predictor and the target covariances",
-        data=data_kw, config=dict(default=None, help=config_help),
+        data=data_kw, config=config_kw,
         mode=dict(default=None, choices=("fixed_iso", "learned_iso", "learned_aniso"),
                   help="override the target mode"),
         iterations=dict(type=int, default=None, help="override the iteration count"),
@@ -522,13 +502,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     add("predict", "write argmax landmark coordinates for a dataset",
         model=model_kw, data=data_kw)
     add("fit", "fit a Gaussian to every predicted heatmap",
-        model=model_kw, data=data_kw, config=dict(default=None, help=config_help))
+        model=model_kw, data=data_kw, config=config_kw)
     add("mcd", "Monte-Carlo-dropout baselines (argmax spread and mean-heatmap fit)",
-        model=model_kw, data=data_kw, config=dict(default=None, help=config_help),
+        model=model_kw, data=data_kw, config=config_kw,
         k=dict(type=int, default=20, help="number of stochastic forward passes"),
-        seed=seed_kw)
+        seed=dict(seed_kw, default=0))
     add("eval", "localization and distribution metrics, one CSV row per landmark",
-        model=model_kw, data=data_kw, config=dict(default=None, help=config_help))
+        model=model_kw, data=data_kw, config=config_kw)
     add("interobs", "per-landmark observer-spread statistics (mm)",
         data=data_kw)
     add("clinical", "propagate landmark uncertainty into measurement classes",
@@ -538,7 +518,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         measurements=dict(default=None,
                           help="measurement definitions (default: shipped table)"),
         samples=dict(type=int, default=10000, help="Monte-Carlo samples per image"),
-        config=dict(default=None, help=config_help), seed=seed_kw)
+        config=config_kw, seed=dict(seed_kw, default=0))
     plot = add("plot", "render an SVG figure",
                kind=dict(required=True, choices=PLOT_KINDS),
                model=dict(default=None, help="model directory or checkpoint path"),

@@ -75,21 +75,25 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def config_to_dict(cfg, skip=()) -> dict[str, str]:
-    """Flat text form of a config dataclass, one key per field in field order.
+def _item_prefix(name, i):  # the keys of item i of `landmarks` start `landmark_<i>.`
+    return f"{name.removesuffix('s')}_{i}."
 
-    A nested dataclass field `name` contributes `name.`-prefixed keys; fields
-    listed in `skip` are left to the caller.
-    """
+
+def config_to_dict(cfg, prefix="") -> dict[str, str]:
+    """Flat text form of a config dataclass: one `prefix`ed key per field in
+    field order, `name.` keys for a nested dataclass `name`, and for a tuple of
+    dataclasses `xs`, `num_xs` followed by one `x_<i>.` block per item."""
     out = {}
     for f in dataclasses.fields(cfg):
-        if f.name in skip:
-            continue
         value = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(value):
-            out.update({f"{f.name}.{k}": v for k, v in config_to_dict(value).items()})
+        if isinstance(value, tuple):
+            out[f"{prefix}num_{f.name}"] = str(len(value))
+            for i, item in enumerate(value):
+                out.update(config_to_dict(item, prefix + _item_prefix(f.name, i)))
+        elif dataclasses.is_dataclass(value):
+            out.update(config_to_dict(value, f"{prefix}{f.name}."))
         else:
-            out[f.name] = _format_value(value)
+            out[prefix + f.name] = _format_value(value)
     return out
 
 
@@ -107,31 +111,38 @@ def _parse_value(key, kind, text):
     return value
 
 
-def _build_config(cls, items, prefix, fixed):
+def _pop_block(items, prefix):
+    return {k.removeprefix(prefix): items.pop(k) for k in list(items) if k.startswith(prefix)}
+
+
+def _build_config(cls, items, prefix):
     hints = typing.get_type_hints(cls)
-    kwargs = dict(fixed)
-    nested: dict[str, dict[str, str]] = {}
-    for key, text in items.items():
-        name, dot, rest = key.partition(".")
-        kind = hints.get(name)
-        if dot and dataclasses.is_dataclass(kind):
-            nested.setdefault(name, {})[rest] = text
-        elif not dot and kind in (bool, int, float, str):
-            kwargs[name] = _parse_value(prefix + key, kind, text)
-        else:
-            raise InvalidParameterError(f"unknown config key {prefix + key!r}")
-    for name, sub in nested.items():
-        kwargs[name] = _build_config(hints[name], sub, f"{prefix}{name}.", {})
+    items = dict(items)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        kind, count_key = hints[f.name], f"num_{f.name}"
+        if typing.get_origin(kind) is tuple and count_key in items:
+            count = _parse_value(prefix + count_key, int, items.pop(count_key))
+            # lazy, so that a huge count fails at its first missing block
+            blocks = (_item_prefix(f.name, i) for i in range(count))
+            kwargs[f.name] = tuple(
+                _build_config(typing.get_args(kind)[0], _pop_block(items, b), prefix + b)
+                for b in blocks)
+        elif dataclasses.is_dataclass(kind) and (block := _pop_block(items, f"{f.name}.")):
+            kwargs[f.name] = _build_config(kind, block, f"{prefix}{f.name}.")
+        elif kind in (bool, int, float, str) and f.name in items:
+            kwargs[f.name] = _parse_value(prefix + f.name, kind, items.pop(f.name))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise InvalidParameterError(f"missing config key {prefix + f.name!r}")
+    if items:
+        raise InvalidParameterError(f"unknown config key {prefix + next(iter(items))!r}")
     return cls(**kwargs)
 
 
-def config_from_dict(cls, items: dict[str, str], **fixed):
-    """Validated config dataclass from its config_to_dict form.
-
-    Absent keys keep their defaults and unknown keys are rejected; `fixed`
-    supplies fields that the flat form does not carry.
-    """
-    cfg = _build_config(cls, items, "", fixed)
+def config_from_dict(cls, items: dict[str, str]):
+    """Validated config dataclass from its config_to_dict form.  Absent keys
+    keep their defaults; unknown keys, and absent keys without one, are rejected."""
+    cfg = _build_config(cls, items, "")
     cfg.validate()
     return cfg
 

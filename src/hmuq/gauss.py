@@ -102,24 +102,6 @@ def wrap_axis_angle(theta: float) -> float:
     return t
 
 
-def axis_angle_difference_deg(a_deg: float, b_deg: float) -> float:
-    """Absolute difference of two axis angles in degrees, modulo the 180-degree period."""
-    d = abs(a_deg - b_deg) % 180.0
-    return min(d, 180.0 - d)
-
-
-def compose_covariance(d: CovarianceDecomposition) -> np.ndarray:
-    """Covariance matrix R(theta) diag(sigma_maj^2, sigma_min^2) R(theta)^T."""
-    d.validate()
-    if d.sigma_maj <= 0 or d.sigma_min <= 0:
-        raise InvalidParameterError(
-            f"sigmas must be > 0 to compose a covariance, got ({d.sigma_maj}, {d.sigma_min})")
-    c, s = math.cos(d.theta), math.sin(d.theta)
-    r = np.array([[c, -s], [s, c]])
-    star = np.diag([d.sigma_maj ** 2, d.sigma_min ** 2])
-    return r @ star @ r.T
-
-
 def decompose_covariance(m: np.ndarray, allow_semidefinite: bool = False) -> CovarianceDecomposition:
     """Canonical (theta, sigma_maj, sigma_min) of a symmetric positive definite matrix.
 
@@ -199,11 +181,6 @@ def _grid_args(g: AnisotropicGaussian, shape):
     return (np.arange(shape[1], dtype=np.float64)[None, :] - g.mean[0],
             np.arange(shape[0], dtype=np.float64)[:, None] - g.mean[1],
             d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
-
-
-def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> np.ndarray:
-    """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
-    return _gaussian(*_grid_args(g, grid_shape))
 
 
 def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):

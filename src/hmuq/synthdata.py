@@ -19,8 +19,6 @@ import numpy as np
 from .dataio import (
     AnnotationRow,
     Dataset,
-    _parse_value,
-    config_from_dict,
     config_to_dict,
     format_config,
     write_annotations,
@@ -38,16 +36,26 @@ STRUCTURES = ("corner", "edge", "blob")
 
 @dataclass(frozen=True)
 class LandmarkSpec:
+    """A rendered structure and the annotation noise injected around it
+    (degrees, px), with its fields named as a `landmark_<i>.` block spells them."""
+
     structure: str
     orientation_deg: float = 0.0
-    noise: CovarianceDecomposition = CovarianceDecomposition(0.0, 0.0, 0.0)
+    noise_theta_deg: float = 0.0
+    noise_sigma_maj: float = 0.0
+    noise_sigma_min: float = 0.0
+
+    @property
+    def noise(self) -> CovarianceDecomposition:
+        return CovarianceDecomposition(math.radians(self.noise_theta_deg),
+                                       self.noise_sigma_maj, self.noise_sigma_min)
 
 
 DEFAULT_LANDMARKS = (
-    LandmarkSpec("corner", 0.0, CovarianceDecomposition(0.0, 0.0, 0.0)),
-    LandmarkSpec("edge", 30.0, CovarianceDecomposition(math.radians(30.0), 4.0, 1.5)),
-    LandmarkSpec("blob", 0.0, CovarianceDecomposition(0.0, 1.5, 1.5)),
-    LandmarkSpec("corner", 45.0, CovarianceDecomposition(0.0, 0.0, 0.0)),
+    LandmarkSpec("corner", 0.0),
+    LandmarkSpec("edge", 30.0, 30.0, 4.0, 1.5),
+    LandmarkSpec("blob", 0.0, 0.0, 1.5, 1.5),
+    LandmarkSpec("corner", 45.0),
 )
 
 
@@ -55,11 +63,11 @@ DEFAULT_LANDMARKS = (
 class SynthConfig:
     image_size: int = 64
     num_images: int = 200
-    landmarks: tuple[LandmarkSpec, ...] = DEFAULT_LANDMARKS
     contrast: float = 0.7
     noise_floor: float = 0.02
     position_jitter: float = 3.0
     seed: int = 0
+    landmarks: tuple[LandmarkSpec, ...] = DEFAULT_LANDMARKS  # last: generator.cfg key order
 
     def validate(self) -> None:
         if not 16 <= self.image_size <= 4096 or self.image_size % 4:
@@ -67,7 +75,7 @@ class SynthConfig:
         if self.num_images < 1:
             raise InvalidParameterError("num_images must be >= 1")
         if not self.landmarks:
-            raise InvalidParameterError("at least one landmark is required")
+            raise InvalidParameterError("num_landmarks must be >= 1")
         if not 0 < self.contrast <= 1:
             raise InvalidParameterError("contrast must be in (0, 1]")
         if self.noise_floor < 0 or self.position_jitter < 0:
@@ -77,7 +85,11 @@ class SynthConfig:
         for i, spec in enumerate(self.landmarks):
             if spec.structure not in STRUCTURES:
                 raise InvalidParameterError(
-                    f"landmark {i}: structure must be one of {STRUCTURES}")
+                    f"landmark_{i}.structure must be one of {STRUCTURES}, got {spec.structure!r}")
+            for key in ("noise_sigma_maj", "noise_sigma_min"):
+                if not getattr(spec, key) >= 0:
+                    raise InvalidParameterError(
+                        f"landmark_{i}.{key} must be >= 0, got {getattr(spec, key)}")
             spec.noise.validate()
         _base_positions(self)  # raises when the 6-sigma margins cannot be met
 
@@ -104,11 +116,12 @@ def _base_positions(cfg: SynthConfig) -> np.ndarray:
     n = len(cfg.landmarks)
     out = np.empty((n, 2))
     for i, spec in enumerate(cfg.landmarks):
-        margin = cfg.position_jitter + 6.0 * max(spec.noise.sigma_maj, spec.noise.sigma_min)
+        key = max(("noise_sigma_maj", "noise_sigma_min"), key=lambda k: getattr(spec, k))
+        margin = cfg.position_jitter + 6.0 * getattr(spec, key)
         radius = min(0.3 * cfg.image_size, half - margin)
         if radius < 0:
             raise InvalidParameterError(
-                f"landmark {i}: position_jitter + 6 sigma margin ({margin:.1f} px) "
+                f"position_jitter + 6 * landmark_{i}.{key} margin ({margin:.1f} px) "
                 f"exceeds half the image_size ({half:.1f} px)")
         angle = 2.0 * math.pi * i / n + 0.25 * math.pi
         out[i] = (half + radius * math.cos(angle), half + radius * math.sin(angle))
@@ -164,46 +177,6 @@ def generate(cfg: SynthConfig) -> SynthDataset:
                         np.ones(cfg.num_images), n_landmarks)
 
 
-# --- config and on-disk form ---------------------------------------------------
-
-
-def synth_config_to_dict(cfg: SynthConfig) -> dict[str, str]:
-    out = config_to_dict(cfg, skip=("landmarks",))
-    out["num_landmarks"] = str(len(cfg.landmarks))
-    for i, spec in enumerate(cfg.landmarks):
-        out[f"landmark_{i}.structure"] = spec.structure
-        out[f"landmark_{i}.orientation_deg"] = repr(spec.orientation_deg)
-        out[f"landmark_{i}.noise_theta_deg"] = repr(math.degrees(spec.noise.theta))
-        out[f"landmark_{i}.noise_sigma_maj"] = repr(spec.noise.sigma_maj)
-        out[f"landmark_{i}.noise_sigma_min"] = repr(spec.noise.sigma_min)
-    return out
-
-
-def synth_config_from_dict(items: dict[str, str]) -> SynthConfig:
-    """Inverse of synth_config_to_dict; without `num_landmarks` the default
-    landmarks are kept."""
-    items = dict(items)
-    if "num_landmarks" not in items:
-        return config_from_dict(SynthConfig, items)
-    count = _parse_value("num_landmarks", int, items.pop("num_landmarks"))
-    if count < 1:
-        raise InvalidParameterError("num_landmarks must be >= 1")
-
-    def take(i, suffix, kind=float):
-        key = f"landmark_{i}.{suffix}"
-        if key not in items:
-            raise InvalidParameterError(f"missing config key {key!r}")
-        return _parse_value(key, kind, items.pop(key))
-
-    landmarks = tuple(  # arguments evaluate, and report errors, in key order
-        LandmarkSpec(take(i, "structure", str), take(i, "orientation_deg"),
-                     CovarianceDecomposition(math.radians(take(i, "noise_theta_deg")),
-                                             take(i, "noise_sigma_maj"),
-                                             take(i, "noise_sigma_min")))
-        for i in range(count))
-    return config_from_dict(SynthConfig, items, landmarks=landmarks)
-
-
 def write_synth_dataset(out_dir, ds: SynthDataset, cfg: SynthConfig) -> str:
     """Write the standard dataset layout plus truth.csv and generator.cfg."""
     manifest = write_dataset(out_dir, ds.ids, ds.images, ds.annotations,
@@ -214,5 +187,5 @@ def write_synth_dataset(out_dir, ds: SynthDataset, cfg: SynthConfig) -> str:
     write_annotations(os.path.join(out_dir, "truth.csv"), truth_rows)
     with open(os.path.join(out_dir, "generator.cfg"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write(format_config(synth_config_to_dict(cfg)))
+        fh.write(format_config(config_to_dict(cfg)))
     return manifest

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,8 @@ class TrainDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Random augmentation ranges, all symmetric around the identity.
+    """Random augmentation ranges, all symmetric around the identity; a part
+    is on exactly when its range (for elastic deformation, its magnitude) is > 0.
 
     A range value r means: intensity shift in [-r, r], intensity scale in
     [1-r, 1+r], translation components in [-r, r] px, rotation in [-r, r] rad,
@@ -59,24 +59,16 @@ class AugmentConfig:
     elastic_magnitude px and upsamples it smoothly.
     """
 
-    enable_intensity_shift: bool = False
     intensity_shift_range: float = 0.0
-    enable_intensity_scale: bool = False
     intensity_scale_range: float = 0.0
-    enable_translation: bool = False
     translation_range: float = 0.0
-    enable_rotation: bool = False
     rotation_range: float = 0.0
-    enable_scale: bool = False
     scale_range: float = 0.0
-    enable_elastic: bool = False
     elastic_grid_size: int = 4
     elastic_magnitude: float = 0.0
 
     def validate(self) -> None:
-        for name in ("intensity_shift_range", "intensity_scale_range",
-                     "translation_range", "rotation_range", "scale_range",
-                     "elastic_magnitude"):
+        for name in _AUGMENT_SWITCHES:
             if getattr(self, name) < 0:
                 raise InvalidParameterError(f"{name} must be >= 0")
         if not 0 <= self.scale_range < 1:
@@ -85,9 +77,11 @@ class AugmentConfig:
             raise InvalidParameterError("elastic_grid_size must be >= 2")
 
     def is_identity(self) -> bool:
-        return not (self.enable_intensity_shift or self.enable_intensity_scale
-                    or self.enable_translation or self.enable_rotation
-                    or self.enable_scale or self.enable_elastic)
+        return not any(getattr(self, name) > 0 for name in _AUGMENT_SWITCHES)
+
+
+_AUGMENT_SWITCHES = ("intensity_shift_range", "intensity_scale_range", "translation_range",
+                     "rotation_range", "scale_range", "elastic_magnitude")
 
 
 @dataclass(frozen=True)
@@ -172,12 +166,6 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
 # --- augmentation -------------------------------------------------------------
 
 
-class AugmentResult(NamedTuple):
-    image: np.ndarray
-    coords: np.ndarray
-    out_of_bounds: np.ndarray  # per-landmark flag: transformed outside the image
-
-
 def _sample_field(fields, pts):
     """Bilinear sample of stacked (2, H, W) displacement fields at (n, 2) points."""
     from scipy import ndimage
@@ -189,8 +177,9 @@ def _sample_field(fields, pts):
 
 
 def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
-                  shift=(0.0, 0.0), elastic_field=None) -> AugmentResult:
-    """Apply one spatial transform identically to an image and its coordinates.
+                  shift=(0.0, 0.0), elastic_field=None):
+    """Apply one spatial transform identically to an image and its coordinates;
+    returns (image, coords).
 
     A point p maps to R(angle) * scale * (p - c) + c + shift with c the image
     center; the image is resampled bilinearly under the same map.  If an
@@ -222,32 +211,31 @@ def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
         for _ in range(4):
             d = _sample_field(elastic_field, new)
             new = (fwd @ (coords - d - center).T).T + center + shift
-    oob = ((new[:, 0] < 0) | (new[:, 0] > w - 1)
-           | (new[:, 1] < 0) | (new[:, 1] > h - 1))
-    return AugmentResult(warped, new, oob)
+    return warped, new
 
 
-def augment(image, coords, cfg: AugmentConfig, seed) -> AugmentResult:
-    """Draw one random augmentation from cfg and apply it (seeded).
+def augment(image, coords, cfg: AugmentConfig, seed):
+    """Draw one random augmentation from cfg and apply it (seeded); returns
+    (image, coords).
 
     Spatial parts move image and coordinates together; intensity parts touch
     only the image.  The identity configuration returns the inputs unchanged.
-    Landmarks pushed outside the image are kept but flagged.
+    Landmarks pushed outside the image keep their transformed coordinates.
     """
     cfg.validate()
     image = np.asarray(image, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     if cfg.is_identity():
-        return AugmentResult(image, coords, np.zeros(len(coords), dtype=bool))
+        return image, coords
     rng = np.random.default_rng(seed)
-    angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range) if cfg.enable_rotation else 0.0
-    scale = 1.0 + (rng.uniform(-cfg.scale_range, cfg.scale_range) if cfg.enable_scale else 0.0)
-    if cfg.enable_translation:
+    angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range) if cfg.rotation_range > 0 else 0.0
+    scale = 1.0 + (rng.uniform(-cfg.scale_range, cfg.scale_range) if cfg.scale_range > 0 else 0.0)
+    if cfg.translation_range > 0:
         shift = rng.uniform(-cfg.translation_range, cfg.translation_range, size=2)
     else:
         shift = np.zeros(2)
     elastic = None
-    if cfg.enable_elastic and cfg.elastic_magnitude > 0:
+    if cfg.elastic_magnitude > 0:
         from scipy import ndimage
 
         g = cfg.elastic_grid_size
@@ -255,15 +243,14 @@ def augment(image, coords, cfg: AugmentConfig, seed) -> AugmentResult:
         coarse = rng.normal(0.0, cfg.elastic_magnitude, size=(2, g, g))
         elastic = np.stack([ndimage.zoom(coarse[k], (h / g, w / g), order=3)
                             for k in (0, 1)])
-    out = apply_spatial(image, coords, angle, scale, shift, elastic)
-    warped = out.image
-    if cfg.enable_intensity_scale:
+    warped, coords = apply_spatial(image, coords, angle, scale, shift, elastic)
+    if cfg.intensity_scale_range > 0:
         warped = warped * (1.0 + rng.uniform(-cfg.intensity_scale_range,
                                              cfg.intensity_scale_range))
-    if cfg.enable_intensity_shift:
+    if cfg.intensity_shift_range > 0:
         warped = warped + rng.uniform(-cfg.intensity_shift_range,
                                       cfg.intensity_shift_range)
-    return AugmentResult(warped, out.coords, out.out_of_bounds)
+    return warped, coords
 
 
 # --- training loop --------------------------------------------------------------
@@ -330,16 +317,13 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
     iso = cfg.target_mode == "learned_iso"
 
     trace = np.empty(cfg.iterations)
-    identity_aug = cfg.augmentation.is_identity()
     for it in range(cfg.iterations):
         idx = rng.integers(0, len(images), size=cfg.batch_size)
         batch_loss = 0.0
         grad = np.zeros_like(params)
         grad_cov = np.zeros((n_landmarks, 3))
         for slot, j in enumerate(idx):
-            im, cs = images[j], coords[j]
-            if not identity_aug:
-                im, cs, _ = augment(im, cs, cfg.augmentation, [cfg.seed, it, slot, 0])
+            im, cs = augment(images[j], coords[j], cfg.augmentation, [cfg.seed, it, slot, 0])
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
                         if cfg.dropout_rate else None)
             pred = net.forward(im, cfg.dropout_rate, drop_rng)

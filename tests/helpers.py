@@ -1,6 +1,7 @@
-"""Shared helpers for the test suite, including the isotropic renderer,
-losses, scipy's least-squares solver and the allocating Gaussian kernel and
-soft-L1 loss that serve as independent oracles for the anisotropic code paths."""
+"""Shared helpers for the test suite: the Gaussian renderers, the covariance
+composer and the axis-angle difference that only tests use, losses, scipy's
+least-squares solver, and the allocating Gaussian kernel and soft-L1 loss that
+serve as independent oracles for the anisotropic code paths."""
 
 import math
 
@@ -13,9 +14,33 @@ from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    render_anisotropic,
+    _gaussian,
+    _grid_args,
 )
 from hmuq.trainer import aniso_loss_gradients
+
+
+def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> np.ndarray:
+    """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
+    return _gaussian(*_grid_args(g, grid_shape))
+
+
+def compose_covariance(d: CovarianceDecomposition) -> np.ndarray:
+    """Covariance matrix R(theta) diag(sigma_maj^2, sigma_min^2) R(theta)^T."""
+    d.validate()
+    if d.sigma_maj <= 0 or d.sigma_min <= 0:
+        raise InvalidParameterError(
+            f"sigmas must be > 0 to compose a covariance, got ({d.sigma_maj}, {d.sigma_min})")
+    c, s = math.cos(d.theta), math.sin(d.theta)
+    r = np.array([[c, -s], [s, c]])
+    star = np.diag([d.sigma_maj ** 2, d.sigma_min ** 2])
+    return r @ star @ r.T
+
+
+def axis_angle_difference_deg(a_deg: float, b_deg: float) -> float:
+    """Absolute difference of two axis angles in degrees, modulo the 180-degree period."""
+    d = abs(a_deg - b_deg) % 180.0
+    return min(d, 180.0 - d)
 
 
 def render_isotropic(mean, sigma, gamma, grid_shape):

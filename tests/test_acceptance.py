@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import axis_angle_difference_deg, render_anisotropic
 from hmuq.cli import main as cli_main
 from hmuq.clinical import (
     ClassThresholds,
@@ -26,12 +27,7 @@ from hmuq.clinical import (
 )
 from hmuq.dataio import Dataset, load_dataset
 from hmuq.fitting import fit_gaussian
-from hmuq.gauss import (
-    AnisotropicGaussian,
-    CovarianceDecomposition,
-    axis_angle_difference_deg,
-    render_anisotropic,
-)
+from hmuq.gauss import AnisotropicGaussian, CovarianceDecomposition
 from hmuq.metrics import (
     REPORT_COLUMNS,
     SDR_RADII,

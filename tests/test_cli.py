@@ -453,6 +453,9 @@ BAD_INPUTS = {
     "synth-bad-landmark-float": (
         _config_case("synth", SYNTH_LANDMARK_CFG + "landmark_0.orientation_deg = abc\n"),
         "landmark_0.orientation_deg: expected float, got 'abc'"),
+    "synth-negative-noise-sigma": (
+        _config_case("synth", SYNTH_LANDMARK_CFG.replace("sigma_maj = 1.0", "sigma_maj = -1.0")),
+        "landmark_0.noise_sigma_maj must be >= 0, got -1.0"),
     "checkpoint-unknown-snapshot-key": (_checkpoint_case("predict", _unknown_snapshot_key),
                                         "unknown config key 'bogus'"),
     "checkpoint-nan-parameter": (_checkpoint_case("predict", _nan_parameter),
@@ -522,16 +525,16 @@ class TestImportCost:
 
 
 class TestConfigEnvVar:
-    def test_env_supplies_config_path(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("HMUQ_CONFIG", str(pipeline / "synth.cfg"))
-        assert main(["synth", "--out", str(tmp_path / "denv"), "--quiet"]) == 0
-        assert (tmp_path / "denv" / "annotations.csv").read_bytes() == \
-            (pipeline / "d" / "annotations.csv").read_bytes()
-
-    def test_flag_beats_env(self, pipeline, tmp_path, monkeypatch):
+    def test_env_var_ignored(self, tmp_path, monkeypatch):
+        """--config is the only source of a config file: the HMUQ_CONFIG
+        variable that once supplied one changes nothing."""
+        args = ["synth", "--quiet"]
+        assert main(args + ["--out", str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("HMUQ_CONFIG", "/nonexistent.cfg")
-        assert main(["synth", "--config", str(pipeline / "synth.cfg"),
-                     "--out", str(tmp_path / "dflag"), "--quiet"]) == 0
+        assert main(args + ["--out", str(tmp_path / "env")]) == 0
+        for name in ("annotations.csv", "generator.cfg"):
+            assert (tmp_path / "env" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
 
     def test_quiet_silences_stdout(self, pipeline, tmp_path, capsys):
         assert main(["synth", "--config", str(pipeline / "synth.cfg"),

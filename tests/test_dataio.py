@@ -24,7 +24,7 @@ from hmuq.dataio import (
 )
 from hmuq.fitting import FitConfig
 from hmuq.gauss import InvalidParameterError
-from hmuq.synthdata import SynthConfig, synth_config_to_dict
+from hmuq.synthdata import SynthConfig
 from hmuq.trainer import TrainConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -53,8 +53,8 @@ class TestConfigCodec:
         with open(README, encoding="utf-8") as fh:
             text = fh.read()
         section = re.search(r"^## Configuration files\n(.*?)^## ", text, re.S | re.M).group(1)
-        keys = (list(config_to_dict(TrainConfig())) + list(synth_config_to_dict(SynthConfig()))
-                + list(config_to_dict(FitConfig())))
+        keys = [key for cls in (TrainConfig, SynthConfig, FitConfig)
+                for key in config_to_dict(cls())]
         for key in keys:
             top, dot, _ = key.partition(".")
             named = f"`{top}.*`" if dot else f"`{key}`"
@@ -63,8 +63,12 @@ class TestConfigCodec:
             assert named in section, f"README configuration section does not name {key!r}"
 
 
+# every key of the default configs but the landmark count and the blocks after
+# the first (num_landmarks has its own tests in test_synthdata.py)
 SCALAR_KEYS = [(cls, key) for cls in (TrainConfig, FitConfig, SynthConfig)
-               for key in config_to_dict(cls(), skip=("landmarks",))]
+               for key in config_to_dict(cls())
+               if key != "num_landmarks"
+               and (not key.startswith("landmark_") or key.startswith("landmark_0."))]
 CONFIG_TEXT = st.one_of(
     st.text(max_size=12),
     st.floats().map(repr),  # includes 'nan', 'inf' and '-inf'
@@ -79,6 +83,9 @@ def float_values(cfg):
         value = getattr(cfg, f.name)
         if dataclasses.is_dataclass(value):
             yield from float_values(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from float_values(item)
         elif isinstance(value, float):
             yield value
 
@@ -87,14 +94,18 @@ class TestConfigProperty:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(case=st.sampled_from(SCALAR_KEYS), text=CONFIG_TEXT)
     @example(case=(SynthConfig, "image_size"), text=str(10 ** 400))  # overflows a float
+    @example(case=(SynthConfig, "landmark_0.noise_sigma_maj"), text="-1.0")
+    @example(case=(SynthConfig, "landmark_0.noise_sigma_min"), text="1e308")  # margin overflows
     def test_finite_config_or_error_naming_key(self, case, text):
-        """One scalar key set to any text: a validated all-finite config, or an
-        InvalidParameterError that names the field."""
+        """One key of the default config set to any text: a validated
+        all-finite config, or an InvalidParameterError that names the field
+        (a per-landmark field with its `landmark_<i>.` prefix)."""
         cls, key = case
         try:
-            cfg = config_from_dict(cls, {key: text})
+            cfg = config_from_dict(cls, {**config_to_dict(cls()), key: text})
         except InvalidParameterError as exc:
-            assert key.rpartition(".")[2] in str(exc), (key, text, str(exc))
+            named = key if key.startswith("landmark_") else key.rpartition(".")[2]
+            assert named in str(exc), (key, text, str(exc))
             return
         assert all(math.isfinite(v) for v in float_values(cfg)), (key, text)
 

@@ -7,8 +7,10 @@ from scipy.ndimage import uniform_filter
 from helpers import (
     allocating_gaussian,
     allocating_soft_l1,
+    axis_angle_difference_deg,
     max_rel_error,
     random_decomposition,
+    render_anisotropic,
     render_isotropic,
     scipy_solve,
 )
@@ -25,8 +27,6 @@ from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    axis_angle_difference_deg,
-    render_anisotropic,
 )
 
 

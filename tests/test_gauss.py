@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import allocating_gaussian, max_rel_error, random_decomposition, render_isotropic
+from helpers import (
+    allocating_gaussian,
+    axis_angle_difference_deg,
+    compose_covariance,
+    max_rel_error,
+    random_decomposition,
+    render_anisotropic,
+    render_isotropic,
+)
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
     _gaussian,
-    axis_angle_difference_deg,
-    compose_covariance,
     decompose_covariance,
-    render_anisotropic,
     render_with_param_gradients,
     sample_gaussian,
 )

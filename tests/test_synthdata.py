@@ -1,23 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from hmuq.dataio import format_config, load_dataset
-from hmuq.gauss import (
-    CovarianceDecomposition,
-    InvalidParameterError,
-    axis_angle_difference_deg,
-    compose_covariance,
-    decompose_covariance,
-)
+from helpers import axis_angle_difference_deg
+from hmuq.dataio import config_from_dict, config_to_dict, format_config, load_dataset
+from hmuq.gauss import InvalidParameterError, decompose_covariance
 from hmuq.synthdata import (
     DEFAULT_LANDMARKS,
     LandmarkSpec,
     SynthConfig,
     generate,
-    synth_config_from_dict,
-    synth_config_to_dict,
     write_synth_dataset,
 )
 
@@ -37,7 +28,7 @@ landmark_0.noise_sigma_maj = 0.0
 landmark_0.noise_sigma_min = 0.0
 landmark_1.structure = edge
 landmark_1.orientation_deg = 30.0
-landmark_1.noise_theta_deg = 29.999999999999996
+landmark_1.noise_theta_deg = 30.0
 landmark_1.noise_sigma_maj = 4.0
 landmark_1.noise_sigma_min = 1.5
 landmark_2.structure = blob
@@ -84,11 +75,10 @@ class TestGenerate:
     def test_injected_noise_recovered(self):
         # the annotation scatter around truth must reproduce the injected
         # covariance: 500 draws pin theta to a few degrees
-        theta = math.radians(30.0)
-        specs = (LandmarkSpec("edge", 30.0, CovarianceDecomposition(theta, 4.0, 1.0)),)
+        specs = (LandmarkSpec("edge", 30.0, 30.0, 4.0, 1.0),)
         ds = generate(SynthConfig(image_size=96, num_images=500, landmarks=specs, seed=3))
         d = population_decomp(ds.annotations[:, 0] - ds.coords[:, 0])
-        assert axis_angle_difference_deg(d.theta, theta) < 5.0
+        assert axis_angle_difference_deg(d.theta_deg, 30.0) < 5.0
         assert d.sigma_maj / d.sigma_min == pytest.approx(4.0, rel=0.15)
 
     def test_jitter_moves_structures(self):
@@ -97,7 +87,7 @@ class TestGenerate:
         assert spread.max() > 0.5
 
     def test_margin_violation_rejected(self):
-        specs = (LandmarkSpec("blob", 0.0, CovarianceDecomposition(0.0, 8.0, 8.0)),)
+        specs = (LandmarkSpec("blob", 0.0, 0.0, 8.0, 8.0),)
         with pytest.raises(InvalidParameterError, match="margin"):
             SynthConfig(image_size=32, landmarks=specs).validate()
 
@@ -114,26 +104,50 @@ class TestGenerate:
 class TestConfigDict:
     def test_round_trip(self):
         cfg = SynthConfig(image_size=80, num_images=12, contrast=0.5, seed=9)
-        assert synth_config_from_dict(synth_config_to_dict(cfg)) == cfg
+        assert config_from_dict(SynthConfig, config_to_dict(cfg)) == cfg
 
     def test_landmark_fields_round_trip(self):
-        d = synth_config_to_dict(SynthConfig())
-        cfg = synth_config_from_dict(d)
+        d = config_to_dict(SynthConfig())
+        cfg = config_from_dict(SynthConfig, d)
         assert cfg.landmarks == DEFAULT_LANDMARKS
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown config key"):
-            synth_config_from_dict({"imag_size": "64"})
+            config_from_dict(SynthConfig, {"imag_size": "64"})
 
     def test_landmark_beyond_count_rejected(self):
-        d = synth_config_to_dict(SynthConfig())
+        d = config_to_dict(SynthConfig())
         d["num_landmarks"] = "3"
         with pytest.raises(InvalidParameterError, match="unknown config key 'landmark_3"):
-            synth_config_from_dict(d)
+            config_from_dict(SynthConfig, d)
+
+    def test_landmark_missing_for_count_rejected(self):
+        d = config_to_dict(SynthConfig())
+        d["num_landmarks"] = "5"
+        with pytest.raises(InvalidParameterError,
+                           match="missing config key 'landmark_4.structure'"):
+            config_from_dict(SynthConfig, d)
+
+    def test_zero_landmarks_rejected(self):
+        with pytest.raises(InvalidParameterError, match="num_landmarks must be >= 1"):
+            config_from_dict(SynthConfig, {"num_landmarks": "0"})
+
+    def test_bad_landmark_value_names_key(self):
+        d = config_to_dict(SynthConfig())
+        d["landmark_2.noise_sigma_min"] = "-1.0"
+        with pytest.raises(InvalidParameterError,
+                           match=r"landmark_2\.noise_sigma_min must be >= 0, got -1\.0"):
+            config_from_dict(SynthConfig, d)
+
+    def test_landmark_margin_names_key(self):
+        d = config_to_dict(SynthConfig())
+        d["landmark_1.noise_sigma_maj"] = "1e308"
+        with pytest.raises(InvalidParameterError, match=r"landmark_1\.noise_sigma_maj margin"):
+            config_from_dict(SynthConfig, d)
 
     def test_default_generator_cfg_text(self):
         # the generator.cfg that write_synth_dataset writes, byte for byte
-        assert format_config(synth_config_to_dict(SynthConfig())) == DEFAULT_GENERATOR_CFG
+        assert format_config(config_to_dict(SynthConfig())) == DEFAULT_GENERATOR_CFG
 
 
 class TestWrite:

@@ -34,8 +34,7 @@ ALPHA = 5.0
 
 
 def small_synth(iterations=400, **overrides):
-    specs = (LandmarkSpec("corner", 0.0, CovarianceDecomposition(0.0, 0.0, 0.0)),
-             LandmarkSpec("edge", 30.0, CovarianceDecomposition(math.radians(30.0), 2.0, 0.8)))
+    specs = (LandmarkSpec("corner", 0.0), LandmarkSpec("edge", 30.0, 30.0, 2.0, 0.8))
     ds = generate(SynthConfig(image_size=32, num_images=20, landmarks=specs,
                               position_jitter=2.0, seed=5))
     defaults = dict(iterations=iterations, learning_rate=1e-5,
@@ -260,34 +259,31 @@ class TestAugment:
         rng = np.random.default_rng(0)
         image = rng.random((16, 16))
         coords = rng.uniform(2.0, 13.0, size=(3, 2))
-        out = augment(image, coords, AugmentConfig(), seed=1)
-        assert np.array_equal(out.image, image)
-        assert np.array_equal(out.coords, coords)
-        assert not out.out_of_bounds.any()
+        out_image, out_coords = augment(image, coords, AugmentConfig(), seed=1)
+        assert np.array_equal(out_image, image)
+        assert np.array_equal(out_coords, coords)
 
     def test_pure_translation(self):
         image = np.zeros((16, 16))
         image[4, 6] = 1.0
-        out = apply_spatial(image, np.array([[6.0, 4.0]]), shift=(5.0, -3.0))
-        assert out.coords[0] == pytest.approx((11.0, 1.0))
-        assert out.image[1, 11] == pytest.approx(1.0)
+        out_image, out_coords = apply_spatial(image, np.array([[6.0, 4.0]]), shift=(5.0, -3.0))
+        assert out_coords[0] == pytest.approx((11.0, 1.0))
+        assert out_image[1, 11] == pytest.approx(1.0)
 
     def test_rotation_maps_corner_to_corner(self):
         image = np.zeros((17, 17))
-        out = apply_spatial(image, np.array([[0.0, 0.0]]), angle=math.pi / 2.0)
-        assert out.coords[0] == pytest.approx((16.0, 0.0), abs=1e-9)
+        _, out_coords = apply_spatial(image, np.array([[0.0, 0.0]]), angle=math.pi / 2.0)
+        assert out_coords[0] == pytest.approx((16.0, 0.0), abs=1e-9)
 
     def test_image_follows_coords_affine(self):
         # a rendered blob must land where the transformed coordinate says
         from hmuq.fitting import fit_gaussian
 
         image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
-        cfg = AugmentConfig(enable_rotation=True, rotation_range=0.4,
-                            enable_scale=True, scale_range=0.1,
-                            enable_translation=True, translation_range=3.0)
-        out = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)
-        fit = fit_gaussian(out.image)
-        assert fit.gaussian.mean == pytest.approx(tuple(out.coords[0]), abs=0.05)
+        cfg = AugmentConfig(rotation_range=0.4, scale_range=0.1, translation_range=3.0)
+        out_image, out_coords = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)
+        fit = fit_gaussian(out_image)
+        assert fit.gaussian.mean == pytest.approx(tuple(out_coords[0]), abs=0.05)
 
     def test_image_follows_coords_elastic(self):
         # elastic warps distort the blob shape, so the fit drifts a little;
@@ -295,38 +291,48 @@ class TestAugment:
         from hmuq.fitting import fit_gaussian
 
         image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
-        cfg = AugmentConfig(enable_elastic=True, elastic_grid_size=4,
-                            elastic_magnitude=0.5)
-        out = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)
-        fit = fit_gaussian(out.image)
-        assert fit.gaussian.mean == pytest.approx(tuple(out.coords[0]), abs=0.25)
+        cfg = AugmentConfig(elastic_grid_size=4, elastic_magnitude=0.5)
+        out_image, out_coords = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)
+        fit = fit_gaussian(out_image)
+        assert fit.gaussian.mean == pytest.approx(tuple(out_coords[0]), abs=0.25)
 
-    def test_out_of_bounds_flagged_and_kept(self):
+    def test_out_of_bounds_coords_kept(self):
         image = np.zeros((16, 16))
-        cfg = AugmentConfig(enable_translation=True, translation_range=0.0)
-        out = apply_spatial(image, np.array([[1.0, 8.0], [8.0, 8.0]]), shift=(-4.0, 0.0))
-        assert list(out.out_of_bounds) == [True, False]
-        assert out.coords[0] == pytest.approx((-3.0, 8.0))
+        _, out_coords = apply_spatial(image, np.array([[1.0, 8.0], [8.0, 8.0]]),
+                                      shift=(-4.0, 0.0))
+        assert out_coords[0] == pytest.approx((-3.0, 8.0))
 
     def test_intensity_touches_image_only(self):
         rng = np.random.default_rng(2)
         image = rng.random((16, 16))
         coords = np.array([[5.0, 5.0]])
-        cfg = AugmentConfig(enable_intensity_shift=True, intensity_shift_range=0.2,
-                            enable_intensity_scale=True, intensity_scale_range=0.2)
-        out = augment(image, coords, cfg, seed=4)
-        assert np.array_equal(out.coords, coords)
-        assert not np.array_equal(out.image, image)
+        cfg = AugmentConfig(intensity_shift_range=0.2, intensity_scale_range=0.2)
+        out_image, out_coords = augment(image, coords, cfg, seed=4)
+        assert np.array_equal(out_coords, coords)
+        assert not np.array_equal(out_image, image)
+
+    def test_parts_off_at_zero_draw_nothing(self):
+        # a range of 0 switches its part off and takes no draw from the stream,
+        # so a lone intensity shift takes the stream's first draw
+        rng = np.random.default_rng(5)
+        image = rng.random((16, 16))
+        coords = np.array([[6.0, 7.0]])
+        out_image, out_coords = augment(image, coords, AugmentConfig(intensity_shift_range=0.2),
+                                        seed=8)
+        ref_image, ref_coords = apply_spatial(image, coords)
+        shift = np.random.default_rng(8).uniform(-0.2, 0.2)
+        assert np.array_equal(out_image, ref_image + shift)
+        assert np.array_equal(out_coords, ref_coords)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
         image = rng.random((16, 16))
         coords = np.array([[8.0, 8.0]])
-        cfg = AugmentConfig(enable_rotation=True, rotation_range=0.5)
+        cfg = AugmentConfig(rotation_range=0.5)
         a = augment(image, coords, cfg, seed=11)
         b = augment(image, coords, cfg, seed=11)
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestCheckpoint:
@@ -430,17 +436,11 @@ target_mode = learned_aniso
 sigma_init = 3.0
 predictor_width = 16
 freeze_predictor = false
-augmentation.enable_intensity_shift = false
 augmentation.intensity_shift_range = 0.0
-augmentation.enable_intensity_scale = false
 augmentation.intensity_scale_range = 0.0
-augmentation.enable_translation = false
 augmentation.translation_range = 0.0
-augmentation.enable_rotation = false
 augmentation.rotation_range = 0.0
-augmentation.enable_scale = false
 augmentation.scale_range = 0.0
-augmentation.enable_elastic = false
 augmentation.elastic_grid_size = 4
 augmentation.elastic_magnitude = 0.0
 """
@@ -449,8 +449,7 @@ augmentation.elastic_magnitude = 0.0
 class TestConfigDict:
     def test_round_trip(self):
         cfg = TrainConfig(alpha=2.5, iterations=123, target_mode="learned_iso",
-                          augmentation=AugmentConfig(enable_rotation=True,
-                                                     rotation_range=0.25))
+                          augmentation=AugmentConfig(rotation_range=0.25))
         assert config_from_dict(TrainConfig, config_to_dict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
@@ -458,8 +457,8 @@ class TestConfigDict:
             config_from_dict(TrainConfig, {"alhpa": "5"})
 
     def test_unknown_nested_key_rejected(self):
-        with pytest.raises(InvalidParameterError, match="augmentation.enable_rotaton"):
-            config_from_dict(TrainConfig, {"augmentation.enable_rotaton": "true"})
+        with pytest.raises(InvalidParameterError, match="augmentation.rotaton_range"):
+            config_from_dict(TrainConfig, {"augmentation.rotaton_range": "0.1"})
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import render_isotropic
+from helpers import compose_covariance, render_anisotropic, render_isotropic
 from hmuq.fitting import FitConfig
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    compose_covariance,
     population_distribution,
-    render_anisotropic,
     sample_gaussian,
 )
 from hmuq.nets import ReferencePredictor

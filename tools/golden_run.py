@@ -27,7 +27,6 @@ from harness import MEASUREMENTS, MEASUREMENTS_CONFIG, NAMES_CONFIG, TRAIN_CONFI
 
 
 def run(out: Path) -> None:
-    os.environ.pop(hmuq.cli.CONFIG_ENV_VAR, None)
     out.mkdir(parents=True, exist_ok=True)
     configs = {"heldout.cfg": "num_images = 24\n", "train.cfg": TRAIN_CONFIG,
                "names.cfg": NAMES_CONFIG, "measurements.cfg": MEASUREMENTS_CONFIG}
