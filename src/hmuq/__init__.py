@@ -32,7 +32,6 @@ from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    decompose_covariance,
     sample_gaussian,
     wrap_axis_angle,
 )
@@ -40,7 +39,6 @@ from .metrics import (
     AggregateStats,
     aggregate_stats,
     circular_axis_mean_deg,
-    error_offsets,
     interobserver_decomps,
     point_error,
     report_row,
@@ -55,7 +53,7 @@ from .svgplot import (
     render_offset_scatter,
     render_sigma_vs_error,
 )
-from .synthdata import LandmarkSpec, SynthConfig, SynthDataset, generate, write_synth_dataset
+from .synthdata import LandmarkSpec, SynthConfig, generate, write_synth_dataset
 from .trainer import (
     AugmentConfig,
     TrainConfig,

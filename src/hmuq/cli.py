@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -39,7 +40,6 @@ from .fitting import FitConfig, argmax_coord
 from .gauss import AnisotropicGaussian, InvalidParameterError, population_distribution
 from .metrics import (
     aggregate_stats,
-    error_offsets,
     interobserver_decomps,
     point_error,
     report_row,
@@ -160,7 +160,8 @@ def _fit_dataset(model, ds, fit_cfg, landmarks=None):
     """One forward pass per image, then a Gaussian fit of each requested heatmap.
 
     Returns fits[i][j], a FitResult for image i and landmark j (every landmark
-    unless `landmarks` names some), None where the heatmap is too flat to fit.
+    unless `landmarks` names some); a heatmap too flat to fit is counted in the
+    warnings and has no entry.
     """
     fits = []
     for image in ds.images:
@@ -168,7 +169,7 @@ def _fit_dataset(model, ds, fit_cfg, landmarks=None):
         fits.append({j: sample_uncertainty(heatmaps[j], fit_cfg)
                      for j in (range(len(heatmaps)) if landmarks is None else landmarks)})
     _warn_fit_outcomes([f for per_image in fits for f in per_image.values()])
-    return fits
+    return [{j: f for j, f in per_image.items() if f is not None} for per_image in fits]
 
 
 def _write_report(args, name, rows, summary):
@@ -186,8 +187,8 @@ def cmd_synth(args) -> int:
     cfg = _read_config(args, SynthConfig)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    ds = generate(cfg)
-    manifest = write_synth_dataset(args.out, ds, cfg)
+    ds, truth = generate(cfg)
+    manifest = write_synth_dataset(args.out, ds, truth, cfg)
     _say(args, f"wrote {manifest}: {cfg.num_images} images, "
                f"{ds.landmark_count} landmarks, {cfg.image_size}x{cfg.image_size} px")
     return 0
@@ -232,8 +233,6 @@ def cmd_fit(args) -> int:
     rows = []
     for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _read_config(args, FitConfig))):
         for j, fit in fits.items():
-            if fit is None:
-                continue
             (x, y), d = fit.gaussian.mean, fit.gaussian.decomp
             rows.append((image_id, j, repr(x), repr(y),
                          repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min),
@@ -277,8 +276,6 @@ def cmd_eval(args) -> int:
     for i, fits in enumerate(_fit_dataset(model, ds, _read_config(args, FitConfig))):
         spacing = float(ds.spacing[i])
         for j, fit in fits.items():
-            if fit is None:
-                continue
             decomps_mm[j].append(fit.gaussian.decomp.scaled(spacing))
             errors_mm[j].append(point_error(ds.coords[i, j], fit.gaussian.mean) * spacing)
     rows = []
@@ -336,16 +333,15 @@ def cmd_clinical(args) -> int:
                 f"that {args.names} does not define")
     class_rows = []
     prob_rows = []
-    per_measurement = {mdef.name: ([], [], []) for mdef, _ in measurements}
+    per_measurement = {mdef.name: [] for mdef, _ in measurements}  # (id, result, gt)
     skipped = 0
     all_fits = _fit_dataset(model, ds, _read_config(args, FitConfig), sorted(names))
     for i, (image_id, fits) in enumerate(zip(ds.ids, all_fits)):
         spacing = float(ds.spacing[i])
         gaussians = {}
-        for j, name in names.items():
-            if fits[j] is not None:
-                (x, y), d = fits[j].gaussian.mean, fits[j].gaussian.decomp
-                gaussians[name] = AnisotropicGaussian((x * spacing, y * spacing),
+        for j, fit in fits.items():
+            (x, y), d = fit.gaussian.mean, fit.gaussian.decomp
+            gaussians[names[j]] = AnisotropicGaussian((x * spacing, y * spacing),
                                                       d.scaled(spacing), 1.0)
         gt_mm = {name: ds.coords[i, j] * spacing for j, name in names.items()}
         for m_index, (mdef, thresholds) in enumerate(measurements):
@@ -360,10 +356,7 @@ def cmd_clinical(args) -> int:
                                int(result.hard_class == gt_label)))
             for label, prob in zip(result.labels, result.probs):
                 prob_rows.append((image_id, mdef.name, label, f"{prob:.6f}"))
-            ids, results, gts = per_measurement[mdef.name]
-            ids.append(image_id)
-            results.append(result)
-            gts.append(gt_label)
+            per_measurement[mdef.name].append((image_id, result, gt_label))
     if skipped:
         _warn(f"{skipped} image/measurement pairs skipped (landmark fit failed)")
 
@@ -373,13 +366,13 @@ def cmd_clinical(args) -> int:
     write_csv(_out_path(args, "probabilities.csv"),
               ["image_id", "measurement", "label", "probability"], prob_rows)
     for mdef, _ in measurements:
-        ids, results, gts = per_measurement[mdef.name]
-        if not ids:
+        triples = per_measurement[mdef.name]
+        if not triples:
             _warn(f"measurement {mdef.name!r} classified no images; no curve written")
             continue
-        curve = accuracy_uncertainty_curve(ids, results, gts)
+        curve = accuracy_uncertainty_curve(*zip(*triples))
         write_curve_csv(_out_path(args, f"curve_{mdef.name}.csv"), curve)
-        _say(args, f"  {mdef.name}: accuracy {curve[-1][1]:.1f}% over {len(ids)} images")
+        _say(args, f"  {mdef.name}: accuracy {curve[-1][1]:.1f}% over {len(triples)} images")
     _say(args, f"wrote {class_path}: {len(class_rows)} classifications")
     return 0
 
@@ -391,8 +384,8 @@ def _require(args, parser, *flags) -> None:
 
 
 def cmd_plot(args, parser) -> int:
-    if not args.scale > 0:
-        raise InvalidParameterError(f"ellipse scale must be > 0, got {args.scale}")
+    if not 0 < args.scale < math.inf:
+        raise InvalidParameterError(f"ellipse scale must be finite and > 0, got {args.scale}")
     timestamp = not args.no_timestamp
 
     if args.kind == "accuracy_curve":
@@ -430,14 +423,14 @@ def cmd_plot(args, parser) -> int:
                 raise InvalidParameterError(
                     f"landmark {j} outside 0..{ds.landmark_count - 1}")
             fits = [(i, f[j]) for i, f in enumerate(_fit_dataset(model, ds, FitConfig(), [j]))
-                    if f[j] is not None]
+                    if j in f]
             if not fits:
                 raise InvalidParameterError(
                     f"no usable Gaussian fit for landmark {j} on any image")
             gts = ds.coords[[i for i, _ in fits], j]
             preds = [f.gaussian.mean for _, f in fits]
             if args.kind == "offset_scatter":
-                offsets = error_offsets(gts, preds)
+                offsets = [(x - gx, y - gy) for (x, y), (gx, gy) in zip(preds, gts)]
                 overlays = [("learned", model.target_decomps[j].canonical())]
                 if len(offsets) >= 3:
                     overlays.append(("empirical", population_distribution(offsets)[1]))

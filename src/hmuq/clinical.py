@@ -33,7 +33,6 @@ from .gauss import InvalidParameterError, sample_gaussian
 DEFAULT_MEASUREMENTS_PATH = os.path.join(os.path.dirname(__file__), "data",
                                          "cephalometric.cfg")
 FUNC_ARITY = {"angle": 3, "distance": 2, "linedist": 3}
-MAX_REDRAWS = 20
 
 
 class ExpressionError(ValueError):
@@ -142,7 +141,7 @@ class ClassificationResult:
 
 
 def _eval(node, coords):
-    """Evaluate over (n, 2) coordinate arrays; degenerate entries become NaN."""
+    """Evaluate over (n, 2) coordinate arrays; entries on coincident points become NaN."""
     kind = node[0]
     if kind == "num":
         return np.full(next(iter(coords.values())).shape[0], node[1])
@@ -222,8 +221,9 @@ def mc_classify(predictions, mdef: MeasurementDef, thresholds: ClassThresholds,
     """Propagate landmark uncertainty into class probabilities.
 
     Draws n joint samples (independent across landmarks), evaluates the
-    measurement on each, and classifies.  Degenerate draws (coincident points)
-    are re-drawn a bounded number of times.  Deterministic per seed.
+    measurement on each, and classifies.  A draw hits coincident points with
+    probability zero unless landmarks are point masses at one spot, where
+    every draw does; any such draw raises.  Deterministic per seed.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -234,19 +234,10 @@ def mc_classify(predictions, mdef: MeasurementDef, thresholds: ClassThresholds,
     rng = np.random.default_rng(seed)
     coords = {name: sample_gaussian(predictions[name], n, rng) for name in mdef.landmark_ids}
     values = _eval(mdef.tree, coords)
-    bad = np.nonzero(np.isnan(values))[0]
-    for _ in range(MAX_REDRAWS):
-        if bad.size == 0:
-            break
-        for name in mdef.landmark_ids:
-            coords[name][bad] = sample_gaussian(predictions[name], bad.size, rng)
-        sub = {name: coords[name][bad] for name in mdef.landmark_ids}
-        values[bad] = _eval(mdef.tree, sub)
-        bad = np.nonzero(np.isnan(values))[0]
-    if bad.size:
+    bad = np.count_nonzero(np.isnan(values))
+    if bad:
         raise DegenerateGeometryError(
-            f"measurement {mdef.name!r} stayed degenerate after "
-            f"{MAX_REDRAWS} redraws ({bad.size} of {n} samples)")
+            f"measurement {mdef.name!r} hit coincident points in {bad} of {n} samples")
     idx = np.searchsorted(thresholds.breakpoints, values, side="left")
     counts = np.bincount(idx, minlength=len(thresholds.labels))
     probs = counts / n

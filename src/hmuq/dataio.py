@@ -327,8 +327,9 @@ def load_dataset(manifest_path) -> Dataset:
             spc_val = float(spc)
         except ValueError:
             raise DataFormatError(f"{images_path}:{lineno}: bad spacing {spc!r}") from None
-        if not spc_val > 0:
-            raise DataFormatError(f"{images_path}:{lineno}: spacing must be > 0")
+        if not 0 < spc_val < math.inf:
+            raise DataFormatError(f"{images_path}:{lineno}: spacing must be finite and > 0, "
+                                  f"got {spc!r}")
         ids.append(image_id)
         paths.append(os.path.join(base, rel))
         images.append(read_pgm(paths[-1]))

@@ -66,10 +66,6 @@ class CovarianceDecomposition:
     def theta_deg(self) -> float:
         return math.degrees(self.theta)
 
-    @property
-    def degenerate(self) -> bool:
-        return self.sigma_min <= 1e-12 * max(1.0, self.sigma_maj)
-
     def scaled(self, factor: float) -> "CovarianceDecomposition":
         """Same orientation with extents multiplied by factor (unit change)."""
         return replace(self, sigma_maj=self.sigma_maj * factor,
@@ -100,33 +96,6 @@ def wrap_axis_angle(theta: float) -> float:
     if t == -0.5 * math.pi:  # modulo hit exactly 0
         t = 0.5 * math.pi
     return t
-
-
-def decompose_covariance(m: np.ndarray, allow_semidefinite: bool = False) -> CovarianceDecomposition:
-    """Canonical (theta, sigma_maj, sigma_min) of a symmetric positive definite matrix.
-
-    With allow_semidefinite, rank-deficient (PSD) matrices are accepted and
-    near-zero eigenvalues are clipped to 0, yielding a degenerate decomposition.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (2, 2):
-        raise InvalidParameterError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidParameterError("covariance entries must be finite")
-    scale = max(abs(m).max(), 1.0)
-    if abs(m[0, 1] - m[1, 0]) > 1e-9 * scale:
-        raise InvalidParameterError("covariance must be symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    tol = 1e-12 * scale
-    if allow_semidefinite:
-        if vals[0] < -tol:
-            raise InvalidParameterError(f"covariance has negative eigenvalue {vals[0]}")
-        vals = np.clip(vals, 0.0, None)
-    elif vals[0] <= 0:
-        raise InvalidParameterError(f"covariance must be positive definite, eigenvalues {vals}")
-    major = vecs[:, 1]
-    theta = math.atan2(major[1], major[0])
-    return CovarianceDecomposition(theta, math.sqrt(vals[1]), math.sqrt(vals[0])).canonical()
 
 
 def _gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False, out=None):
@@ -208,11 +177,18 @@ def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
 def population_distribution(points) -> tuple[np.ndarray, CovarianceDecomposition]:
     """Mean and population covariance (divisor n) of (n, 2) points, decomposed.
 
-    A zero-variance direction (collinear or duplicate points) yields a
-    degenerate decomposition with sigma_min = 0 instead of an error.
+    A zero-variance direction (collinear or duplicate points) yields
+    sigma_min = 0 instead of an error; the covariance, a Gram matrix, has no
+    negative eigenvalue beyond rounding, which the clip at 0 absorbs.
     """
     points = np.asarray(points, dtype=np.float64)
     mean = points.mean(axis=0)
     centered = points - mean
     cov = centered.T @ centered / len(points)
-    return mean, decompose_covariance(cov, allow_semidefinite=True)
+    if not np.all(np.isfinite(cov)):
+        raise InvalidParameterError("covariance entries must be finite")
+    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    vals = np.clip(vals, 0.0, None)
+    theta = math.atan2(vecs[1, 1], vecs[0, 1])  # the major eigenvector
+    return mean, CovarianceDecomposition(theta, math.sqrt(vals[1]),
+                                         math.sqrt(vals[0])).canonical()

@@ -77,16 +77,6 @@ def aggregate_stats(decomps) -> AggregateStats:
                           theta_mean, theta_sd)
 
 
-def error_offsets(gts, preds) -> np.ndarray:
-    """Per-sample (pred - gt) offset vectors."""
-    gts = np.asarray(gts, dtype=np.float64)
-    preds = np.asarray(preds, dtype=np.float64)
-    if gts.shape != preds.shape:
-        raise InvalidParameterError(
-            f"shape mismatch: gts {gts.shape} vs preds {preds.shape}")
-    return preds - gts
-
-
 def interobserver_decomps(dataset, landmark_id: int) -> list[CovarianceDecomposition]:
     """Per-image covariance decompositions of one landmark's observer points (mm).
 

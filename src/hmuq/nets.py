@@ -46,6 +46,12 @@ def upsample2_backward(dy):
     return _sum2x2(dy)
 
 
+def _flat(weights, biases, dtype):
+    """Weights and biases of every layer, interleaved, as one `dtype` vector."""
+    return np.concatenate([p.ravel() for w, b in zip(weights, biases) for p in (w, b)],
+                          dtype=dtype)
+
+
 def check_image_shape(shape) -> None:
     """Raise InvalidParameterError unless the predictor takes images of this
     shape: 2-D with sides divisible by 4 (two pooling stages)."""
@@ -102,11 +108,7 @@ class ReferencePredictor:
 
     def get_params(self) -> np.ndarray:
         """Flat parameter vector in the predictor's dtype."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return _flat(self.weights, self.biases, self.dtype)
 
     def set_params(self, flat: np.ndarray) -> None:
         """Copy a flat parameter vector of any float dtype in, cast to the predictor's."""
@@ -215,8 +217,4 @@ class ReferencePredictor:
         dp2 = conv_back(upsample2_backward(du1), a3, 2)
         dp1 = conv_back(avgpool2_backward(dp2), a2, 1)
         conv_back(avgpool2_backward(dp1), a1, 0)
-        parts = []
-        for w, b in zip(gw, gb):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts, dtype=np.float64)
+        return _flat(gw, gb, np.float64)

@@ -3,7 +3,7 @@
 Each landmark sits on a smooth rendered structure: `corner` (two soft edges
 meeting at the landmark), `edge` (a soft step the landmark lies on, with a
 broad envelope so the along-edge position is only weakly determined), or
-`blob` (an isotropic bump).  Edge structures are oriented along the injected
+`blob` (an isotropic bump).  Edge structures are oriented along the annotation
 noise direction, so annotation ambiguity runs along the visible edge.
 Annotations are the true positions plus a per-landmark Gaussian draw.
 """
@@ -36,7 +36,7 @@ STRUCTURES = ("corner", "edge", "blob")
 
 @dataclass(frozen=True)
 class LandmarkSpec:
-    """A rendered structure and the annotation noise injected around it
+    """A rendered structure and the annotation noise drawn around it
     (degrees, px), with its fields named as a `landmark_<i>.` block spells them."""
 
     structure: str
@@ -94,22 +94,6 @@ class SynthConfig:
         _base_positions(self)  # raises when the 6-sigma margins cannot be met
 
 
-@dataclass
-class SynthDataset:
-    ids: list[str]
-    images: list[np.ndarray]
-    coords: np.ndarray       # true landmark positions (num_images, N, 2)
-    annotations: np.ndarray  # noisy annotations with the same shape
-    injected: tuple[CovarianceDecomposition, ...]
-    spacing: np.ndarray
-    landmark_count: int
-
-    def training_view(self) -> Dataset:
-        """The dataset as a trainer sees it: annotations play groundtruth."""
-        return Dataset(self.ids, self.images, self.annotations, self.spacing,
-                       self.landmark_count, None)
-
-
 def _base_positions(cfg: SynthConfig) -> np.ndarray:
     """Fixed structure anchor points, inset so jitter + 6 sigma stays inside."""
     half = (cfg.image_size - 1) / 2.0
@@ -145,8 +129,12 @@ def _render_structure(xs, ys, pos, spec: LandmarkSpec, contrast: float) -> np.nd
     return contrast / ((1.0 + np.exp(-u / tau)) * (1.0 + np.exp(-v / tau)))
 
 
-def generate(cfg: SynthConfig) -> SynthDataset:
-    """Deterministic (seeded) synthetic dataset with recorded injected noise."""
+def generate(cfg: SynthConfig) -> tuple[Dataset, np.ndarray]:
+    """Deterministic (seeded) synthetic dataset and its true positions.
+
+    The Dataset's coords are the noisy annotations, as `load_dataset` reads
+    them back from the written set; the (num_images, N, 2) array is truth.
+    """
     cfg.validate()
     base = _base_positions(cfg)
     n_landmarks = len(cfg.landmarks)
@@ -154,8 +142,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     ids = []
     images = []
-    coords = np.empty((cfg.num_images, n_landmarks, 2))
-    annotations = np.empty_like(coords)
+    truth = np.empty((cfg.num_images, n_landmarks, 2))
+    annotations = np.empty_like(truth)
     for i in range(cfg.num_images):
         rng = np.random.default_rng([cfg.seed, i])
         true = base + rng.uniform(-cfg.position_jitter, cfg.position_jitter,
@@ -171,17 +159,15 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             annotations[i, j] = sample_gaussian(noise, 1, rng)[0]
         ids.append(f"img_{i:04d}")
         images.append(image)
-        coords[i] = true
-    injected = tuple(spec.noise.canonical() for spec in cfg.landmarks)
-    return SynthDataset(ids, images, coords, annotations, injected,
-                        np.ones(cfg.num_images), n_landmarks)
+        truth[i] = true
+    return Dataset(ids, images, annotations, np.ones(cfg.num_images), n_landmarks), truth
 
 
-def write_synth_dataset(out_dir, ds: SynthDataset, cfg: SynthConfig) -> str:
+def write_synth_dataset(out_dir, ds: Dataset, truth: np.ndarray, cfg: SynthConfig) -> str:
     """Write the standard dataset layout plus truth.csv and generator.cfg."""
-    manifest = write_dataset(out_dir, ds.ids, ds.images, ds.annotations,
+    manifest = write_dataset(out_dir, ds.ids, ds.images, ds.coords,
                              ds.spacing, ds.landmark_count)
-    truth_rows = [AnnotationRow(image_id, j, "", ds.coords[i, j, 0], ds.coords[i, j, 1])
+    truth_rows = [AnnotationRow(image_id, j, "", truth[i, j, 0], truth[i, j, 1])
                   for i, image_id in enumerate(ds.ids)
                   for j in range(ds.landmark_count)]
     write_annotations(os.path.join(out_dir, "truth.csv"), truth_rows)

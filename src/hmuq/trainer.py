@@ -256,20 +256,6 @@ def augment(image, coords, cfg: AugmentConfig, seed):
 # --- training loop --------------------------------------------------------------
 
 
-def _mode_grads(pred, coords, theta, log_maj, log_min, cfg):
-    """Loss, covariance log-parameter gradients, and dL/dpred for one sample.
-
-    The regularizer is NOT included here; train() adds it once per batch.
-    """
-    a = np.exp(log_maj)
-    b = np.exp(log_min)
-    decomps = [CovarianceDecomposition(theta[i], a[i], b[i]) for i in range(len(theta))]
-    loss, cov, dpred = aniso_loss_gradients(pred, coords, decomps, 0.0, cfg.gamma)
-    cov[:, 1] *= a  # chain rule to log parameters
-    cov[:, 2] *= b
-    return loss, cov, dpred
-
-
 def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
           progress=None) -> TrainedModel:
     """Stochastic gradient descent (momentum 0.9, weight decay) over a dataset.
@@ -322,12 +308,18 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
         batch_loss = 0.0
         grad = np.zeros_like(params)
         grad_cov = np.zeros((n_landmarks, 3))
+        a = np.exp(log_maj)
+        b = np.exp(log_min)
+        decomps = [CovarianceDecomposition(theta[i], a[i], b[i]) for i in range(n_landmarks)]
         for slot, j in enumerate(idx):
             im, cs = augment(images[j], coords[j], cfg.augmentation, [cfg.seed, it, slot, 0])
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
                         if cfg.dropout_rate else None)
             pred = net.forward(im, cfg.dropout_rate, drop_rng)
-            loss, cov, dpred = _mode_grads(pred, cs, theta, log_maj, log_min, cfg)
+            # the regularizer (alpha = 0 here) is added once per batch below
+            loss, cov, dpred = aniso_loss_gradients(pred, cs, decomps, 0.0, cfg.gamma)
+            cov[:, 1] *= a  # chain rule to log parameters, per sample: scaling
+            cov[:, 2] *= b  # the batch sum instead would round differently
             batch_loss += loss
             grad_cov += cov
             if not cfg.freeze_predictor:
@@ -436,9 +428,9 @@ def read_checkpoint(path) -> TrainedModel:
         for d in decomps:
             d.validate()
         cfg = config_from_dict(TrainConfig, parse_config_text(snapshot, source=str(path)))
-    net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed, dtype=NET_DTYPE)
-    if net.num_params() != n_params:
-        raise InvalidParameterError(
-            f"{path}: parameter count {n_params} does not match architecture")
+        net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed, dtype=NET_DTYPE)
+        if net.num_params() != n_params:
+            raise InvalidParameterError(
+                f"parameter count {n_params} does not match architecture")
     net.set_params(params)
     return TrainedModel(net, decomps, cfg, np.empty(0))

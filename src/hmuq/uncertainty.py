@@ -26,7 +26,7 @@ def _as_stack(heatmaps) -> np.ndarray:
 
 def mcd_max(heatmaps) -> tuple[np.ndarray, CovarianceDecomposition]:
     """Mean and population covariance (divisor n) of the per-pass argmax
-    coordinates; identical or collinear argmaxes give a degenerate decomposition."""
+    coordinates; identical or collinear argmaxes give sigma_min = 0."""
     return population_distribution([argmax_coord(v) for v in _as_stack(heatmaps)])
 
 

@@ -178,14 +178,28 @@ INTEROBS_TARGETS_MM = (
 OBSERVER_IDS = tuple(f"obs_{k:02d}" for k in range(11))
 
 
+def covariance_ring(d: CovarianceDecomposition, phase=0.0, n=11) -> np.ndarray:
+    """n points around 0 whose population covariance is that of `d` to rounding.
+
+    The points are sqrt(2) * (cos, sin) at n >= 3 equally spaced angles from
+    `phase`, mapped through the decomposition: the population covariance of
+    such a ring is the identity for any phase.
+    """
+    angles = 2.0 * np.pi * np.arange(n) / n + phase
+    ring = np.sqrt(2.0) * np.column_stack([np.cos(angles), np.sin(angles)])
+    c, s = np.cos(d.theta), np.sin(d.theta)
+    scale_rot = np.array([[c * d.sigma_maj, -s * d.sigma_min],
+                          [s * d.sigma_maj, c * d.sigma_min]])
+    return ring @ scale_rot.T
+
+
 def write_interobserver_fixture(out_dir, num_images=100, seed=202):
     """Synthetic multi-observer dataset whose per-image covariance is exact.
 
-    Each image/landmark pair gets 11 observer points: sqrt(2) * (cos, sin)
-    at equally spaced angles, mapped through the target decomposition.  The
-    population covariance of such a ring is the identity for any phase, so
-    every image reproduces the target covariance to rounding and aggregate
-    statistics over images match the targets with near-zero spread.
+    Each image/landmark pair gets 11 observer points, a `covariance_ring` of
+    the target decomposition at a random phase, so every image reproduces the
+    target covariance to rounding and aggregate statistics over images match
+    the targets with near-zero spread.
     """
     from hmuq.dataio import AnnotationRow, write_dataset
 
@@ -196,17 +210,11 @@ def write_interobserver_fixture(out_dir, num_images=100, seed=202):
                         (56.0, 56.0), (48.0, 48.0)])
     ids = [f"img_{i:03d}" for i in range(num_images)]
     images = [np.zeros((size, size)) for _ in ids]
-    base_angles = 2.0 * np.pi * np.arange(11) / 11.0
     rows = []
     for image_id in ids:
         for j, d in enumerate(INTEROBS_TARGETS_MM):
             mean = centers[j] + rng.uniform(-2.0, 2.0, size=2)
-            angles = base_angles + rng.uniform(0.0, 2.0 * np.pi)
-            ring = np.sqrt(2.0) * np.column_stack([np.cos(angles), np.sin(angles)])
-            c, s = np.cos(d.theta), np.sin(d.theta)
-            scale_rot = np.array([[c * d.sigma_maj, -s * d.sigma_min],
-                                  [s * d.sigma_maj, c * d.sigma_min]])
-            pts = mean + ring @ scale_rot.T / spacing
+            pts = mean + covariance_ring(d, rng.uniform(0.0, 2.0 * np.pi)) / spacing
             rows.extend(AnnotationRow(image_id, j, obs, float(x), float(y))
                         for obs, (x, y) in zip(OBSERVER_IDS, pts))
     return write_dataset(out_dir, ids, images, None, [spacing] * num_images,

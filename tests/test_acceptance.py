@@ -213,11 +213,11 @@ def synth_model(tmp_path_factory):
                       iterations=6000, batch_size=4, seed=3, dropout_rate=0.1,
                       predictor_width=16)
     t0 = time.time()
-    model = train(generate(train_cfg).training_view(), cfg)
+    model = train(generate(train_cfg)[0], cfg)
     runtime = time.time() - t0
-    held = generate(held_cfg)
+    held, held_truth = generate(held_cfg)
     held_dir = root / "held"
-    write_synth_dataset(held_dir, held, held_cfg)
+    write_synth_dataset(held_dir, held, held_truth, held_cfg)
     model_dir = root / "model"
     model_dir.mkdir()
     write_checkpoint(model, model_dir / "model.ckpt")

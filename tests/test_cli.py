@@ -290,9 +290,11 @@ class TestErrors:
         assert "invalid choice: 'pie_chart'" in capsys.readouterr().err
 
     def test_plot_nonpositive_scale_runtime_exit(self, tmp_path, capsys):
-        assert main(["plot", "--kind", "ellipse_overlay", "--scale", "0",
-                     "--out", str(tmp_path), "--quiet"]) == 1
-        assert "ellipse scale must be > 0, got 0.0" in capsys.readouterr().err
+        for scale in ("0", "inf", "nan"):
+            assert main(["plot", "--kind", "ellipse_overlay", "--scale", scale,
+                         "--out", str(tmp_path), "--quiet"]) == 1
+            assert (f"ellipse scale must be finite and > 0, got {float(scale)}"
+                    in capsys.readouterr().err)
 
     def test_missing_dataset_runtime_exit(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
@@ -381,6 +383,11 @@ def _sigma_maj(value):
     return edit
 
 
+def _zero_landmarks(raw, params_at, snapshot_at):
+    """Landmark count 0 at offset 6, and no covariance records after it."""
+    return bytes(raw[:6]) + struct.pack("<I", 0) + bytes(raw[params_at - 4:])
+
+
 def _unknown_snapshot_key(raw, params_at, snapshot_at):
     snapshot = bytes(raw[snapshot_at + 4:]) + b"bogus = 1\n"
     return bytes(raw[:snapshot_at]) + struct.pack("<I", len(snapshot)) + snapshot
@@ -393,6 +400,19 @@ def _manifest_case(pipeline, tmp):
     manifest.write_text("landmark_count = four\nimages = images.csv\n"
                         "annotations = annotations.csv\n")
     return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], manifest
+
+
+def _spacing_case(value):
+    """A copy of the pipeline dataset whose third image has pixel spacing `value`."""
+    def build(pipeline, tmp):
+        bad = tmp / "bad"
+        shutil.copytree(pipeline / "d", bad)
+        path = bad / "images.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{value}"
+        path.write_text("\n".join(lines) + "\n")
+        return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], path
+    return build
 
 
 def _measurements_case(text):
@@ -463,7 +483,11 @@ BAD_INPUTS = {
     "checkpoint-inf-covariance": (_checkpoint_case("plot", _sigma_maj(float("inf"))),
                                   "covariance parameters must be finite"),
     "checkpoint-negative-sigma": (_checkpoint_case("plot", _sigma_maj(-3.0)), "must be >= 0"),
+    "checkpoint-zero-landmarks": (_checkpoint_case("predict", _zero_landmarks),
+                                  "landmark_count and width must be >= 1"),
     "manifest-bad-count": (_manifest_case, "landmark_count: expected int, got 'four'"),
+    "images-inf-spacing": (_spacing_case("inf"),
+                           ":4: spacing must be finite and > 0, got 'inf'"),
     "measurements-bad-breakpoints": (
         _measurements_case(MEAS_CFG.replace("6.0, 12.0", "6.0, x")), "bad breakpoints"),
     "measurements-missing-labels": (

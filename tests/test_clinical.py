@@ -179,9 +179,9 @@ class TestMcClassify:
         assert a != c
 
     def test_redraw_recovers_from_rare_degeneracy(self):
-        # vertex coincides with an endpoint only at the exact mean draw of a
-        # continuous Gaussian: never in practice, but NaN handling must hold
-        # when one landmark is a point mass on top of a diffuse one
+        # a point mass on top of a diffuse landmark coincides with it only at
+        # the diffuse one's exact mean, a draw of probability zero: every draw
+        # is usable and nothing is redrawn
         preds = {"a": gaussian(0, 0, 0.0, 0.5, 0.5), "b": gaussian(0, 0),
                  "c": gaussian(0, 1)}
         t = ClassThresholds((45.0,), ("acute", "wide"))
@@ -191,7 +191,8 @@ class TestMcClassify:
     def test_persistent_degeneracy_errors(self):
         preds = {"a": gaussian(0, 0), "b": gaussian(0, 0), "c": gaussian(0, 1)}
         t = ClassThresholds((45.0,), ("acute", "wide"))
-        with pytest.raises(DegenerateGeometryError, match="redraws"):
+        with pytest.raises(DegenerateGeometryError,
+                           match="'angle_abc' hit coincident points in 10 of 10 samples"):
             mc_classify(preds, ANGLE, t, n=10, seed=0)
 
     def test_missing_prediction(self):

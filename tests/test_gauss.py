@@ -8,6 +8,7 @@ from helpers import (
     allocating_gaussian,
     axis_angle_difference_deg,
     compose_covariance,
+    covariance_ring,
     max_rel_error,
     random_decomposition,
     render_anisotropic,
@@ -18,7 +19,7 @@ from hmuq.gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
     _gaussian,
-    decompose_covariance,
+    population_distribution,
     render_with_param_gradients,
     sample_gaussian,
 )
@@ -54,49 +55,57 @@ class TestCompose:
 
 
 class TestDecompose:
+    """population_distribution on point sets whose population covariance is exact."""
+
     def test_axis_aligned(self):
-        d = decompose_covariance(np.array([[4.0, 0.0], [0.0, 1.0]]))
+        _, d = population_distribution(covariance_ring(CovarianceDecomposition(0.0, 2.0, 1.0)))
         assert d.theta == pytest.approx(0.0, abs=1e-12)
         assert d.sigma_maj == pytest.approx(2.0)
         assert d.sigma_min == pytest.approx(1.0)
 
     def test_isotropic_tie_break(self):
-        d = decompose_covariance(np.eye(2))
+        ring = covariance_ring(CovarianceDecomposition(0.7, 1.0, 1.0), phase=0.3)
+        _, d = population_distribution(ring)
         assert d.theta == 0.0
         assert d.sigma_maj == pytest.approx(1.0)
         assert d.sigma_min == pytest.approx(1.0)
 
     def test_round_trip_identity(self):
-        # compose(decompose(m)) == m over 1000 seeded SPD samples
+        # a ring of covariance m reproduces m over 1000 seeded SPD samples
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            m = compose_covariance(random_decomposition(rng, 0.5, 8.0))
-            back = compose_covariance(decompose_covariance(m))
-            np.testing.assert_allclose(back, m, atol=1e-10)
+            d = random_decomposition(rng, 0.5, 8.0)
+            pts = covariance_ring(d, rng.uniform(0.0, 2.0 * np.pi)) + rng.uniform(-50, 50, 2)
+            _, back = population_distribution(pts)
+            np.testing.assert_allclose(compose_covariance(back), compose_covariance(d),
+                                       atol=1e-10)
 
     def test_decompose_compose_canonical_identity(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
             d = random_decomposition(rng).canonical()
-            d2 = decompose_covariance(compose_covariance(d))
+            _, d2 = population_distribution(covariance_ring(d, rng.uniform(0.0, 2.0 * np.pi)))
             assert d2.sigma_maj == pytest.approx(d.sigma_maj, rel=1e-9)
             assert d2.sigma_min == pytest.approx(d.sigma_min, rel=1e-9)
             if d.ratio > 1.001:
                 assert axis_angle_difference_deg(d2.theta_deg, d.theta_deg) < 1e-6
 
-    def test_non_spd_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            decompose_covariance(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(InvalidParameterError):
-            decompose_covariance(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    def test_non_finite_point_rejected(self):
+        for bad in (math.nan, math.inf):  # inf - inf warns before the check
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(InvalidParameterError, match="must be finite"):
+                population_distribution([(0.0, 0.0), (1.0, bad), (2.0, 1.0)])
 
-    def test_semidefinite_allowed_when_requested(self):
-        m = np.array([[8.0 / 3.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(InvalidParameterError):
-            decompose_covariance(m)
-        d = decompose_covariance(m, allow_semidefinite=True)
-        assert d.sigma_min == 0.0
-        assert d.degenerate
+    def test_collinear_points_give_zero_minor(self):
+        for pts in ([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)],
+                    [(1.0, -1.0), (1.0, 3.0), (1.0, 5.0), (1.0, 6.0)],
+                    [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+                    [(3.0, 4.0)] * 3):
+            _, d = population_distribution(pts)
+            assert d.sigma_min == 0.0
+        _, d = population_distribution([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)])
+        assert d.sigma_maj == pytest.approx(math.sqrt(8.0 / 3.0))
+        assert d.theta == 0.0
 
 
 class TestRender:

@@ -9,7 +9,6 @@ from hmuq.metrics import (
     REPORT_COLUMNS,
     aggregate_stats,
     circular_axis_mean_deg,
-    error_offsets,
     interobserver_decomps,
     point_error,
     report_row,
@@ -66,7 +65,6 @@ class TestFitAnnotationDistribution:
     def test_collinear_degenerate_not_error(self):
         pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
         _, d = population_distribution(pts)
-        assert d.degenerate
         assert d.sigma_min == 0.0
 
 
@@ -111,16 +109,6 @@ class TestAggregateStats:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             aggregate_stats([])
-
-
-class TestErrorOffsets:
-    def test_direction(self):
-        off = error_offsets([(1.0, 1.0)], [(3.0, 0.0)])
-        assert np.array_equal(off, [(2.0, -1.0)])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            error_offsets([(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)])
 
 
 class TestInterobserver:

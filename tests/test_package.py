@@ -14,15 +14,47 @@ def _used_names(tree):
             yield node.attr
 
 
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_outside_init(modules):
+    used = set()
+    for name, tree in modules.items():
+        if name != "__init__.py":
+            used.update(_used_names(tree))
+    return used
+
+
+def _definitions(tree):
+    """Top-level functions and classes of a module, and the non-dunder methods
+    of its classes, as (qualified name, name) pairs."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 class TestPublicApi:
     def test_every_export_has_a_caller_in_the_package(self):
         """A name hmuq/__init__.py exports must be used by the package itself,
         not only by the tests; test-only helpers belong in tests/helpers.py."""
-        init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-        exported = {alias.asname or alias.name for node in init.body
+        modules = _modules()
+        exported = {alias.asname or alias.name for node in modules["__init__.py"].body
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
-        used = set()
-        for path in PACKAGE.glob("*.py"):
-            if path.name != "__init__.py":
-                used.update(_used_names(ast.parse(path.read_text(encoding="utf-8"))))
-        assert sorted(exported - used) == []
+        assert sorted(exported - _used_outside_init(modules)) == []
+
+    def test_every_definition_has_a_caller_in_the_package(self):
+        """Every top-level function and class, and every non-dunder method, is
+        used by name somewhere in the package outside __init__.py."""
+        modules = _modules()
+        used = _used_outside_init(modules)
+        unused = [f"{module}:{qualname}" for module, tree in modules.items()
+                  for qualname, name in _definitions(tree) if name not in used]
+        assert unused == []

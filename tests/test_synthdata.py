@@ -3,7 +3,7 @@ import pytest
 
 from helpers import axis_angle_difference_deg
 from hmuq.dataio import config_from_dict, config_to_dict, format_config, load_dataset
-from hmuq.gauss import InvalidParameterError, decompose_covariance
+from hmuq.gauss import InvalidParameterError, population_distribution
 from hmuq.synthdata import (
     DEFAULT_LANDMARKS,
     LandmarkSpec,
@@ -44,46 +44,42 @@ landmark_3.noise_sigma_min = 0.0
 """
 
 
-def population_decomp(points):
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered / len(points)
-    return decompose_covariance(cov, allow_semidefinite=True)
-
-
 class TestGenerate:
     def test_shapes_and_ranges(self):
-        ds = generate(SynthConfig(num_images=5, seed=0))
+        ds, truth = generate(SynthConfig(num_images=5, seed=0))
         assert len(ds.images) == 5
         assert ds.coords.shape == (5, 4, 2)
-        assert ds.annotations.shape == (5, 4, 2)
+        assert truth.shape == (5, 4, 2)
+        assert ds.landmark_count == 4
+        assert np.array_equal(ds.spacing, np.ones(5))
         for im in ds.images:
             assert im.shape == (64, 64)
             assert im.min() >= 0.0 and im.max() <= 1.0
 
     def test_deterministic(self):
-        a = generate(SynthConfig(num_images=4, seed=7))
-        b = generate(SynthConfig(num_images=4, seed=7))
+        a, a_truth = generate(SynthConfig(num_images=4, seed=7))
+        b, b_truth = generate(SynthConfig(num_images=4, seed=7))
         assert all(np.array_equal(x, y) for x, y in zip(a.images, b.images))
+        assert np.array_equal(a_truth, b_truth)
         assert np.array_equal(a.coords, b.coords)
-        assert np.array_equal(a.annotations, b.annotations)
 
     def test_zero_noise_annotations_equal_truth(self):
         specs = (LandmarkSpec("corner"), LandmarkSpec("blob"))
-        ds = generate(SynthConfig(num_images=6, landmarks=specs, seed=1))
-        assert np.array_equal(ds.annotations, ds.coords)
+        ds, truth = generate(SynthConfig(num_images=6, landmarks=specs, seed=1))
+        assert np.array_equal(ds.coords, truth)
 
     def test_injected_noise_recovered(self):
         # the annotation scatter around truth must reproduce the injected
         # covariance: 500 draws pin theta to a few degrees
         specs = (LandmarkSpec("edge", 30.0, 30.0, 4.0, 1.0),)
-        ds = generate(SynthConfig(image_size=96, num_images=500, landmarks=specs, seed=3))
-        d = population_decomp(ds.annotations[:, 0] - ds.coords[:, 0])
+        ds, truth = generate(SynthConfig(image_size=96, num_images=500, landmarks=specs, seed=3))
+        _, d = population_distribution(ds.coords[:, 0] - truth[:, 0])
         assert axis_angle_difference_deg(d.theta_deg, 30.0) < 5.0
         assert d.sigma_maj / d.sigma_min == pytest.approx(4.0, rel=0.15)
 
     def test_jitter_moves_structures(self):
-        ds = generate(SynthConfig(num_images=8, seed=2, position_jitter=3.0))
-        spread = ds.coords.std(axis=0)
+        _, truth = generate(SynthConfig(num_images=8, seed=2, position_jitter=3.0))
+        spread = truth.std(axis=0)
         assert spread.max() > 0.5
 
     def test_margin_violation_rejected(self):
@@ -93,10 +89,10 @@ class TestGenerate:
 
     def test_structures_visible_at_truth(self):
         # every structure should brighten the image near its true position
-        ds = generate(SynthConfig(num_images=3, seed=4, noise_floor=0.0))
+        ds, truth = generate(SynthConfig(num_images=3, seed=4, noise_floor=0.0))
         for i, im in enumerate(ds.images):
             for j in range(ds.landmark_count):
-                x, y = ds.coords[i, j]
+                x, y = truth[i, j]
                 patch = im[int(y) - 2:int(y) + 3, int(x) - 2:int(x) + 3]
                 assert patch.max() > 0.1
 
@@ -152,25 +148,26 @@ class TestConfigDict:
 
 class TestWrite:
     def test_written_dataset_loads_and_matches(self, tmp_path):
+        # what generate returns is what load_dataset reads back from the written set
         cfg = SynthConfig(num_images=3, seed=5)
-        ds = generate(cfg)
-        manifest = write_synth_dataset(tmp_path / "out", ds, cfg)
-        loaded = load_dataset(manifest)
+        ds, truth = generate(cfg)
+        loaded = load_dataset(write_synth_dataset(tmp_path / "out", ds, truth, cfg))
         assert loaded.ids == ds.ids
-        assert loaded.landmark_count == 4
+        assert loaded.landmark_count == ds.landmark_count == 4
         # 16-bit quantization: intensities match to half a step
         for a, b in zip(loaded.images, ds.images):
             assert np.abs(a - b).max() <= 0.5 / 65535
-        assert np.array_equal(loaded.coords, ds.annotations)
-        assert (tmp_path / "out" / "truth.csv").exists()
+        assert np.array_equal(loaded.coords, ds.coords)
+        assert np.array_equal(loaded.spacing, ds.spacing)
         assert (tmp_path / "out" / "generator.cfg").exists()
 
     def test_truth_table_holds_clean_positions(self, tmp_path):
         from hmuq.dataio import read_annotations
 
         cfg = SynthConfig(num_images=2, seed=6)
-        ds = generate(cfg)
-        write_synth_dataset(tmp_path / "out", ds, cfg)
-        truth = read_annotations(tmp_path / "out" / "truth.csv")
-        got = np.array([(r.x, r.y) for r in truth]).reshape(2, 4, 2)
-        assert np.array_equal(got, ds.coords)
+        ds, truth = generate(cfg)
+        write_synth_dataset(tmp_path / "out", ds, truth, cfg)
+        rows = read_annotations(tmp_path / "out" / "truth.csv")
+        assert [r.image_id for r in rows[::4]] == ds.ids
+        got = np.array([(r.x, r.y) for r in rows]).reshape(2, 4, 2)
+        assert np.array_equal(got, truth)

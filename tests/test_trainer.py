@@ -35,8 +35,8 @@ ALPHA = 5.0
 
 def small_synth(iterations=400, **overrides):
     specs = (LandmarkSpec("corner", 0.0), LandmarkSpec("edge", 30.0, 30.0, 2.0, 0.8))
-    ds = generate(SynthConfig(image_size=32, num_images=20, landmarks=specs,
-                              position_jitter=2.0, seed=5))
+    ds, _ = generate(SynthConfig(image_size=32, num_images=20, landmarks=specs,
+                                 position_jitter=2.0, seed=5))
     defaults = dict(iterations=iterations, learning_rate=1e-5,
                     covariance_lr_multiplier=10.0, batch_size=2, seed=1,
                     target_mode="learned_aniso", predictor_width=8)
@@ -186,32 +186,32 @@ class TestTrain:
 
     def test_loss_trace_window_means_non_increasing(self):
         ds, cfg = small_synth()
-        m = train(ds.training_view(), cfg)
+        m = train(ds, cfg)
         w = [m.loss_trace[k:k + 100].mean() for k in range(0, cfg.iterations, 100)]
         assert all(b <= a for a, b in zip(w, w[1:]))
 
     def test_learned_iso_stays_isotropic(self):
         ds, cfg = small_synth(iterations=150, target_mode="learned_iso")
-        m = train(ds.training_view(), cfg)
+        m = train(ds, cfg)
         for d in m.target_decomps:
             assert d.sigma_maj == d.sigma_min
             assert d.theta == 0.0
 
     def test_fixed_iso_keeps_init(self):
         ds, cfg = small_synth(iterations=50, target_mode="fixed_iso")
-        m = train(ds.training_view(), cfg)
+        m = train(ds, cfg)
         for d in m.target_decomps:
             assert d == CovarianceDecomposition(0.0, cfg.sigma_init, cfg.sigma_init)
 
     def test_divergence_reports_iteration(self):
         ds, cfg = small_synth(iterations=200, learning_rate=10.0)
         with pytest.raises(TrainDivergedError, match="iteration"):
-            train(ds.training_view(), cfg)
+            train(ds, cfg)
 
     def test_deterministic_per_seed(self):
         ds, cfg = small_synth(iterations=60)
-        a = train(ds.training_view(), cfg)
-        b = train(ds.training_view(), cfg)
+        a = train(ds, cfg)
+        b = train(ds, cfg)
         assert np.array_equal(a.loss_trace, b.loss_trace)
         assert np.array_equal(a.predictor.get_params(), b.predictor.get_params())
         assert a.target_decomps == b.target_decomps
@@ -225,7 +225,7 @@ class TestTrain:
 @pytest.fixture(scope="module")
 def model():
     ds, cfg = small_synth(iterations=40, dropout_rate=0.2)
-    return train(ds.training_view(), cfg), ds
+    return train(ds, cfg), ds
 
 
 class TestPredict:
@@ -338,7 +338,7 @@ class TestAugment:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         ds, cfg = small_synth(iterations=30)
-        model = train(ds.training_view(), cfg)
+        model = train(ds, cfg)
         p1 = tmp_path / "model.hmuq"
         p2 = tmp_path / "model2.hmuq"
         write_checkpoint(model, p1)
@@ -380,7 +380,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(ReferencePredictor, "set_params", record)
         ds, cfg = small_synth(iterations=5)
-        model = train(ds.training_view(), cfg)
+        model = train(ds, cfg)
         assert model.predictor.dtype == np.float32
         assert len(masters) == cfg.iterations
         assert all(m.dtype == np.float64 for m in masters)
@@ -395,7 +395,7 @@ class TestCheckpoint:
 
     def test_loaded_predictor_is_float32_with_float64_heatmaps(self, tmp_path):
         ds, cfg = small_synth(iterations=5)
-        model = train(ds.training_view(), cfg)
+        model = train(ds, cfg)
         write_checkpoint(model, tmp_path / "model.ckpt")
         loaded = read_checkpoint(tmp_path / "model.ckpt")
         assert loaded.predictor.dtype == np.float32

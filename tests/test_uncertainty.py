@@ -43,14 +43,13 @@ class TestMcdMax:
         assert tuple(mean) == (2.0, 0.0)
         assert d.sigma_maj == pytest.approx(math.sqrt(8.0 / 3.0))
         assert d.sigma_min == 0.0
-        assert d.degenerate
         assert d.theta == 0.0
 
     def test_identical_maxima_degenerate(self):
         mean, d = mcd_max([one_hot((8, 8), 3, 5)] * 4)
         assert tuple(mean) == (3.0, 5.0)
         assert d.sigma_maj == 0.0
-        assert d.degenerate
+        assert d.sigma_min == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
