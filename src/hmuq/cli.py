@@ -197,7 +197,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     _, ds = _load_predictor_dataset(args.data, one_shape=True)
     cfg = _read_config(args, TrainConfig)
-    given = {"target_mode": args.mode, "seed": args.seed, "iterations": args.iterations}
+    given = {"seed": args.seed, "iterations": args.iterations}
     cfg = dataclasses.replace(cfg, **{k: v for k, v in given.items() if v is not None})
     model = train(ds, cfg, progress=None if args.quiet else _train_progress(cfg.iterations))
     ckpt = _out_path(args, "model.ckpt")
@@ -488,8 +488,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     add("synth", "generate a synthetic landmark dataset", config=config_kw, seed=seed_kw)
     add("train", "train a predictor and the target covariances",
         data=data_kw, config=config_kw,
-        mode=dict(default=None, choices=("fixed_iso", "learned_iso", "learned_aniso"),
-                  help="override the target mode"),
         iterations=dict(type=int, default=None, help="override the iteration count"),
         seed=seed_kw)
     add("predict", "write argmax landmark coordinates for a dataset",

@@ -35,7 +35,7 @@ DEFAULT_MEASUREMENTS_PATH = os.path.join(os.path.dirname(__file__), "data",
 FUNC_ARITY = {"angle": 3, "distance": 2, "linedist": 3}
 
 
-class ExpressionError(ValueError):
+class ExpressionError(InvalidParameterError):
     """A measurement expression does not parse."""
 
 
@@ -225,8 +225,6 @@ def mc_classify(predictions, mdef: MeasurementDef, thresholds: ClassThresholds,
     probability zero unless landmarks are point masses at one spot, where
     every draw does; any such draw raises.  Deterministic per seed.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
     for name in mdef.landmark_ids:
         if name not in predictions:
             raise InvalidParameterError(
@@ -305,5 +303,5 @@ def measurements_from_config(items: dict[str, str]):
 def load_measurements(path=None):
     """Load a measurement config file (the shipped defaults when path is None)."""
     path = path or DEFAULT_MEASUREMENTS_PATH
-    with errors_named(path, (InvalidParameterError, ExpressionError)):
+    with errors_named(path):
         return measurements_from_config(read_config_file(path))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import math
 import os
 import typing
@@ -55,17 +56,25 @@ def format_config(items: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items.items())
 
 
+def decode_utf8(data: bytes, path, offset: int = 0) -> str:
+    """`data`, the bytes at `offset` of the file `path`, as UTF-8 text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {offset + exc.start})") from None
+
+
 def read_config_file(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        return parse_config_text(decode_utf8(fh.read(), path), source=str(path))
 
 
 @contextlib.contextmanager
-def errors_named(path, errors=(InvalidParameterError,)):
-    """Re-raise `errors` from the block with `path: ` in front of their message."""
+def errors_named(path):
+    """Re-raise an InvalidParameterError from the block with `path: ` in front."""
     try:
         yield
-    except errors as exc:
+    except InvalidParameterError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -219,11 +228,11 @@ def write_csv(path, header, rows) -> None:
 
 def read_csv(path, header):
     """Yield (line number, row) for each non-empty row of a CSV that starts with `header`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(header):
-            raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
-        yield from ((lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
+    with open(path, "rb") as fh:
+        reader = csv.reader(io.StringIO(decode_utf8(fh.read(), path), newline=""))
+    if next(reader, None) != list(header):
+        raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
+    yield from ((lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,8 @@ def population_distribution(points) -> tuple[np.ndarray, CovarianceDecomposition
     negative eigenvalue beyond rounding, which the clip at 0 absorbs.
     """
     points = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(points).all():  # before inf - inf warns in the centering
+        raise InvalidParameterError("covariance entries must be finite")
     mean = points.mean(axis=0)
     centered = points - mean
     cov = centered.T @ centered / len(points)

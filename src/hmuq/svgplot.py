@@ -19,6 +19,7 @@ PLOT_KINDS = ("offset_scatter", "ellipse_overlay", "accuracy_curve", "sigma_vs_e
 WIDTH = 480.0
 HEIGHT = 360.0
 MARGIN = 48.0
+DOT_RADIUS = 2.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -26,10 +27,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def svg_document(body: list[str], width: float = WIDTH, height: float = HEIGHT,
-                 timestamp: bool = True) -> str:
-    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-            f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">']
+def svg_document(body: list[str], timestamp: bool = True) -> str:
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+            f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">']
     if timestamp:
         now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         head.append(f"<!-- generated {now} -->")
@@ -89,9 +89,9 @@ class _Axes:
             self.parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(MARGIN - 10)}" '
                               f'font-size="13" text-anchor="middle">{title}</text>')
 
-    def scatter(self, xs, ys, color, radius=2.0):
+    def scatter(self, xs, ys, color):
         for x, y in zip(self.px(xs), self.py(ys)):
-            self.parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
+            self.parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(DOT_RADIUS)}" '
                               f'fill="{color}" fill-opacity="0.6"/>')
 
     def polyline(self, xs, ys, color):

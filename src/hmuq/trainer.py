@@ -16,13 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# no top-level scipy import: the augmentation warps import scipy.ndimage where
-# they use it, because the import costs every hmuq process ~20 MB and ~0.35 s
-# and training with the default identity augmentation never warps
-
 from .dataio import (
     config_from_dict,
     config_to_dict,
+    decode_utf8,
     errors_named,
     format_config,
     parse_config_text,
@@ -166,14 +163,19 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
 # --- augmentation -------------------------------------------------------------
 
 
-def _sample_field(fields, pts):
-    """Bilinear sample of stacked (2, H, W) displacement fields at (n, 2) points."""
-    from scipy import ndimage
-
-    coords = np.stack([pts[:, 1], pts[:, 0]])  # map_coordinates wants (row, col)
-    return np.stack([
-        ndimage.map_coordinates(fields[k], coords, order=1, mode="nearest")
-        for k in (0, 1)], axis=1)
+def _bilinear(values, x, y):
+    """Bilinear samples of a (..., H, W) stack at pixel coordinates x, y (which
+    broadcast), the grid extended by its edge values.  Bit for bit
+    scipy.ndimage.map_coordinates(order=1, mode="nearest"): the far weight is
+    1 - (1 - t), not t, and the four terms are summed in scipy's order."""
+    h, w = values.shape[-2:]
+    x0, y0 = np.floor(x), np.floor(y)
+    gx, gy = 1.0 - (x - x0), 1.0 - (y - y0)
+    fx, fy = 1.0 - gx, 1.0 - gy
+    i0, i1 = (np.clip(x0 + k, 0, w - 1).astype(np.intp) for k in (0, 1))
+    j0, j1 = (np.clip(y0 + k, 0, h - 1).astype(np.intp) for k in (0, 1))
+    return (values[..., j0, i0] * gy * gx + values[..., j0, i1] * gy * fx
+            + values[..., j1, i0] * fy * gx + values[..., j1, i1] * fy * fx)
 
 
 def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
@@ -182,14 +184,12 @@ def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
     returns (image, coords).
 
     A point p maps to R(angle) * scale * (p - c) + c + shift with c the image
-    center; the image is resampled bilinearly under the same map.  If an
-    elastic displacement field (2, H, W) in (dx, dy) order is given, the image
-    is additionally sampled at x + d(x), and coordinates are moved by the
-    matching inverse displacement (fixed-point iteration; fields are smooth
+    center; the image is resampled bilinearly under the same map, 0 outside
+    it.  If an elastic displacement field (2, H, W) in (dx, dy) order is given,
+    the image is additionally sampled at x + d(x), and coordinates are moved by
+    the matching inverse displacement (fixed-point iteration; fields are smooth
     and small, so a few steps suffice).
     """
-    from scipy import ndimage
-
     image = np.asarray(image, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
     h, w = image.shape
@@ -205,11 +205,12 @@ def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
     if elastic_field is not None:
         sx = sx + elastic_field[0]
         sy = sy + elastic_field[1]
-    warped = ndimage.map_coordinates(image, [sy, sx], order=1, mode="constant", cval=0.0)
+    inside = (0 <= sx) & (sx <= w - 1) & (0 <= sy) & (sy <= h - 1)
+    warped = np.where(inside, _bilinear(image, sx, sy), 0.0)
     new = (fwd @ (coords - center).T).T + center + shift
     if elastic_field is not None:
         for _ in range(4):
-            d = _sample_field(elastic_field, new)
+            d = _bilinear(elastic_field, new[:, 0], new[:, 1]).T
             new = (fwd @ (coords - d - center).T).T + center + shift
     return warped, new
 
@@ -236,13 +237,12 @@ def augment(image, coords, cfg: AugmentConfig, seed):
         shift = np.zeros(2)
     elastic = None
     if cfg.elastic_magnitude > 0:
-        from scipy import ndimage
-
         g = cfg.elastic_grid_size
         h, w = image.shape
         coarse = rng.normal(0.0, cfg.elastic_magnitude, size=(2, g, g))
-        elastic = np.stack([ndimage.zoom(coarse[k], (h / g, w / g), order=3)
-                            for k in (0, 1)])
+        # the grid's corner nodes sit on the image's corner pixels
+        elastic = _bilinear(coarse, np.arange(w) * ((g - 1) / (w - 1)),
+                            np.arange(h)[:, None] * ((g - 1) / (h - 1)))
     warped, coords = apply_spatial(image, coords, angle, scale, shift, elastic)
     if cfg.intensity_scale_range > 0:
         warped = warped * (1.0 + rng.uniform(-cfg.intensity_scale_range,
@@ -423,14 +423,11 @@ def read_checkpoint(path) -> TrainedModel:
     if not np.isfinite(params).all():
         raise InvalidParameterError(f"{path}: predictor parameters must be finite")
     (cfg_len,) = struct.unpack("<I", take(4))
-    snapshot = take(cfg_len).decode("utf-8")
+    snapshot = decode_utf8(take(cfg_len), path, offset=pos - cfg_len)  # pos is past it
     with errors_named(path):
         for d in decomps:
             d.validate()
         cfg = config_from_dict(TrainConfig, parse_config_text(snapshot, source=str(path)))
         net = ReferencePredictor(count, cfg.predictor_width, seed=cfg.seed, dtype=NET_DTYPE)
-        if net.num_params() != n_params:
-            raise InvalidParameterError(
-                f"parameter count {n_params} does not match architecture")
-    net.set_params(params)
+        net.set_params(params)
     return TrainedModel(net, decomps, cfg, np.empty(0))

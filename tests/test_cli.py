@@ -71,7 +71,7 @@ def pipeline(tmp_path_factory):
     (root / "meas.cfg").write_text(MEAS_CFG)
     assert main(["synth", "--config", str(root / "synth.cfg"),
                  "--out", str(root / "d"), "--quiet"]) == 0
-    assert main(["train", "--data", str(root / "d"), "--mode", "learned_aniso",
+    assert main(["train", "--data", str(root / "d"),
                  "--config", str(root / "train.cfg"),
                  "--out", str(root / "m"), "--quiet"]) == 0
     return root
@@ -350,7 +350,7 @@ landmark_0.noise_sigma_min = 1.0
 def _config_case(command, text):
     def build(pipeline, tmp):
         path = tmp / "bad.cfg"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         data = [] if command == "synth" else ["--data", str(pipeline / "d")]
         model = ["--model", str(pipeline / "m")] if command == "fit" else []
         return [command, "--config", str(path)] + data + model, path
@@ -388,9 +388,25 @@ def _zero_landmarks(raw, params_at, snapshot_at):
     return bytes(raw[:6]) + struct.pack("<I", 0) + bytes(raw[params_at - 4:])
 
 
-def _unknown_snapshot_key(raw, params_at, snapshot_at):
-    snapshot = bytes(raw[snapshot_at + 4:]) + b"bogus = 1\n"
-    return bytes(raw[:snapshot_at]) + struct.pack("<I", len(snapshot)) + snapshot
+def _snapshot_edit(old, new):
+    """Replace `old` by `new` in the config snapshot, which ends the file."""
+    def edit(raw, params_at, snapshot_at):
+        snapshot = bytes(raw[snapshot_at + 4:]).replace(old, new)
+        return bytes(raw[:snapshot_at]) + struct.pack("<I", len(snapshot)) + snapshot
+    return edit
+
+
+def _non_utf8_dataset_case(name):
+    """A copy of the pipeline dataset whose file `name` has byte 5 set to 0xff."""
+    def build(pipeline, tmp):
+        bad = tmp / "bad"
+        shutil.copytree(pipeline / "d", bad)
+        path = bad / name
+        data = bytearray(path.read_bytes())
+        data[5] = 0xFF
+        path.write_bytes(bytes(data))
+        return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], path
+    return build
 
 
 def _manifest_case(pipeline, tmp):
@@ -415,12 +431,16 @@ def _spacing_case(value):
     return build
 
 
-def _measurements_case(text):
+def _clinical_case(flag, text):
+    """clinical on the pipeline with the file of `--<flag>` (names or
+    measurements) holding `text`."""
     def build(pipeline, tmp):
-        path = tmp / "meas.cfg"
-        path.write_text(text)
+        path = tmp / f"{flag}.cfg"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        files = {"names": pipeline / "names.cfg", "measurements": pipeline / "meas.cfg",
+                 flag: path}
         return ["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                "--names", str(pipeline / "names.cfg"), "--measurements", str(path),
+                "--names", str(files["names"]), "--measurements", str(files["measurements"]),
                 "--samples", "10"], path
     return build
 
@@ -476,8 +496,15 @@ BAD_INPUTS = {
     "synth-negative-noise-sigma": (
         _config_case("synth", SYNTH_LANDMARK_CFG.replace("sigma_maj = 1.0", "sigma_maj = -1.0")),
         "landmark_0.noise_sigma_maj must be >= 0, got -1.0"),
-    "checkpoint-unknown-snapshot-key": (_checkpoint_case("predict", _unknown_snapshot_key),
-                                        "unknown config key 'bogus'"),
+    "checkpoint-unknown-snapshot-key": (
+        _checkpoint_case("predict", _snapshot_edit(b"\nseed", b"\nbogus = 1\nseed")),
+        "unknown config key 'bogus'"),
+    "checkpoint-width-misfit": (
+        _checkpoint_case("predict", _snapshot_edit(b"predictor_width = 8", b"predictor_width = 9")),
+        "parameters, got ("),
+    "checkpoint-non-utf8-snapshot": (
+        _checkpoint_case("predict", _snapshot_edit(b"alpha", b"alph\xff")),
+        "not UTF-8 text (byte "),
     "checkpoint-nan-parameter": (_checkpoint_case("predict", _nan_parameter),
                                  "predictor parameters must be finite"),
     "checkpoint-inf-covariance": (_checkpoint_case("plot", _sigma_maj(float("inf"))),
@@ -489,14 +516,27 @@ BAD_INPUTS = {
     "images-inf-spacing": (_spacing_case("inf"),
                            ":4: spacing must be finite and > 0, got 'inf'"),
     "measurements-bad-breakpoints": (
-        _measurements_case(MEAS_CFG.replace("6.0, 12.0", "6.0, x")), "bad breakpoints"),
+        _clinical_case("measurements", MEAS_CFG.replace("6.0, 12.0", "6.0, x")),
+        "bad breakpoints"),
     "measurements-missing-labels": (
-        _measurements_case(MEAS_CFG.replace("span.labels = short, mid, long\n", "")),
+        _clinical_case("measurements", MEAS_CFG.replace("span.labels = short, mid, long\n", "")),
         "missing 'labels'"),
     "measurements-unbalanced": (
-        _measurements_case(MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta")),
+        _clinical_case("measurements",
+                       MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta")),
         "expected ')'"),
     "curve-bad-header": (_curve_case, ":1: expected header fraction,accuracy_percent"),
+    "manifest-non-utf8": (_non_utf8_dataset_case("manifest.cfg"), "not UTF-8 text (byte 5)"),
+    "images-non-utf8": (_non_utf8_dataset_case("images.csv"), "not UTF-8 text (byte 5)"),
+    "annotations-non-utf8": (_non_utf8_dataset_case("annotations.csv"),
+                             "not UTF-8 text (byte 5)"),
+    "train-non-utf8": (_config_case("train", b"iterations = 1\xff\n"),
+                       "not UTF-8 text (byte 14)"),
+    "names-non-utf8": (_clinical_case("names", b"0 = alpha\n1 = b\xffta\n"),
+                       "not UTF-8 text (byte 15)"),
+    "measurements-non-utf8": (
+        _clinical_case("measurements", MEAS_CFG.encode().replace(b"6.0", b"\xff.0")),
+        "not UTF-8 text (byte 59)"),
     "fit-nan-tolerance": (_config_case("fit", "tolerance = nan\n"),
                           "tolerance: expected a finite float, got 'nan'"),
     "fit-inf-window": (_config_case("fit", "window_halfwidth_sigmas = inf\n"),
@@ -535,17 +575,46 @@ class TestBadInputs:
         assert "Traceback" not in err
 
 
+AUGMENTED_TRAIN_CFG = """\
+iterations = 3
+batch_size = 2
+predictor_width = 4
+augmentation.intensity_shift_range = 0.1
+augmentation.intensity_scale_range = 0.1
+augmentation.translation_range = 2.0
+augmentation.rotation_range = 0.2
+augmentation.scale_range = 0.1
+augmentation.elastic_magnitude = 1.0
+"""
+
+NO_SCIPY_RUN = """\
+import importlib, sys
+sys.modules["scipy"] = None  # any scipy import now raises ModuleNotFoundError
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+from hmuq.cli import main
+out = sys.argv[1]
+sys.exit(main(["synth", "--config", out + "/synth.cfg", "--out", out + "/d", "--quiet"])
+         or main(["train", "--data", out + "/d", "--config", out + "/train.cfg",
+                  "--out", out + "/m", "--quiet"]))
+"""
+
+
 class TestImportCost:
-    def test_cli_import_loads_no_scipy(self):
-        """Only augmentation imports scipy, which costs a process ~20 MB and ~0.35 s."""
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        """scipy is a test oracle only: with it blocked, every hmuq module
+        imports and a training run with every augmentation part on completes."""
+        (tmp_path / "synth.cfg").write_text("num_images = 4\n")
+        (tmp_path / "train.cfg").write_text(AUGMENTED_TRAIN_CFG)
+        modules = ["hmuq"] + sorted(f"hmuq.{p.stem}" for p in (ROOT / "src" / "hmuq").glob("*.py")
+                                    if p.stem not in ("__init__", "__main__"))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        code = ("import hmuq, hmuq.cli, sys; "
-                "print([m for m in sys.modules if m.startswith('scipy')])")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]"
+        run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path), *modules],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert len(read_rows(tmp_path / "m" / "loss.csv")) == 3
 
 
 class TestConfigEnvVar:

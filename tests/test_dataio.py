@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hmuq.dataio import (
@@ -17,6 +17,7 @@ from hmuq.dataio import (
     load_dataset,
     parse_config_text,
     read_annotations,
+    read_config_file,
     read_pgm,
     write_annotations,
     write_dataset,
@@ -108,6 +109,32 @@ class TestConfigProperty:
             assert named in str(exc), (key, text, str(exc))
             return
         assert all(math.isfinite(v) for v in float_values(cfg)), (key, text)
+
+
+VALID_TEXT_FILES = {
+    "train.cfg": (format_config(config_to_dict(TrainConfig())), read_config_file),
+    "annotations.csv": ("image_id,landmark_id,observer_id,x_px,y_px\n"
+                        "img_0,0,,1.5,2.25\nimg_0,1,obs_a,3.0,4.125\n", read_annotations),
+}
+
+
+class TestNonUtf8Property:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(sorted(VALID_TEXT_FILES)), position=st.floats(0.0, 1.0),
+           byte=st.integers(0x80, 0xFF))
+    def test_non_utf8_byte_names_path(self, tmp_path, name, position, byte):
+        """Any one byte of a valid (ASCII) config or CSV file replaced by one in
+        0x80-0xff: a DataFormatError naming the path and the byte's offset."""
+        text, read = VALID_TEXT_FILES[name]
+        data = bytearray(text.encode("ascii"))
+        at = min(int(position * len(data)), len(data) - 1)
+        data[at] = byte
+        path = tmp_path / name
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: not UTF-8 text (byte {at})")):
+            read(path)
 
 
 class TestPgm:

@@ -90,10 +90,10 @@ class TestDecompose:
             if d.ratio > 1.001:
                 assert axis_angle_difference_deg(d2.theta_deg, d.theta_deg) < 1e-6
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning before the error
     def test_non_finite_point_rejected(self):
-        for bad in (math.nan, math.inf):  # inf - inf warns before the check
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(InvalidParameterError, match="must be finite"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match="must be finite"):
                 population_distribution([(0.0, 0.0), (1.0, bad), (2.0, 1.0)])
 
     def test_collinear_points_give_zero_minor(self):

@@ -1,7 +1,11 @@
+import hashlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from helpers import (
     loss_fixed,
@@ -11,7 +15,7 @@ from helpers import (
     render_isotropic,
     render_targets,
 )
-from hmuq.dataio import Dataset, config_from_dict, config_to_dict, format_config
+from hmuq.dataio import DataFormatError, Dataset, config_from_dict, config_to_dict, format_config
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
 from hmuq.synthdata import LandmarkSpec, SynthConfig, generate
@@ -20,6 +24,7 @@ from hmuq.trainer import (
     TrainConfig,
     TrainDivergedError,
     TrainedModel,
+    _bilinear,
     aniso_loss_gradients,
     apply_spatial,
     augment,
@@ -324,6 +329,46 @@ class TestAugment:
         assert np.array_equal(out_image, ref_image + shift)
         assert np.array_equal(out_coords, ref_coords)
 
+    def test_bilinear_is_scipy_order_1(self):
+        """_bilinear is map_coordinates(order=1) bit for bit, scipy the oracle:
+        mode "nearest" as it is, mode "constant" (cval 0) masked to the grid as
+        apply_spatial masks it.  A far weight of t instead of 1 - (1 - t)
+        differs only where t has bits below the ulp of 1: at coordinates of
+        magnitude below 1 that are not multiples of 2^-53, as uniform draws are."""
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            h, w = rng.integers(2, 40, size=2)
+            values = rng.normal(size=(h, w)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            x, y = rng.uniform(-60.0, w + 60.0, 400), rng.uniform(-60.0, h + 60.0, 400)
+            x[:100], y[50:150] = np.clip(rng.normal(0.0, 0.5, (2, 100)), -1.5, 1.5)
+            x[200:250] = np.round(x[200:250])  # on grid columns and edges
+            got = _bilinear(values, x, y)
+            ref = ndimage.map_coordinates(values, [y, x], order=1, mode="nearest")
+            assert got.tobytes() == ref.tobytes()
+            assert _bilinear(np.stack([values, -values]), x, y).tobytes() == \
+                np.stack([ref, -ref]).tobytes()
+            inside = (0 <= x) & (x <= w - 1) & (0 <= y) & (y <= h - 1)
+            ref = ndimage.map_coordinates(values, [y, x], order=1, mode="constant", cval=0.0)
+            assert np.where(inside, got, 0.0).tobytes() == ref.tobytes()
+
+    def test_non_elastic_outputs_pinned(self):
+        """SHA-256 of augment over every on/off combination of the five
+        non-elastic parts and 3 seeds, taken when scipy's map_coordinates did
+        the warp (numpy 2.4, OpenBLAS, x86-64)."""
+        rng = np.random.default_rng(7)
+        image = rng.random((24, 20))
+        coords = rng.uniform(1.0, 19.0, size=(3, 2))
+        ranges = dict(intensity_shift_range=0.2, intensity_scale_range=0.3,
+                      translation_range=4.0, rotation_range=0.5, scale_range=0.2)
+        digest = hashlib.sha256()
+        for on in itertools.product((False, True), repeat=len(ranges)):
+            cfg = AugmentConfig(**{k: r * o for (k, r), o in zip(ranges.items(), on)})
+            for seed in range(3):
+                for out in augment(image, coords, cfg, seed):
+                    digest.update(out.tobytes())
+        assert digest.hexdigest() == \
+            "6a62281f5f2cb50615cd37e0d932d2c71c54ff253cf1a37271b2bca07c0bac0d"
+
     def test_seeded_determinism(self):
         rng = np.random.default_rng(3)
         image = rng.random((16, 16))
@@ -403,6 +448,13 @@ class TestCheckpoint:
         assert heatmaps.dtype == np.float64
         assert heatmaps.shape == (2, 32, 32)
         assert np.array_equal(heatmaps, predict(model, ds.images[0]))
+
+    def test_non_utf8_snapshot_names_path_and_byte(self, tmp_path):
+        path, raw, _, _, snapshot = self.tiny_checkpoint(tmp_path)
+        path.write_bytes(raw[:snapshot + 7] + b"\xff" + raw[snapshot + 8:])
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: not UTF-8 text (byte {snapshot + 7})")):
+            read_checkpoint(path)
 
     @pytest.mark.parametrize("section", ["header", "covariances", "params", "snapshot"])
     def test_truncation_names_path(self, tmp_path, section):
