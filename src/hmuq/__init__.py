@@ -27,7 +27,7 @@ from .dataio import (
     write_dataset,
     write_pgm,
 )
-from .fitting import FitConfig, FitDegenerateError, FitResult, argmax_coord, fit_gaussian
+from .fitting import FitDegenerateError, FitResult, argmax_coord, fit_gaussian
 from .gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,

@@ -24,6 +24,7 @@ from .clinical import (
     evaluate_measurement,
     load_measurements,
     mc_classify,
+    read_curve_csv,
     write_curve_csv,
 )
 from .dataio import (
@@ -32,11 +33,10 @@ from .dataio import (
     errors_named,
     load_dataset,
     read_config_file,
-    read_csv,
     write_annotations,
     write_csv,
 )
-from .fitting import FitConfig, argmax_coord
+from .fitting import argmax_coord
 from .gauss import AnisotropicGaussian, InvalidParameterError, population_distribution
 from .metrics import (
     aggregate_stats,
@@ -156,7 +156,7 @@ def _warn_fit_outcomes(fits) -> None:
         _warn(f"{unconverged} of {len(done)} fits did not converge")
 
 
-def _fit_dataset(model, ds, fit_cfg, landmarks=None):
+def _fit_dataset(model, ds, landmarks=None):
     """One forward pass per image, then a Gaussian fit of each requested heatmap.
 
     Returns fits[i][j], a FitResult for image i and landmark j (every landmark
@@ -166,7 +166,7 @@ def _fit_dataset(model, ds, fit_cfg, landmarks=None):
     fits = []
     for image in ds.images:
         heatmaps = predict(model, image)
-        fits.append({j: sample_uncertainty(heatmaps[j], fit_cfg)
+        fits.append({j: sample_uncertainty(heatmaps[j])
                      for j in (range(len(heatmaps)) if landmarks is None else landmarks)})
     _warn_fit_outcomes([f for per_image in fits for f in per_image.values()])
     return [{j: f for j, f in per_image.items() if f is not None} for per_image in fits]
@@ -231,7 +231,7 @@ def cmd_predict(args) -> int:
 def cmd_fit(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
-    for image_id, fits in zip(ds.ids, _fit_dataset(model, ds, _read_config(args, FitConfig))):
+    for image_id, fits in zip(ds.ids, _fit_dataset(model, ds)):
         for j, fit in fits.items():
             (x, y), d = fit.gaussian.mean, fit.gaussian.decomp
             rows.append((image_id, j, repr(x), repr(y),
@@ -246,13 +246,12 @@ def cmd_fit(args) -> int:
 
 def cmd_mcd(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
-    fit_cfg = _read_config(args, FitConfig)
     rows = []
     fits = []
     for image_id, image in zip(ds.ids, ds.images):
         for j, stack in enumerate(mcd_predict(model, image, args.k, args.seed)):
             estimates = [("mcd_max", *mcd_max(stack))]
-            fit = mcd_heatmap_fit(stack, fit_cfg)
+            fit = mcd_heatmap_fit(stack)
             fits.append(fit)
             if fit is not None:
                 estimates.append(("mcd_heatmap_fit", fit.gaussian.mean, fit.gaussian.decomp))
@@ -273,7 +272,7 @@ def cmd_eval(args) -> int:
     n_landmarks = model.predictor.landmark_count
     decomps_mm = [[] for _ in range(n_landmarks)]
     errors_mm = [[] for _ in range(n_landmarks)]
-    for i, fits in enumerate(_fit_dataset(model, ds, _read_config(args, FitConfig))):
+    for i, fits in enumerate(_fit_dataset(model, ds)):
         spacing = float(ds.spacing[i])
         for j, fit in fits.items():
             decomps_mm[j].append(fit.gaussian.decomp.scaled(spacing))
@@ -335,7 +334,7 @@ def cmd_clinical(args) -> int:
     prob_rows = []
     per_measurement = {mdef.name: [] for mdef, _ in measurements}  # (id, result, gt)
     skipped = 0
-    all_fits = _fit_dataset(model, ds, _read_config(args, FitConfig), sorted(names))
+    all_fits = _fit_dataset(model, ds, sorted(names))
     for i, (image_id, fits) in enumerate(zip(ds.ids, all_fits)):
         spacing = float(ds.spacing[i])
         gaussians = {}
@@ -390,18 +389,8 @@ def cmd_plot(args, parser) -> int:
 
     if args.kind == "accuracy_curve":
         _require(args, parser, "curves")
-        curves = {}
-        for path in args.curves:
-            pts = []
-            for lineno, rec in read_csv(path, ["fraction", "accuracy_percent"]):
-                try:
-                    a, b = rec
-                    pts.append((float(a), float(b)))
-                except ValueError:
-                    raise InvalidParameterError(
-                        f"{path}:{lineno}: expected two numbers, got {rec!r}") from None
-            label = os.path.splitext(os.path.basename(path))[0]
-            curves[label.removeprefix("curve_")] = pts
+        curves = {os.path.splitext(os.path.basename(path))[0].removeprefix("curve_"):
+                  read_curve_csv(path) for path in args.curves}
         svg = render_accuracy_curve(curves, title="accuracy vs considered fraction",
                                     timestamp=timestamp)
     else:
@@ -422,8 +411,7 @@ def cmd_plot(args, parser) -> int:
             if not 0 <= j < ds.landmark_count:
                 raise InvalidParameterError(
                     f"landmark {j} outside 0..{ds.landmark_count - 1}")
-            fits = [(i, f[j]) for i, f in enumerate(_fit_dataset(model, ds, FitConfig(), [j]))
-                    if j in f]
+            fits = [(i, f[j]) for i, f in enumerate(_fit_dataset(model, ds, [j])) if j in f]
             if not fits:
                 raise InvalidParameterError(
                     f"no usable Gaussian fit for landmark {j} on any image")
@@ -454,15 +442,17 @@ def cmd_plot(args, parser) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generators take no negative seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type of an int flag with a lower bound, checked before any work."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -481,7 +471,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         return p
 
     config_kw = dict(default=None, help="flat key = value config file")
-    seed_kw = dict(type=_seed, default=None, help="override the random seed")
+    # numpy's generators take no negative seed
+    seed_kw = dict(type=_int_at_least(0), default=None, help="override the random seed")
     data_kw = dict(required=True, help="dataset directory or manifest path")
     model_kw = dict(required=True, help="model directory or checkpoint path")
 
@@ -493,13 +484,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     add("predict", "write argmax landmark coordinates for a dataset",
         model=model_kw, data=data_kw)
     add("fit", "fit a Gaussian to every predicted heatmap",
-        model=model_kw, data=data_kw, config=config_kw)
+        model=model_kw, data=data_kw)
     add("mcd", "Monte-Carlo-dropout baselines (argmax spread and mean-heatmap fit)",
-        model=model_kw, data=data_kw, config=config_kw,
+        model=model_kw, data=data_kw,
         k=dict(type=int, default=20, help="number of stochastic forward passes"),
         seed=dict(seed_kw, default=0))
     add("eval", "localization and distribution metrics, one CSV row per landmark",
-        model=model_kw, data=data_kw, config=config_kw)
+        model=model_kw, data=data_kw)
     add("interobs", "per-landmark observer-spread statistics (mm)",
         data=data_kw)
     add("clinical", "propagate landmark uncertainty into measurement classes",
@@ -508,8 +499,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                    help="config mapping landmark indices to expression names"),
         measurements=dict(default=None,
                           help="measurement definitions (default: shipped table)"),
-        samples=dict(type=int, default=10000, help="Monte-Carlo samples per image"),
-        config=config_kw, seed=dict(seed_kw, default=0))
+        samples=dict(type=_int_at_least(1), default=10000,
+                     help="Monte-Carlo samples per image"),
+        seed=dict(seed_kw, default=0))
     plot = add("plot", "render an SVG figure",
                kind=dict(required=True, choices=PLOT_KINDS),
                model=dict(default=None, help="model directory or checkpoint path"),

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import errors_named, read_config_file, write_csv
+from .dataio import DataFormatError, errors_named, read_config_file, read_csv, write_csv
 from .gauss import InvalidParameterError, sample_gaussian
 
 DEFAULT_MEASUREMENTS_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -266,9 +266,29 @@ def accuracy_uncertainty_curve(image_ids, results, gt_labels):
     return curve
 
 
+CURVE_HEADER = ["fraction", "accuracy_percent"]
+
+
 def write_curve_csv(path, curve) -> None:
-    write_csv(path, ["fraction", "accuracy_percent"],
+    write_csv(path, CURVE_HEADER,
               ([f"{fraction:.6f}", f"{accuracy:.6f}"] for fraction, accuracy in curve))
+
+
+def read_curve_csv(path) -> list[tuple[float, float]]:
+    """The (fraction, accuracy) points of a curve file; at least one, all finite."""
+    points = []
+    for lineno, rec in read_csv(path, CURVE_HEADER):
+        try:
+            fraction, accuracy = map(float, rec)
+            if not (math.isfinite(fraction) and math.isfinite(accuracy)):
+                raise ValueError
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected two finite numbers, got {rec!r}") from None
+        points.append((fraction, accuracy))
+    if not points:
+        raise DataFormatError(f"{path}: no curve points")
+    return points
 
 
 # --- measurement config files -------------------------------------------------------

@@ -24,6 +24,9 @@ from .gauss import (
 )
 
 INIT_SIGMA = 3.0
+MAX_NFEV = 200        # model evaluations of one fit, both solves together
+TOLERANCE = 1e-8      # relative cost decrease and step tolerance
+WINDOW_SIGMAS = 5.0   # window half-width, in sigmas around the current mean
 EPS = np.finfo(np.float64).eps
 
 
@@ -31,23 +34,10 @@ class FitDegenerateError(RuntimeError):
     """The heatmap does not carry enough signal to constrain a 6-parameter fit."""
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    max_iterations: int = 200
-    tolerance: float = 1e-8          # relative cost decrease / step tolerance
-    robust_loss_scale: float = 1.0   # soft-L1 scale, in heatmap intensity units
-    window_halfwidth_sigmas: float = 5.0
-
-    def validate(self) -> None:
-        for name in ("max_iterations", "tolerance", "robust_loss_scale",
-                     "window_halfwidth_sigmas"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
-
-
 @dataclass
 class FitResult:
+    """A fitted Gaussian; `iterations` counts the model evaluations of both solves."""
+
     gaussian: AnisotropicGaussian
     residual_norm: float
     iterations: int
@@ -100,22 +90,21 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def _soft_l1(f, scale):
+def _soft_l1(f):
     """Cost, Jacobian row weights and rescaled residuals of the soft-L1 loss
-    rho(z) = 2 (sqrt(1 + z) - 1) at z = (f / scale)^2.
+    rho(z) = 2 (sqrt(1 + z) - 1) at z = f^2 (scale 1, in heatmap intensity units).
 
     The operations are scipy's, in its order: rounding decides theta in a
     near-isotropic fit, and the algebraically equal weights t^(-3/4), t = 1 + z,
     moved such fits by up to 1e-4 px and changed their evaluation counts.
     """
-    t = np.divide(f, scale)  # positional outputs and .sum(): numpy's faster paths
-    np.add(1, np.square(t, t), t)  # t = 1 + (f / scale) ** 2
+    t = np.square(f)  # positional outputs and .sum(): numpy's faster paths
+    np.add(1, t, t)  # t = 1 + f ** 2
     tmp = np.sqrt(t)
-    cost = 0.5 * scale ** 2 * np.multiply(2, np.subtract(tmp, 1, tmp), tmp).sum()
+    cost = 0.5 * np.multiply(2, np.subtract(tmp, 1, tmp), tmp).sum()
     rho1 = t ** -0.5
-    # weight = rho1 + 2 * (-0.5 * t ** -1.5 / scale ** 2) * f ** 2, in tmp
-    np.multiply(-0.5, np.power(t, -1.5, tmp), tmp)
-    np.multiply(2, np.divide(tmp, scale ** 2, tmp), tmp)
+    # weight = rho1 + 2 * (-0.5 * t ** -1.5) * f ** 2, in tmp
+    np.multiply(2, np.multiply(-0.5, np.power(t, -1.5, tmp), tmp), tmp)
     weight = np.add(rho1, np.multiply(tmp, np.square(f, t), tmp), tmp)
     weight[weight < EPS] = EPS
     weight **= 0.5
@@ -160,12 +149,12 @@ def _trust_step(uf, s, vt, delta, alpha, m):
     return p * (delta / _norm(p)), alpha
 
 
-def _solve(values, p0, window, cfg, max_nfev):
+def _solve(values, p0, window, max_nfev):
     """Soft-L1 trust-region fit of the model to one window of the heatmap.
 
     Restates scipy.optimize.least_squares(method="trf", loss="soft_l1",
-    tr_solver="exact", x_scale=1, gtol=None) with xtol = ftol = cfg.tolerance
-    and f_scale = cfg.robust_loss_scale: one SVD of the loss-scaled Jacobian
+    tr_solver="exact", x_scale=1, gtol=None) with xtol = ftol = TOLERANCE
+    and f_scale = 1: one SVD of the loss-scaled Jacobian
     per accepted point, Moré's step, the 0.25/0.75 radius update and scipy's
     stop tests.  Returns (x, residuals at x, function evaluations counting
     the initial one, status): 2 ftol, 3 xtol, 4 both, 0 budget spent.
@@ -174,7 +163,6 @@ def _solve(values, p0, window, cfg, max_nfev):
     xs = np.tile(np.arange(x0, x1 + 1, dtype=np.float64), y1 - y0 + 1)
     ys = np.repeat(np.arange(y0, y1 + 1, dtype=np.float64), x1 - x0 + 1)
     data = values[y0:y1 + 1, x0:x1 + 1].ravel()
-    scale, tol = cfg.robust_loss_scale, cfg.tolerance
     jac, jac_new = np.empty((2, 6, data.size))  # a rejected trial fills the spare one
 
     x = np.array(p0, dtype=np.float64)
@@ -183,7 +171,7 @@ def _solve(values, p0, window, cfg, max_nfev):
     delta = _norm(x) or 1.0
     alpha = 0.0
     status = 0
-    cost, weight, f = _soft_l1(fun, scale)
+    cost, weight, f = _soft_l1(fun)
     while not status and nfev < max_nfev:
         jac *= weight  # J = jac.T, its rows scaled by the loss weights
         J = jac.T
@@ -202,7 +190,7 @@ def _solve(values, p0, window, cfg, max_nfev):
             if not np.isfinite(fun_new).all():
                 delta = 0.25 * step_norm
                 continue
-            cost_new, weight_new, f_new = _soft_l1(fun_new, scale)
+            cost_new, weight_new, f_new = _soft_l1(fun_new)
             reduction = cost - cost_new
             if predicted > 0:
                 ratio = reduction / predicted
@@ -213,8 +201,8 @@ def _solve(values, p0, window, cfg, max_nfev):
                 delta_new = 0.25 * step_norm
             elif ratio > 0.75 and step_norm > 0.95 * delta:
                 delta_new = 2.0 * delta
-            ftol_met = reduction < tol * cost and ratio > 0.25
-            xtol_met = step_norm < tol * (tol + _norm(x))
+            ftol_met = reduction < TOLERANCE * cost and ratio > 0.25
+            xtol_met = step_norm < TOLERANCE * (TOLERANCE + _norm(x))
             status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3 if xtol_met else 0
             if status:
                 break
@@ -227,18 +215,17 @@ def _solve(values, p0, window, cfg, max_nfev):
     return x, fun, nfev, status
 
 
-def fit_gaussian(h: np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult:
+def fit_gaussian(h: np.ndarray) -> FitResult:
     """Fit mean, covariance and amplitude of an anisotropic Gaussian to a heatmap.
 
     Initialized at the heatmap maximum with sigma_maj = sigma_min = 3, theta = 0
     and the amplitude implied by the peak value.  Sigmas and amplitude are
-    optimized in log space; the fit runs on a window of +-window_halfwidth_sigmas
-    times the current extent around the maximum, re-cropped once after at most
-    10 function evaluations.  Raises InvalidParameterError unless h is a non-empty
-    2-D grid of finite values, and FitDegenerateError when fewer than 6 pixels
+    optimized in log space; the fit runs on a window of +-WINDOW_SIGMAS times
+    the current extent around the maximum, re-cropped once after at most 10
+    evaluations.  Raises InvalidParameterError unless h is a non-empty 2-D
+    grid of finite values, and FitDegenerateError when fewer than 6 pixels
     rise above 1% of the maximum (6 free parameters).
     """
-    cfg.validate()
     values = np.asarray(h, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
         raise InvalidParameterError(f"heatmap must be a 2-D grid, got shape {values.shape}")
@@ -257,15 +244,13 @@ def fit_gaussian(h: np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult:
                   math.log(INIT_SIGMA), math.log(INIT_SIGMA),
                   math.log(amp0 * TWO_PI * INIT_SIGMA ** 2)])
 
-    window = _window(values.shape, (x0, y0), cfg.window_halfwidth_sigmas * INIT_SIGMA)
-    warmup = min(10, cfg.max_iterations)
-    p, _, iterations, _ = _solve(values, p, window, cfg, warmup)
+    window = _window(values.shape, (x0, y0), WINDOW_SIGMAS * INIT_SIGMA)
+    p, _, iterations, _ = _solve(values, p, window, 10)
 
     sigma_est = max(math.exp(p[3]), math.exp(p[4]))
     new_window = _window(values.shape, (p[0], p[1]),
-                         cfg.window_halfwidth_sigmas * max(sigma_est, INIT_SIGMA))
-    budget = max(cfg.max_iterations - iterations, 1)
-    p, fun, nfev, status = _solve(values, p, new_window, cfg, budget)
+                         WINDOW_SIGMAS * max(sigma_est, INIT_SIGMA))
+    p, fun, nfev, status = _solve(values, p, new_window, MAX_NFEV - iterations)
     iterations += nfev
 
     mx, my, theta, log_a, log_b, log_amp = p

@@ -302,7 +302,7 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
     learn_cov = cfg.target_mode != "fixed_iso"
     iso = cfg.target_mode == "learned_iso"
 
-    trace = np.empty(cfg.iterations)
+    trace = []
     for it in range(cfg.iterations):
         idx = rng.integers(0, len(images), size=cfg.batch_size)
         batch_loss = 0.0
@@ -342,7 +342,7 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
 
         if not math.isfinite(batch_loss):
             raise TrainDivergedError(f"non-finite loss at iteration {it}")
-        trace[it] = batch_loss
+        trace.append(batch_loss)
 
         if not cfg.freeze_predictor:
             grad += cfg.weight_decay * params
@@ -370,7 +370,7 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
     else:
         decomps = [CovarianceDecomposition(0.0, cfg.sigma_init, cfg.sigma_init)
                    for _ in range(n_landmarks)]
-    return TrainedModel(net, decomps, cfg, trace)
+    return TrainedModel(net, decomps, cfg, np.array(trace))
 
 
 def predict(model: TrainedModel, image) -> np.ndarray:

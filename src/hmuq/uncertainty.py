@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fitting import FitConfig, FitDegenerateError, FitResult, argmax_coord, fit_gaussian
+from .fitting import FitDegenerateError, FitResult, argmax_coord, fit_gaussian
 from .gauss import CovarianceDecomposition, InvalidParameterError, population_distribution
 
 
-def sample_uncertainty(h: np.ndarray, cfg: FitConfig = FitConfig()) -> FitResult | None:
+def sample_uncertainty(h: np.ndarray) -> FitResult | None:
     """Gaussian fit of one predicted heatmap, or None when it is too flat to fit."""
     try:
-        return fit_gaussian(h, cfg)
+        return fit_gaussian(h)
     except FitDegenerateError:
         return None
 
@@ -30,9 +30,9 @@ def mcd_max(heatmaps) -> tuple[np.ndarray, CovarianceDecomposition]:
     return population_distribution([argmax_coord(v) for v in _as_stack(heatmaps)])
 
 
-def mcd_heatmap_fit(heatmaps, fit_cfg: FitConfig = FitConfig()) -> FitResult | None:
+def mcd_heatmap_fit(heatmaps) -> FitResult | None:
     """Gaussian fit of the pixel-wise mean of the K passes (None if too flat)."""
-    return sample_uncertainty(_as_stack(heatmaps).mean(axis=0), fit_cfg)
+    return sample_uncertainty(_as_stack(heatmaps).mean(axis=0))
 
 
 def mcd_predict(model, image, k: int = 20, seed: int = 0) -> np.ndarray:

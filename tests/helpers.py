@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
-from hmuq.fitting import EPS, _model
+from hmuq.fitting import EPS, TOLERANCE, _model
 from hmuq.gauss import (
     TWO_PI,
     AnisotropicGaussian,
@@ -82,21 +82,23 @@ def allocating_gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradient
                   h * (s * u1 / a ** 2 + c * u2 / b ** 2))
 
 
-def allocating_soft_l1(f, scale):
+def allocating_soft_l1(f):
     """fitting._soft_l1 with a fresh array for every operation, in scipy's
-    formulas: the oracle that the in-place version must match bit for bit."""
-    t = 1 + (f / scale) ** 2
-    cost = 0.5 * scale ** 2 * np.sum(2 * (t ** 0.5 - 1))
+    formulas at f_scale = 1: the oracle that the in-place version must match
+    bit for bit."""
+    t = 1 + f ** 2
+    cost = 0.5 * np.sum(2 * (t ** 0.5 - 1))
     rho1 = t ** -0.5
-    weight = rho1 + 2 * (-0.5 * t ** -1.5 / scale ** 2) * f ** 2
+    weight = rho1 + 2 * (-0.5 * t ** -1.5) * f ** 2
     weight[weight < EPS] = EPS
     weight **= 0.5
     return cost, weight, f * (rho1 / weight)
 
 
-def scipy_solve(values, p0, window, cfg, max_nfev):
+def scipy_solve(values, p0, window, max_nfev, loss="soft_l1"):
     """scipy's trust-region soft-L1 fit of fitting._model to one window: the
-    oracle of fitting._solve, with the same stop tolerances and budget."""
+    oracle of fitting._solve, with the same stop tolerances and budget.
+    loss="linear" makes it a plain least-squares fit."""
     x0, x1, y0, y1 = window
     ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
     xs = xs.ravel().astype(np.float64)
@@ -110,8 +112,8 @@ def scipy_solve(values, p0, window, cfg, max_nfev):
 
     return least_squares(
         lambda p: _model(p, xs, ys) - data, p0, jac=jac,
-        method="trf", loss="soft_l1", f_scale=cfg.robust_loss_scale,
-        xtol=cfg.tolerance, ftol=cfg.tolerance, gtol=None, max_nfev=max_nfev)
+        method="trf", loss=loss, xtol=TOLERANCE, ftol=TOLERANCE, gtol=None,
+        max_nfev=max_nfev)
 
 
 def _check_pred(pred, count):

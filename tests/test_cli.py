@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import os
 import re
@@ -12,8 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hmuq.cli
+from hmuq import fitting
 from hmuq.cli import main
 from hmuq.dataio import load_dataset, read_annotations, write_pgm
+from hmuq.synthdata import LandmarkSpec, SynthConfig
+from hmuq.trainer import AugmentConfig, TrainConfig
 
 from helpers import write_interobserver_fixture
 
@@ -216,10 +221,9 @@ class TestDeterminism:
 
 
 class TestFitWarnings:
-    def test_unconverged_fits_counted_on_stderr(self, pipeline, tmp_path, capsys):
-        (tmp_path / "fit.cfg").write_text("max_iterations = 2\n")
-        common = ["--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                  "--config", str(tmp_path / "fit.cfg"), "--quiet"]
+    def test_unconverged_fits_counted_on_stderr(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_NFEV", 2)
+        common = ["--model", str(pipeline / "m"), "--data", str(pipeline / "d"), "--quiet"]
         assert main(["fit", *common, "--out", str(tmp_path / "f")]) == 0
         rows = read_rows(tmp_path / "f" / "fits.csv")
         unconverged = sum(row["converged"] == "0" for row in rows)
@@ -230,11 +234,11 @@ class TestFitWarnings:
         assert err == f"warning: {unconverged} of {len(rows)} fits did not converge\n"
         assert out == ""
 
-    def test_mcd_unconverged_fits_counted_on_stderr(self, pipeline, tmp_path, capsys):
-        (tmp_path / "fit.cfg").write_text("max_iterations = 2\n")
+    def test_mcd_unconverged_fits_counted_on_stderr(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_NFEV", 2)
         assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                     "--k", "5", "--config", str(tmp_path / "fit.cfg"),
-                     "--out", str(tmp_path), "--quiet"]) == 0
+                     "--k", "5", "--out", str(tmp_path), "--quiet"]) == 0
         out, err = capsys.readouterr()
         fits = sum(row["source"] == "mcd_heatmap_fit"
                    for row in read_rows(tmp_path / "mcd.csv"))
@@ -285,6 +289,24 @@ class TestErrors:
         assert main(argv + ["--seed", "-1"]) == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "mcd", "eval", "clinical"])
+    def test_fit_commands_take_no_config(self, capsys, command):
+        """The heatmap fit has no settings, so the fitting commands have no --config."""
+        argv = [command, "--model", "m", "--data", "d", "--config", "fit.cfg"]
+        assert main(argv + (["--names", "n.cfg"] if command == "clinical" else [])) == 2
+        assert "unrecognized arguments: --config fit.cfg" in capsys.readouterr().err
+
+    def test_zero_samples_usage_exit_before_any_fit(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(hmuq.cli, "_fit_dataset", no_fit)
+        assert main(["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                     "--names", str(pipeline / "names.cfg"), "--samples", "0",
+                     "--out", str(tmp_path), "--quiet"]) == 2
+        assert "argument --samples: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_plot_unknown_kind_usage_exit(self, capsys):
         assert main(["plot", "--kind", "pie_chart"]) == 2
         assert "invalid choice: 'pie_chart'" in capsys.readouterr().err
@@ -322,13 +344,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "truncated" in err
 
-    @pytest.mark.parametrize("row", ["0.5,abc", "0.5,50.0,1.0"])
+    @pytest.mark.parametrize("row", ["0.5,abc", "0.5,50.0,1.0", "0.5,inf", "0.5,nan"])
     def test_malformed_accuracy_curve_names_file(self, tmp_path, capsys, row):
         curve = tmp_path / "curve_bad.csv"
         curve.write_text(f"fraction,accuracy_percent\n1.0,100.0\n{row}\n")
         assert main(["plot", "--kind", "accuracy_curve", "--curves", str(curve),
                      "--out", str(tmp_path), "--quiet"]) == 1
-        assert f"{curve}:3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{curve}:3: expected two finite numbers" in err
+        assert not (tmp_path / "accuracy_curve.svg").exists()
 
     def test_bad_config_key_runtime_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -352,8 +376,7 @@ def _config_case(command, text):
         path = tmp / "bad.cfg"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         data = [] if command == "synth" else ["--data", str(pipeline / "d")]
-        model = ["--model", str(pipeline / "m")] if command == "fit" else []
-        return [command, "--config", str(path)] + data + model, path
+        return [command, "--config", str(path)] + data, path
     return build
 
 
@@ -477,17 +500,18 @@ def _landmark_count_case(command, count):
     return build
 
 
-def _curve_case(pipeline, tmp):
-    path = tmp / "curve_bad.csv"
-    path.write_text("fraction,accuracy\n1.0,100.0\n")
-    return ["plot", "--kind", "accuracy_curve", "--curves", str(path)], path
+def _curve_case(text):
+    def build(pipeline, tmp):
+        path = tmp / "curve_bad.csv"
+        path.write_text(text)
+        return ["plot", "--kind", "accuracy_curve", "--curves", str(path)], path
+    return build
 
 
 BAD_INPUTS = {
     "train-unknown-key": (_config_case("train", "bogus = 1\n"), "unknown config key 'bogus'"),
     "train-bad-float": (_config_case("train", "learning_rate = fast\n"),
                         "learning_rate: expected float, got 'fast'"),
-    "fit-unknown-key": (_config_case("fit", "bogus = 1\n"), "unknown config key 'bogus'"),
     "synth-bad-count": (_config_case("synth", "num_landmarks = x\n"),
                         "num_landmarks: expected int, got 'x'"),
     "synth-bad-landmark-float": (
@@ -525,7 +549,9 @@ BAD_INPUTS = {
         _clinical_case("measurements",
                        MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta")),
         "expected ')'"),
-    "curve-bad-header": (_curve_case, ":1: expected header fraction,accuracy_percent"),
+    "curve-bad-header": (_curve_case("fraction,accuracy\n1.0,100.0\n"),
+                         ":1: expected header fraction,accuracy_percent"),
+    "curve-no-rows": (_curve_case("fraction,accuracy_percent\n"), ": no curve points"),
     "manifest-non-utf8": (_non_utf8_dataset_case("manifest.cfg"), "not UTF-8 text (byte 5)"),
     "images-non-utf8": (_non_utf8_dataset_case("images.csv"), "not UTF-8 text (byte 5)"),
     "annotations-non-utf8": (_non_utf8_dataset_case("annotations.csv"),
@@ -537,12 +563,6 @@ BAD_INPUTS = {
     "measurements-non-utf8": (
         _clinical_case("measurements", MEAS_CFG.encode().replace(b"6.0", b"\xff.0")),
         "not UTF-8 text (byte 59)"),
-    "fit-nan-tolerance": (_config_case("fit", "tolerance = nan\n"),
-                          "tolerance: expected a finite float, got 'nan'"),
-    "fit-inf-window": (_config_case("fit", "window_halfwidth_sigmas = inf\n"),
-                       "window_halfwidth_sigmas: expected a finite float, got 'inf'"),
-    "fit-zero-iterations": (_config_case("fit", "max_iterations = 0\n"),
-                            "max_iterations must be finite and > 0, got 0"),
     "synth-nan-jitter": (_config_case("synth", "position_jitter = nan\n"),
                          "position_jitter: expected a finite float, got 'nan'"),
     "train-inf-sigma-init": (_config_case("train", "sigma_init = inf\n"),
@@ -664,6 +684,13 @@ class TestReadme:
         assert main(["train", "--data", str(tmp_path / "data"),
                      "--config", str(tmp_path / "train.cfg"), "--iterations", "20",
                      "--out", str(tmp_path / "model"), "--quiet"]) == 0
+
+    def test_config_keys_documented(self):
+        """Every field of the config dataclasses that --config files set is named in README.md."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        for cls in (TrainConfig, AugmentConfig, SynthConfig, LandmarkSpec):
+            for field in dataclasses.fields(cls):
+                assert re.search(rf"\b{field.name}\b", text), f"{cls.__name__}.{field.name}"
 
 
 class TestTrainDefaults:

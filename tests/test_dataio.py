@@ -23,7 +23,6 @@ from hmuq.dataio import (
     write_dataset,
     write_pgm,
 )
-from hmuq.fitting import FitConfig
 from hmuq.gauss import InvalidParameterError
 from hmuq.synthdata import SynthConfig
 from hmuq.trainer import TrainConfig
@@ -54,7 +53,7 @@ class TestConfigCodec:
         with open(README, encoding="utf-8") as fh:
             text = fh.read()
         section = re.search(r"^## Configuration files\n(.*?)^## ", text, re.S | re.M).group(1)
-        keys = [key for cls in (TrainConfig, SynthConfig, FitConfig)
+        keys = [key for cls in (TrainConfig, SynthConfig)
                 for key in config_to_dict(cls())]
         for key in keys:
             top, dot, _ = key.partition(".")
@@ -66,7 +65,7 @@ class TestConfigCodec:
 
 # every key of the default configs but the landmark count and the blocks after
 # the first (num_landmarks has its own tests in test_synthdata.py)
-SCALAR_KEYS = [(cls, key) for cls in (TrainConfig, FitConfig, SynthConfig)
+SCALAR_KEYS = [(cls, key) for cls in (TrainConfig, SynthConfig)
                for key in config_to_dict(cls())
                if key != "num_landmarks"
                and (not key.startswith("landmark_") or key.startswith("landmark_0."))]

@@ -15,9 +15,7 @@ from helpers import (
     scipy_solve,
 )
 from hmuq import fitting
-from hmuq.dataio import config_from_dict, config_to_dict
 from hmuq.fitting import (
-    FitConfig,
     FitDegenerateError,
     _model,
     argmax_coord,
@@ -107,9 +105,12 @@ class TestFitRoundTrip:
         noisy = add_impulses(clean, (32.3, 30.7), 5, rng)
         robust = fit_gaussian(noisy)
         err_robust = math.hypot(robust.gaussian.mean[0] - 32.3, robust.gaussian.mean[1] - 30.7)
-        # plain least squares: soft-L1 with a huge scale degenerates to L2
-        plain = fit_gaussian(noisy, FitConfig(robust_loss_scale=1e6))
-        err_plain = math.hypot(plain.gaussian.mean[0] - 32.3, plain.gaussian.mean[1] - 30.7)
+        # plain least squares over the whole grid, from the fit's start point
+        x0, y0 = argmax_coord(fitting._smooth3(noisy))
+        p0 = np.array([x0, y0, 0.0, math.log(3.0), math.log(3.0),
+                       math.log(noisy[y0, x0] * 2 * math.pi * 9.0)])
+        plain = scipy_solve(noisy, p0, (0, 63, 0, 63), fitting.MAX_NFEV, loss="linear")
+        err_plain = math.hypot(plain.x[0] - 32.3, plain.x[1] - 30.7)
         assert err_robust < 0.1
         assert err_robust < err_plain
 
@@ -130,11 +131,13 @@ class TestFitRoundTrip:
         with pytest.raises(InvalidParameterError, match=message):
             fit_gaussian(values)
 
-    def test_iteration_budget_reports_nonconvergence(self):
+    def test_iteration_budget_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_NFEV", 2)
         h = render_isotropic((32.0, 32.0), 4.0, 100.0, (64, 64))
-        res = fit_gaussian(h, FitConfig(max_iterations=2))
+        res = fit_gaussian(h)
         assert not res.converged
-        assert res.iterations <= 4  # warmup + main stage evaluations
+        # the warmup's at most 10 evaluations, then the main stage's first one
+        assert res.iterations <= 11
 
 
 class TestFitJacobian:
@@ -176,18 +179,18 @@ class TestSolverOracle:
     """fitting._solve restates scipy's trust-region solver; scipy is the oracle."""
 
     @staticmethod
-    def recorded_solves(monkeypatch, heatmaps, cfg):
+    def recorded_solves(monkeypatch, heatmaps):
         calls = []
         solve = fitting._solve
 
-        def recording(values, p0, window, cfg, max_nfev):
-            out = solve(values, p0, window, cfg, max_nfev)
-            calls.append(((values, p0.copy(), window, cfg, max_nfev), out))
+        def recording(values, p0, window, max_nfev):
+            out = solve(values, p0, window, max_nfev)
+            calls.append(((values, p0.copy(), window, max_nfev), out))
             return out
 
         monkeypatch.setattr(fitting, "_solve", recording)
         for h in heatmaps:
-            fit_gaussian(h, cfg)
+            fit_gaussian(h)
         return calls
 
     @staticmethod
@@ -198,12 +201,11 @@ class TestSolverOracle:
         assert (nfev, status) == (ref.nfev, ref.status)
         assert np.abs(fun - ref.fun).max() <= 1e-12
 
-    @pytest.mark.parametrize("scale", [1.0, 0.1])
-    def test_matches_scipy_on_noisy_heatmaps(self, monkeypatch, scale):
+    def test_matches_scipy_on_noisy_heatmaps(self, monkeypatch):
         # both stages of every fit: the 10-evaluation warmup and the re-cropped solve
         rng = np.random.default_rng(41)
         heatmaps = [noisy_anisotropic(rng) for _ in range(12)]
-        calls = self.recorded_solves(monkeypatch, heatmaps, FitConfig(robust_loss_scale=scale))
+        calls = self.recorded_solves(monkeypatch, heatmaps)
         assert len(calls) == 24
         for args, out in calls:
             self.assert_matches(args, out)
@@ -211,8 +213,8 @@ class TestSolverOracle:
     def test_budget_stop_matches_scipy(self, monkeypatch):
         solve = fitting._solve
         rng = np.random.default_rng(43)
-        calls = self.recorded_solves(monkeypatch, [noisy_anisotropic(rng)], FitConfig())
-        args = calls[0][0][:4] + (3,)  # the warmup's window and start, 3 evaluations
+        calls = self.recorded_solves(monkeypatch, [noisy_anisotropic(rng)])
+        args = calls[0][0][:3] + (3,)  # the warmup's window and start, 3 evaluations
         out = solve(*args)
         assert out[2:] == (3, 0)  # budget spent, not converged
         self.assert_matches(args, out)
@@ -225,8 +227,7 @@ class TestFitInPlaceOracle:
     def test_fits_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(47)
         heatmaps = [noisy_anisotropic(rng) for _ in range(24)]
-        cfgs = [FitConfig(), FitConfig(robust_loss_scale=0.1)]
-        fits = [fit_gaussian(h, cfg) for cfg in cfgs for h in heatmaps]
+        fits = [fit_gaussian(h) for h in heatmaps]
 
         def oracle_kernel(*args, out=None, **kind):
             terms = allocating_gaussian(*args, **kind)
@@ -236,7 +237,7 @@ class TestFitInPlaceOracle:
 
         monkeypatch.setattr(fitting, "_gaussian", oracle_kernel)
         monkeypatch.setattr(fitting, "_soft_l1", allocating_soft_l1)
-        assert [fit_gaussian(h, cfg) for cfg in cfgs for h in heatmaps] == fits
+        assert [fit_gaussian(h) for h in heatmaps] == fits
 
 
 class TestFitInvariances:
@@ -272,13 +273,3 @@ class TestFitInvariances:
         assert res.gaussian.decomp.sigma_maj == pytest.approx(8.0, rel=0.01)
         assert res.gaussian.decomp.sigma_min == pytest.approx(5.0, rel=0.01)
 
-
-class TestFitConfigDict:
-    def test_round_trip(self):
-        cfg = FitConfig(max_iterations=50, tolerance=1e-6, robust_loss_scale=0.5,
-                        window_halfwidth_sigmas=4.0)
-        assert config_from_dict(FitConfig, config_to_dict(cfg)) == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown config key 'tolerence'"):
-            config_from_dict(FitConfig, {"tolerence": "1e-6"})

@@ -221,6 +221,19 @@ class TestTrain:
         assert np.array_equal(a.predictor.get_params(), b.predictor.get_params())
         assert a.target_decomps == b.target_decomps
 
+    def test_huge_iteration_count_starts_training(self):
+        """The loss trace grows with the run: a count far beyond memory runs
+        its first iteration instead of failing on an up-front allocation."""
+        class Stop(Exception):
+            pass
+
+        def stop(it, *_):
+            raise Stop(it)
+
+        ds, cfg = small_synth(iterations=10 ** 11)
+        with pytest.raises(Stop, match="^0$"):
+            train(ds, cfg, progress=stop)
+
     def test_empty_dataset_rejected(self):
         ds = Dataset([], [], np.empty((0, 1, 2)), np.empty(0), 1)
         with pytest.raises(InvalidParameterError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import compose_covariance, render_anisotropic, render_isotropic
-from hmuq.fitting import FitConfig
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
