@@ -479,7 +479,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     add("synth", "generate a synthetic landmark dataset", config=config_kw, seed=seed_kw)
     add("train", "train a predictor and the target covariances",
         data=data_kw, config=config_kw,
-        iterations=dict(type=int, default=None, help="override the iteration count"),
+        iterations=dict(type=_int_at_least(1), default=None, help="override the iteration count"),
         seed=seed_kw)
     add("predict", "write argmax landmark coordinates for a dataset",
         model=model_kw, data=data_kw)
@@ -487,7 +487,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         model=model_kw, data=data_kw)
     add("mcd", "Monte-Carlo-dropout baselines (argmax spread and mean-heatmap fit)",
         model=model_kw, data=data_kw,
-        k=dict(type=int, default=20, help="number of stochastic forward passes"),
+        k=dict(type=_int_at_least(2), default=20, help="number of stochastic forward passes"),
         seed=dict(seed_kw, default=0))
     add("eval", "localization and distribution metrics, one CSV row per landmark",
         model=model_kw, data=data_kw)

@@ -7,22 +7,35 @@ import numpy as np
 from .gauss import InvalidParameterError
 
 
-def _patches(x):
-    """(H, W, C) -> (H*W, 9*C) patch matrix of a 3x3 same-padded convolution.
+def _row_patches(x):
+    """(H, W, C) -> ((H+2)*W, 3*C) row-patch matrix of the zero-padded input.
 
-    Row i*W + j holds the 3x3 neighbourhood of pixel (i, j) with columns in
-    (ki, kj, c) order, i.e. the 9 shifted slices of the zero-padded input side
-    by side; a channels-last input needs no transpose to get there.
+    Row r*W + j holds padded pixels (r, j..j+2) with columns in (kj, c) order:
+    one strided view of the padded input, copied once by the reshape.
     """
     h, w, c = x.shape
     padded = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
     padded[1:-1, 1:-1] = x
-    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3, c)).reshape(h * w, 9 * c)
+    s0, s1, s2 = padded.strides
+    view = np.lib.stride_tricks.as_strided(padded, (h + 2, w, 3, c), (s0, s1, s1, s2))
+    return view.reshape((h + 2) * w, 3 * c)
 
 
-def _kernel_matrix(w):
-    """(Cout, Cin, 3, 3) kernel -> (9*Cin, Cout) matrix matching the _patches columns."""
-    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+def _conv3x3(x, w):
+    """(H, W, Cin) input * (Cout, Cin, 3, 3) kernel -> (H*W, Cout) same-padded
+    convolution, and the row-patch matrix.  Its rows ki*W ... ki*W + H*W - 1
+    are kernel row ki of every output pixel, so the convolution is three
+    products of contiguous slices with the (3*Cin, Cout) kernel rows."""
+    h, wd = x.shape[:2]
+    n = h * wd
+    rows = _row_patches(x)
+    # a copy even for Cin = 1, where the reshape would be a strided view that
+    # matmul does not hand to BLAS
+    k = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(3, -1, w.shape[0])
+    y = rows[:n] @ k[0]
+    y += rows[wd:wd + n] @ k[1]
+    y += rows[2 * wd:] @ k[2]
+    return y, rows
 
 
 def _sum2x2(x):
@@ -66,14 +79,14 @@ class ReferencePredictor:
     conv+ReLU on the way back, one (inverted) dropout layer in front of the
     final stage, and a linear 1x1 head with one output channel per landmark.
 
-    Parameters, activations, patch matrices, dropout masks and every matrix
-    product are in `dtype` (float32 or float64) on channels-last (H, W, C)
-    activations; each 3x3 convolution is one patch-matrix product.  Inputs are
-    cast to `dtype` once on the way in; heatmaps and gradients are cast up to
-    float64 once on the way out.  Gradients come from the explicit backward
-    pass below; the finite-difference checks in the test suite (float64) are
-    the contract.  Weights keep the (Cout, Cin, 3, 3) layout in the parameter
-    vector and in checkpoints.
+    Parameters, activations, row-patch matrices, dropout masks and every
+    matrix product are in `dtype` (float32 or float64) on channels-last
+    (H, W, C) activations; each 3x3 convolution is three products on one 1x3
+    row-patch matrix.  Inputs are cast to `dtype` once on the way in; heatmaps
+    and gradients are cast up to float64 once on the way out.  Gradients come
+    from the explicit backward pass below; the finite-difference checks in the
+    test suite (float64) are the contract.  Weights keep the (Cout, Cin, 3, 3)
+    layout in the parameter vector and in checkpoints.
     """
 
     def __init__(self, landmark_count: int, width: int = 16, seed: int = 0,
@@ -126,13 +139,11 @@ class ReferencePredictor:
     # --- forward / backward ---------------------------------------------------
 
     def _conv_relu(self, x, layer):
-        """3x3 conv + ReLU of an (H, W, Cin) input; returns it with the patch
+        """3x3 conv + ReLU of an (H, W, Cin) input; returns it with the row-patch
         matrix that backward needs."""
-        w = self.weights[layer]
-        col = _patches(x)
-        y = col @ _kernel_matrix(w)
+        y, rows = _conv3x3(x, self.weights[layer])
         y += self.biases[layer]
-        return np.maximum(y, 0.0, out=y).reshape(x.shape[0], x.shape[1], w.shape[0]), col
+        return np.maximum(y, 0.0, out=y).reshape(x.shape[0], x.shape[1], -1), rows
 
     def trunk(self, image: np.ndarray) -> np.ndarray:
         """Deterministic part of forward: stages 0-3 and the last upsampling.
@@ -142,11 +153,11 @@ class ReferencePredictor:
         """
         image = np.asarray(image, dtype=self.dtype)
         check_image_shape(image.shape)
-        a1, col0 = self._conv_relu(image[:, :, None], 0)
-        a2, col1 = self._conv_relu(avgpool2(a1), 1)
-        a3, col2 = self._conv_relu(avgpool2(a2), 2)
-        a4, col3 = self._conv_relu(upsample2(a3), 3)
-        self._trunk_cache = ((col0, col1, col2, col3), (a1, a2, a3, a4))
+        a1, rows0 = self._conv_relu(image[:, :, None], 0)
+        a2, rows1 = self._conv_relu(avgpool2(a1), 1)
+        a3, rows2 = self._conv_relu(avgpool2(a2), 2)
+        a4, rows3 = self._conv_relu(upsample2(a3), 3)
+        self._trunk_cache = ((rows0, rows1, rows2, rows3), (a1, a2, a3, a4))
         return upsample2(a4)
 
     def head(self, features: np.ndarray, dropout_rate: float = 0.0,
@@ -167,9 +178,9 @@ class ReferencePredictor:
             features = features * mask
         else:
             mask = None
-        a5, col4 = self._conv_relu(features, 4)
+        a5, rows4 = self._conv_relu(features, 4)
         y = a5.reshape(h * w, c) @ self.weights[5].T + self.biases[5]
-        self._cache = (self._trunk_cache, col4, a5, mask)
+        self._cache = (self._trunk_cache, rows4, a5, mask)
         return np.array(y.T, dtype=np.float64, order="C").reshape(-1, h, w)
 
     def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
@@ -188,8 +199,8 @@ class ReferencePredictor:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        (cols, (a1, a2, a3, a4)), col4, a5, mask = self._cache
-        cols = (*cols, col4)
+        (rows, (a1, a2, a3, a4)), rows4, a5, mask = self._cache
+        rows = (*rows, rows4)
         gw = [None] * 6
         gb = [None] * 6
         dyf = np.asarray(dy, dtype=self.dtype).reshape(dy.shape[0], -1)
@@ -201,15 +212,18 @@ class ReferencePredictor:
             dyc = dyc * (act > 0.0)
             w = self.weights[layer]
             cout, cin = w.shape[:2]
-            dym = dyc.reshape(-1, cout)
-            gw[layer] = (dym.T @ cols[layer]).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+            h, wd = dyc.shape[:2]
+            n = h * wd
+            dym = dyc.reshape(n, cout)
+            gw[layer] = np.stack([dym.T @ rows[layer][ki * wd:ki * wd + n] for ki in (0, 1, 2)],
+                                 axis=1).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
             gb[layer] = dym.sum(axis=0)
             if layer == 0:
                 return None  # nothing reads the image gradient
-            # transposed convolution: the patches of the output gradient times
-            # the spatially flipped kernel with input and output channels swapped
-            dx = _patches(dyc) @ _kernel_matrix(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            return dx.reshape(dyc.shape[0], dyc.shape[1], cin)
+            # transposed convolution: the output gradient convolved with the
+            # spatially flipped kernel, input and output channels swapped
+            dx, _ = _conv3x3(dyc, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            return dx.reshape(h, wd, cin)
 
         dd = conv_back(da5, a5, 4)
         du2 = dd * mask if mask is not None else dd

@@ -106,8 +106,9 @@ class TrainConfig:
         if self.target_mode not in TARGET_MODES:
             raise InvalidParameterError(
                 f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
-        if self.iterations < 1 or self.batch_size < 1 or self.predictor_width < 1:
-            raise InvalidParameterError("iterations, batch_size, predictor_width must be >= 1")
+        for name in ("iterations", "batch_size", "predictor_width"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.learning_rate > 0 and self.covariance_lr_multiplier > 0):
             raise InvalidParameterError(
                 "learning_rate and covariance_lr_multiplier must be > 0")

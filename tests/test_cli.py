@@ -289,6 +289,16 @@ class TestErrors:
         assert main(argv + ["--seed", "-1"]) == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mcd", "--model", "m", "--data", "d", "--k", "1"], "argument --k: must be >= 2, got 1"),
+        (["train", "--data", "d", "--iterations", "0"],
+         "argument --iterations: must be >= 1, got 0"),
+    ], ids=["mcd-k", "train-iterations"])
+    def test_count_below_minimum_usage_exit(self, capsys, argv, message):
+        """A usage error naming the flag, before the (missing) model or data is read."""
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["fit", "mcd", "eval", "clinical"])
     def test_fit_commands_take_no_config(self, capsys, command):
         """The heatmap fit has no settings, so the fitting commands have no --config."""
@@ -569,6 +579,8 @@ BAD_INPUTS = {
                              "sigma_init: expected a finite float, got 'inf'"),
     "synth-negative-seed": (_config_case("synth", "seed = -1\n"), "seed must be >= 0, got -1"),
     "train-negative-seed": (_config_case("train", "seed = -1\n"), "seed must be >= 0, got -1"),
+    "train-zero-batch-size": (_config_case("train", "batch_size = 0\n"),
+                              "batch_size must be >= 1, got 0"),
     "image-sides-not-divisible": (_image_case("predict", (33, 34)),
                                   "sides divisible by 4, got (33, 34)"),
     "train-image-shapes-differ": (_image_case("train", (36, 36)),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import hmuq.nets
 from helpers import max_rel_error
 from hmuq.gauss import InvalidParameterError
 from hmuq.nets import (
@@ -55,9 +56,11 @@ class TestShapes:
         assert ReferencePredictor(2, width=8).num_params() <= 5000
 
 
-def direct_forward(net, image, dropout_rate=0.0, rng=None):
-    """Independent (C, H, W) oracle: per-channel-pair ndimage.correlate, 2x2
-    mean pooling, slice-assigned upsampling, the same dropout draw, einsum head."""
+def direct_stages(net, image, dropout_rate=0.0, rng=None):
+    """Independent (C, H, W) oracle of the forward pass: per-channel-pair
+    ndimage.correlate, 2x2 mean pooling, slice-assigned upsampling and the same
+    dropout draw.  Returns the inputs and the ReLU outputs of the five conv
+    stages, and the dropout mask (None without dropout)."""
 
     def conv_relu(x, layer):
         w, b = net.weights[layer], net.biases[layer]
@@ -78,13 +81,61 @@ def direct_forward(net, image, dropout_rate=0.0, rng=None):
                 y[:, di::2, dj::2] = x
         return y
 
-    a1 = conv_relu(image[None], 0)
-    a3 = conv_relu(pool(conv_relu(pool(a1), 1)), 2)
-    u2 = up(conv_relu(up(a3), 3))
+    inputs, acts = [image[None]], []
+    for layer, between in enumerate((pool, pool, up, up)):
+        acts.append(conv_relu(inputs[-1], layer))
+        inputs.append(between(acts[-1]))
+    mask = None
     if dropout_rate:
-        u2 = u2 * (rng.random(u2.shape) >= dropout_rate) / (1.0 - dropout_rate)
-    a5 = conv_relu(u2, 4)
+        mask = (rng.random(inputs[4].shape) >= dropout_rate) / (1.0 - dropout_rate)
+        inputs[4] = inputs[4] * mask
+    acts.append(conv_relu(inputs[4], 4))
+    return inputs, acts, mask
+
+
+def direct_forward(net, image, dropout_rate=0.0, rng=None):
+    """direct_stages followed by an einsum head: (N, H, W) heatmaps."""
+    a5 = direct_stages(net, image, dropout_rate, rng)[1][4]
     return np.einsum("nc,chw->nhw", net.weights[5], a5) + net.biases[5][:, None, None]
+
+
+def direct_backward(net, image, dy, dropout_rate=0.0, rng=None):
+    """Independent oracle of backward on the direct_stages activations.
+
+    Per conv stage: the ReLU-masked output gradient, the weight gradient as
+    sums of products with the shifted zero-padded input, and the input
+    gradient as per-channel-pair ndimage.convolve (the adjoint of the
+    same-padded correlation).  Returns the flat gradient in parameter order
+    and {stage: (masked output gradient, input gradient)} for stages 4-1.
+    """
+    inputs, acts, mask = direct_stages(net, image, dropout_rate, rng)
+    gw, gb, stages = [None] * 6, [None] * 6, {}
+    gw[5] = np.einsum("nhw,chw->nc", dy, acts[4])
+    gb[5] = dy.sum(axis=(1, 2))
+    g = np.einsum("nc,nhw->chw", net.weights[5], dy)
+    for layer in (4, 3, 2, 1, 0):
+        w = net.weights[layer]
+        dyc = g * (acts[layer] > 0.0)
+        h, wd = dyc.shape[1:]
+        padded = np.pad(inputs[layer], ((0, 0), (1, 1), (1, 1)))
+        gw[layer] = np.array([[[[np.sum(dyc[co] * padded[ci, ki:ki + h, kj:kj + wd])
+                                  for kj in range(3)] for ki in range(3)]
+                                for ci in range(w.shape[1])] for co in range(w.shape[0])])
+        gb[layer] = dyc.sum(axis=(1, 2))
+        if layer == 0:
+            break
+        dx = np.array([sum(ndimage.convolve(dyc[co], w[co, ci], mode="constant")
+                           for co in range(w.shape[0])) for ci in range(w.shape[1])])
+        stages[layer] = dyc, dx
+        if layer == 4 and mask is not None:
+            dx = dx * mask
+        c = dx.shape[0]
+        if layer >= 3:  # adjoint of the upsampling: sum of each 2x2 block
+            g = dx.reshape(c, h // 2, 2, wd // 2, 2).sum(axis=(2, 4))
+        else:  # adjoint of the mean pooling: a quarter to each pixel of the block
+            g = np.repeat(np.repeat(dx, 2, axis=1), 2, axis=2) / 4.0
+    flat = np.concatenate([p.ravel() for pair in zip(gw, gb) for p in pair])
+    return flat, stages
 
 
 class TestDirectConvolutionOracle:
@@ -101,6 +152,39 @@ class TestDirectConvolutionOracle:
         want = direct_forward(net, image, rate, np.random.default_rng(8))
         assert got.shape == want.shape == (3, 12, 16)
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_backward_matches_direct_convolution(self, rate, monkeypatch):
+        """On a non-square image, so that rows and columns cannot be swapped
+        unnoticed: the parameter gradient of every stage, and the input
+        gradient of stages 4-1 as backward's transposed convolutions compute
+        them, each within 1e-12 of the largest value."""
+        rng = np.random.default_rng(22)
+        net = ReferencePredictor(3, width=5, seed=22)
+        randomize(net, rng)
+        image = rng.random((12, 16))
+        dy = rng.normal(size=(3, 12, 16))
+        net.forward(image, rate, np.random.default_rng(9))
+        calls = []
+        conv3x3 = hmuq.nets._conv3x3
+
+        def recording_conv(x, w):
+            y, rows = conv3x3(x, w)
+            calls.append((x, y))
+            return y, rows
+
+        monkeypatch.setattr(hmuq.nets, "_conv3x3", recording_conv)
+        got = net.backward(dy)
+        want, stages = direct_backward(net, image, dy, rate, np.random.default_rng(9))
+        sizes = [a.size for pair in zip(net.weights, net.biases) for a in pair]
+        for got_p, want_p in zip(np.split(got, np.cumsum(sizes)[:-1]),
+                                 np.split(want, np.cumsum(sizes)[:-1])):
+            assert max_rel_error(got_p, want_p) <= 1e-12
+        assert len(calls) == 4  # one transposed convolution per stage 4, 3, 2, 1
+        for layer, (x, y) in zip((4, 3, 2, 1), calls):
+            dyc, dx = stages[layer]
+            assert max_rel_error(x.transpose(2, 0, 1), dyc) <= 1e-12
+            assert max_rel_error(y.reshape(x.shape[:2] + (-1,)).transpose(2, 0, 1), dx) <= 1e-12
 
 
 class TestPoolAdjoints:
@@ -139,6 +223,18 @@ class TestGradients:
         target = rng.normal(size=(2, 8, 8))
         _, grad = loss_and_grad(net, image, target)
         fd = self.finite_diff(net, image, target)
+        assert max_rel_error(grad, fd) < 1e-7
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_backward_on_non_square_image_matches_finite_differences(self, rate):
+        # on a square image a row offset taken from H instead of W goes unnoticed
+        rng = np.random.default_rng(13)
+        net = ReferencePredictor(2, width=3, seed=13)
+        randomize(net, rng)
+        image = rng.random((8, 12))
+        target = rng.normal(size=(2, 8, 12))
+        _, grad = loss_and_grad(net, image, target, dropout_rate=rate, dropout_seed=5)
+        fd = self.finite_diff(net, image, target, dropout_rate=rate, dropout_seed=5)
         assert max_rel_error(grad, fd) < 1e-7
 
     def test_backward_with_dropout_matches_finite_differences(self):

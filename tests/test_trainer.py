@@ -529,6 +529,11 @@ class TestConfigDict:
         with pytest.raises(InvalidParameterError):
             config_from_dict(TrainConfig, {"target_mode": "banana"})
 
+    @pytest.mark.parametrize("key", ["iterations", "batch_size", "predictor_width"])
+    def test_count_below_one_names_its_key(self, key):
+        with pytest.raises(InvalidParameterError, match=f"^{key} must be >= 1, got 0$"):
+            config_from_dict(TrainConfig, {key: "0"})
+
     def test_default_snapshot_text(self):
         # the config snapshot that write_checkpoint stores, byte for byte
         assert format_config(config_to_dict(TrainConfig())) == DEFAULT_SNAPSHOT

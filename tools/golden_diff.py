@@ -1,0 +1,84 @@
+"""Compare two golden-run trees and say by how much their CSV files differ.
+
+Run with the two output directories of `tools/golden_run.py`:
+
+    python3 tools/golden_diff.py OUT_A OUT_B
+
+Every file present in only one tree, and every file whose bytes differ, is
+listed.  For a CSV file with the same header and row count in both trees it
+gives the number of rows that differ and, for each column that differs, the
+largest absolute and relative difference over the rows where both values are
+numbers (relative to the larger magnitude of the two), or the number of
+differing cells when the column holds text.  Exits 0 when the trees are
+byte-identical and 1 otherwise.  Uses the standard library only.
+"""
+
+import csv
+import math
+import sys
+from pathlib import Path
+
+
+def _number(text):
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _read(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def csv_report(a, b):
+    """Lines describing how CSV file b differs from CSV file a."""
+    rows_a, rows_b = _read(a), _read(b)
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return ["  headers differ"]
+    if len(rows_a) != len(rows_b):
+        return [f"  {len(rows_a) - 1} rows against {len(rows_b) - 1}"]
+    header = rows_a[0]
+    if any(len(row) != len(header) for row in rows_a + rows_b):
+        return ["  rows of unequal length"]
+    changed = [(ra, rb) for ra, rb in zip(rows_a[1:], rows_b[1:]) if ra != rb]
+    lines = [f"  {len(changed)} of {len(rows_a) - 1} rows differ"]
+    for col, name in enumerate(header):
+        pairs = [(ra[col], rb[col]) for ra, rb in changed if ra[col] != rb[col]]
+        if not pairs:
+            continue
+        numbers = [(_number(x), _number(y)) for x, y in pairs]
+        if all(x is not None and y is not None for x, y in numbers):
+            abs_diff = max(abs(x - y) for x, y in numbers)
+            rel_diff = max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+                           for x, y in numbers)
+            lines.append(f"  {name}: {len(pairs)} values, max abs {abs_diff:.3g}, "
+                         f"max rel {rel_diff:.3g}")
+        else:
+            lines.append(f"  {name}: {len(pairs)} cells differ")
+    return lines
+
+
+def compare(root_a: Path, root_b: Path) -> list[str]:
+    """Report lines for every file that is missing from one tree or differs."""
+    files_a = {p.relative_to(root_a) for p in root_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(root_b) for p in root_b.rglob("*") if p.is_file()}
+    lines = [f"only in {root_a}: {p}" for p in sorted(files_a - files_b)]
+    lines += [f"only in {root_b}: {p}" for p in sorted(files_b - files_a)]
+    for rel in sorted(files_a & files_b):
+        a, b = root_a / rel, root_b / rel
+        if a.read_bytes() == b.read_bytes():
+            continue
+        lines.append(f"differ: {rel}")
+        if rel.suffix == ".csv":
+            lines += csv_report(a, b)
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        raise SystemExit("usage: golden_diff.py OUT_A OUT_B")
+    report = compare(Path(sys.argv[1]), Path(sys.argv[2]))
+    print("\n".join(report) if report else "identical")
+    sys.exit(1 if report else 0)
