@@ -249,9 +249,9 @@ def cmd_mcd(args) -> int:
     rows = []
     fits = []
     for image_id, image in zip(ds.ids, ds.images):
-        for j, stack in enumerate(mcd_predict(model, image, args.k, args.seed)):
-            estimates = [("mcd_max", *mcd_max(stack))]
-            fit = mcd_heatmap_fit(stack)
+        for j, (mean, points) in enumerate(zip(*mcd_predict(model, image, args.k, args.seed))):
+            estimates = [("mcd_max", *mcd_max(points))]
+            fit = mcd_heatmap_fit(mean)
             fits.append(fit)
             if fit is not None:
                 estimates.append(("mcd_heatmap_fit", fit.gaussian.mean, fit.gaussian.decomp))

@@ -17,32 +17,26 @@ def sample_uncertainty(h: np.ndarray) -> FitResult | None:
         return None
 
 
-def _as_stack(heatmaps) -> np.ndarray:
-    values = np.asarray(heatmaps, dtype=np.float64)
-    if len(values) < 2:
-        raise InvalidParameterError("need at least 2 forward passes")
-    return values
+def mcd_max(points) -> tuple[np.ndarray, CovarianceDecomposition]:
+    """population_distribution of one landmark's (K, 2) per-pass argmax points."""
+    return population_distribution(points)
 
 
-def mcd_max(heatmaps) -> tuple[np.ndarray, CovarianceDecomposition]:
-    """Mean and population covariance (divisor n) of the per-pass argmax
-    coordinates; identical or collinear argmaxes give sigma_min = 0."""
-    return population_distribution([argmax_coord(v) for v in _as_stack(heatmaps)])
+def mcd_heatmap_fit(mean: np.ndarray) -> FitResult | None:
+    """Gaussian fit of one landmark's mean heatmap (None if too flat)."""
+    return sample_uncertainty(mean)
 
 
-def mcd_heatmap_fit(heatmaps) -> FitResult | None:
-    """Gaussian fit of the pixel-wise mean of the K passes (None if too flat)."""
-    return sample_uncertainty(_as_stack(heatmaps).mean(axis=0))
+def mcd_predict(model, image, k: int = 20, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """K stochastic forward passes, streamed: returns (mean, points).
 
-
-def mcd_predict(model, image, k: int = 20, seed: int = 0) -> np.ndarray:
-    """K stochastic forward passes as an (N, K, H, W) array: landmark, pass, grid.
-
-    Dropout sits only in the predictor head, so the deterministic trunk runs
+    mean is the float64 (N, H, W) mean of the passes, summed in pass order
+    from pass 0 as the mean over their stack is; points is the (N, K, 2) intp
+    array of each pass's argmax_coord.  No pass is kept, so only the points
+    grow with k.  Dropout sits only in the predictor head, so the trunk runs
     once and the K heads run on its features.  Pass i draws its mask from
     default_rng([seed, i]), exactly as predictor.forward(image, rate,
-    default_rng([seed, i])) does, so the set is deterministic and matches K
-    separate passes.
+    default_rng([seed, i])) does.
     """
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -50,7 +44,13 @@ def mcd_predict(model, image, k: int = 20, seed: int = 0) -> np.ndarray:
     if not rate > 0:
         raise InvalidParameterError("Monte-Carlo dropout needs a model trained with dropout")
     net = model.predictor
+    try:
+        points = np.empty((net.landmark_count, k, 2), dtype=np.intp)
+    except (MemoryError, ValueError):  # past the address space or numpy's size limit
+        raise InvalidParameterError(f"k = {k} is too large to hold its argmax points") from None
     features = net.trunk(image)
-    per_pass = [net.head(features, rate, np.random.default_rng([seed, pass_idx]))
-                for pass_idx in range(k)]
-    return np.stack(per_pass, axis=1)
+    for i in range(k):
+        heatmaps = net.head(features, rate, np.random.default_rng([seed, i]))
+        points[:, i] = [argmax_coord(h) for h in heatmaps]
+        total = total + heatmaps if i else heatmaps
+    return total / k, points

@@ -289,9 +289,10 @@ def test_criterion_6_mcd_underestimation(synth_model):
     max_products = np.zeros(n_lm)
     fit_products = np.zeros(n_lm)
     for image in ns.held.images[:n_images]:
-        for j, stack in enumerate(mcd_predict(ns.model, image, k=20, seed=7)):
-            max_products[j] += mcd_max(stack)[1].product
-            fit_products[j] += mcd_heatmap_fit(stack).gaussian.decomp.product
+        mean, points = mcd_predict(ns.model, image, k=20, seed=7)
+        for j in range(n_lm):
+            max_products[j] += mcd_max(points[j])[1].product
+            fit_products[j] += mcd_heatmap_fit(mean[j]).gaussian.decomp.product
     max_products /= n_images
     fit_products /= n_images
     ok = bool((max_products < fit_products).all())

@@ -299,6 +299,15 @@ class TestErrors:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    def test_mcd_huge_k_exits_1(self, pipeline, tmp_path, capsys):
+        # the k argmax points of each landmark (32 PB here) are allocated up
+        # front, so a k past the address space fails at once, not by growing
+        assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                     "--k", "1000000000000000", "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "k = 1000000000000000 is too large" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["fit", "mcd", "eval", "clinical"])
     def test_fit_commands_take_no_config(self, capsys, command):
         """The heatmap fit has no settings, so the fitting commands have no --config."""
@@ -726,9 +735,17 @@ class TestBenchTracing:
 
     def test_every_target_resolves(self):
         tracing = load_bench_tracing()
-        for name, owner, attr, _ in tracing.hmuq_targets():
+        targets = tracing.hmuq_targets()
+        for name, owner, attr, _ in targets:
             fn = owner.get(attr) if isinstance(owner, dict) else getattr(owner, attr, None)
             assert callable(fn), f"{name}: {owner!r} has no callable {attr!r}"
+        # installing and removing every wrapper, with nothing run in between,
+        # leaves no span and every original in place
+        originals = [tracing._get(owner, attr) for _, owner, attr, _ in targets]
+        with tracing.Tracer(targets) as tracer:
+            pass
+        assert tracer.spans == []
+        assert [tracing._get(owner, attr) for _, owner, attr, _ in targets] == originals
 
     def test_fits_are_counted(self, pipeline, tmp_path):
         # fit fits every landmark of every image; plot fits only the plotted one

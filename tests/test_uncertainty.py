@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import compose_covariance, render_anisotropic, render_isotropic
+from hmuq.fitting import argmax_coord
 from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
@@ -14,6 +16,11 @@ from hmuq.gauss import (
 from hmuq.nets import ReferencePredictor
 from hmuq.trainer import TrainConfig, TrainedModel
 from hmuq.uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
+
+
+def pass_mean(heatmaps):
+    """The pixel-wise mean of K passes, as mcd_predict streams it."""
+    return np.mean(heatmaps, axis=0)
 
 
 def one_hot(shape, x, y):
@@ -32,35 +39,30 @@ class TestSampleUncertainty:
 
     def test_flat_heatmap_is_none(self):
         assert sample_uncertainty(np.zeros((16, 16))) is None
-        assert mcd_heatmap_fit([one_hot((16, 16), 3, 4)] * 3) is None
+        assert mcd_heatmap_fit(one_hot((16, 16), 3, 4)) is None
 
 
 class TestMcdMax:
     def test_collinear_maxima_example(self):
-        hs = [one_hot((8, 8), x, 0) for x in (0, 2, 4)]
-        mean, d = mcd_max(hs)
+        mean, d = mcd_max(np.array([(0, 0), (2, 0), (4, 0)]))
         assert tuple(mean) == (2.0, 0.0)
         assert d.sigma_maj == pytest.approx(math.sqrt(8.0 / 3.0))
         assert d.sigma_min == 0.0
         assert d.theta == 0.0
 
     def test_identical_maxima_degenerate(self):
-        mean, d = mcd_max([one_hot((8, 8), 3, 5)] * 4)
+        mean, d = mcd_max(np.array([(3, 5)] * 4))
         assert tuple(mean) == (3.0, 5.0)
         assert d.sigma_maj == 0.0
         assert d.sigma_min == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        hs = [one_hot((16, 16), rng.integers(0, 16), rng.integers(0, 16)) for _ in range(9)]
-        mean_a, d_a = mcd_max(hs)
-        mean_b, d_b = mcd_max(hs[::-1])
+        points = rng.integers(0, 16, size=(9, 2))
+        mean_a, d_a = mcd_max(points)
+        mean_b, d_b = mcd_max(points[::-1])
         assert tuple(mean_a) == tuple(mean_b)
         assert d_a == d_b
-
-    def test_rejects_single_pass(self):
-        with pytest.raises(InvalidParameterError):
-            mcd_max([one_hot((8, 8), 1, 1)])
 
     def test_point_statistics_recover_known_gaussian(self):
         # the estimator underneath mcd_max, fed 1e5 true samples
@@ -76,7 +78,7 @@ class TestMcdHeatmapFit:
     def test_identical_heatmaps_match_single_fit(self):
         h = render_isotropic((20.0, 21.0), 3.0, 100.0, (48, 48))
         single = sample_uncertainty(h)
-        merged = mcd_heatmap_fit([h] * 5)
+        merged = mcd_heatmap_fit(pass_mean([h] * 5))
         assert merged.gaussian.mean == pytest.approx(single.gaussian.mean, abs=1e-9)
         assert merged.gaussian.decomp.sigma_maj == pytest.approx(
             single.gaussian.decomp.sigma_maj, rel=1e-9)
@@ -86,21 +88,21 @@ class TestMcdHeatmapFit:
         hs = []
         for k, dx in enumerate(np.linspace(-1.0, 1.0, 7)):
             hs.append(render_isotropic((24.0 + dx, 24.0), sigma, 100.0, (48, 48)))
-        d = mcd_heatmap_fit(hs).gaussian.decomp
+        d = mcd_heatmap_fit(pass_mean(hs)).gaussian.decomp
         assert d.sigma_maj > sigma
         assert d.sigma_min == pytest.approx(sigma, rel=0.01)
 
     def test_permutation_invariance(self):
         hs = [render_isotropic((20.0 + dx, 20.0 + dx), 2.5, 100.0, (40, 40))
               for dx in (-1.0, 0.0, 1.0)]
-        a = mcd_heatmap_fit(hs)
-        b = mcd_heatmap_fit(hs[::-1])
+        a = mcd_heatmap_fit(pass_mean(hs))
+        b = mcd_heatmap_fit(pass_mean(hs[::-1]))
         assert a.gaussian.mean == pytest.approx(b.gaussian.mean, abs=1e-12)
 
     def test_bimodal_converges_near_one_mode(self):
         far = [render_isotropic((12.0, 12.0), 2.0, 100.0, (64, 64)),
                render_isotropic((50.0, 50.0), 2.0, 100.0, (64, 64))]
-        p = mcd_heatmap_fit(far)
+        p = mcd_heatmap_fit(pass_mean(far))
         assert p.converged
         x, y = p.gaussian.mean
         d_a = math.hypot(x - 12.0, y - 12.0)
@@ -118,8 +120,8 @@ class TestUnderestimation:
             jitter = rng.normal(0.0, 0.4, size=2)
             hs.append(render_isotropic((24.0 + jitter[0], 24.0 + jitter[1]),
                                        3.0, 100.0, (48, 48)))
-        _, lo = mcd_max(hs)
-        hi = mcd_heatmap_fit(hs).gaussian.decomp
+        _, lo = mcd_max([argmax_coord(h) for h in hs])
+        hi = mcd_heatmap_fit(pass_mean(hs)).gaussian.decomp
         assert lo.product < hi.product
 
 
@@ -138,17 +140,36 @@ class TestMcdPredict:
         # still reports the bad k
         with pytest.raises(InvalidParameterError, match="k must be >= 2, got 1"):
             mcd_predict(self.model(0.0), np.zeros((16, 20)), k=1)
-        assert mcd_predict(self.model(0.2), np.zeros((16, 20)), k=2).shape == (2, 2, 16, 20)
+        mean, points = mcd_predict(self.model(0.2), np.zeros((16, 20)), k=2)
+        assert mean.shape == (2, 16, 20) and mean.dtype == np.float64
+        assert points.shape == (2, 2, 2) and points.dtype == np.intp
 
     def test_shared_trunk_matches_separate_passes(self):
-        # mcd_predict runs the trunk once; each pass must still equal one full
-        # dropout forward pass with the pass seed [seed, k]
+        # mcd_predict runs the trunk once and sums the heads as they come; the
+        # result must equal K full dropout forward passes with pass seeds [seed, i]
         model = self.model(0.2)
         image = np.random.default_rng(32).random((16, 20))
-        stacks = mcd_predict(model, image, k=5, seed=9)
-        assert [len(s) for s in stacks] == [5, 5]
-        for k in range(5):
-            single = model.predictor.forward(image, 0.2, np.random.default_rng([9, k]))
-            for j in range(2):
-                assert np.abs(stacks[j][k] - single[j]).max() <= 1e-12
-        assert not np.array_equal(stacks[0][0], stacks[0][1])
+        mean, points = mcd_predict(model, image, k=5, seed=9)
+        passes = [model.predictor.forward(image, 0.2, np.random.default_rng([9, i]))
+                  for i in range(5)]
+        assert not np.array_equal(passes[0], passes[1])
+        assert np.array_equal(mean, np.stack(passes).mean(axis=0))
+        for i, heatmaps in enumerate(passes):
+            for j, h in enumerate(heatmaps):
+                assert tuple(points[j, i]) == argmax_coord(h)
+
+    def test_memory_flat_in_k(self):
+        # only the 2k argmax integers per landmark grow with k, not k heatmaps
+        model = self.model(0.2)
+        image = np.random.default_rng(33).random((64, 64))
+
+        def peak_bytes(k):
+            tracemalloc.start()
+            try:
+                mcd_predict(model, image, k=k)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(20), peak_bytes(200)
+        assert large <= 1.25 * small, (small, large)
