@@ -55,11 +55,9 @@ from .svgplot import (
 )
 from .synthdata import LandmarkSpec, SynthConfig, generate, write_synth_dataset
 from .trainer import (
-    AugmentConfig,
     TrainConfig,
     TrainDivergedError,
     TrainedModel,
-    augment,
     predict,
     read_checkpoint,
     train,

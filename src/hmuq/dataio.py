@@ -90,8 +90,8 @@ def _item_prefix(name, i):  # the keys of item i of `landmarks` start `landmark_
 
 def config_to_dict(cfg, prefix="") -> dict[str, str]:
     """Flat text form of a config dataclass: one `prefix`ed key per field in
-    field order, `name.` keys for a nested dataclass `name`, and for a tuple of
-    dataclasses `xs`, `num_xs` followed by one `x_<i>.` block per item."""
+    field order, and for a tuple of dataclasses `xs`, `num_xs` followed by one
+    `x_<i>.` block per item."""
     out = {}
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
@@ -99,8 +99,6 @@ def config_to_dict(cfg, prefix="") -> dict[str, str]:
             out[f"{prefix}num_{f.name}"] = str(len(value))
             for i, item in enumerate(value):
                 out.update(config_to_dict(item, prefix + _item_prefix(f.name, i)))
-        elif dataclasses.is_dataclass(value):
-            out.update(config_to_dict(value, f"{prefix}{f.name}."))
         else:
             out[prefix + f.name] = _format_value(value)
     return out
@@ -137,11 +135,9 @@ def _build_config(cls, items, prefix):
             kwargs[f.name] = tuple(
                 _build_config(typing.get_args(kind)[0], _pop_block(items, b), prefix + b)
                 for b in blocks)
-        elif dataclasses.is_dataclass(kind) and (block := _pop_block(items, f"{f.name}.")):
-            kwargs[f.name] = _build_config(kind, block, f"{prefix}{f.name}.")
         elif kind in (bool, int, float, str) and f.name in items:
             kwargs[f.name] = _parse_value(prefix + f.name, kind, items.pop(f.name))
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        elif f.default is dataclasses.MISSING:
             raise InvalidParameterError(f"missing config key {prefix + f.name!r}")
     if items:
         raise InvalidParameterError(f"unknown config key {prefix + next(iter(items))!r}")

@@ -71,15 +71,17 @@ class SynthConfig:
 
     def validate(self) -> None:
         if not 16 <= self.image_size <= 4096 or self.image_size % 4:
-            raise InvalidParameterError("image_size must be in [16, 4096] and divisible by 4")
+            raise InvalidParameterError(
+                f"image_size must be in [16, 4096] and divisible by 4, got {self.image_size}")
         if self.num_images < 1:
-            raise InvalidParameterError("num_images must be >= 1")
+            raise InvalidParameterError(f"num_images must be >= 1, got {self.num_images}")
         if not self.landmarks:
-            raise InvalidParameterError("num_landmarks must be >= 1")
+            raise InvalidParameterError("num_landmarks must be >= 1, got 0")
         if not 0 < self.contrast <= 1:
-            raise InvalidParameterError("contrast must be in (0, 1]")
-        if self.noise_floor < 0 or self.position_jitter < 0:
-            raise InvalidParameterError("noise_floor and position_jitter must be >= 0")
+            raise InvalidParameterError(f"contrast must be in (0, 1], got {self.contrast}")
+        for name in ("noise_floor", "position_jitter"):
+            if getattr(self, name) < 0:
+                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         for i, spec in enumerate(self.landmarks):

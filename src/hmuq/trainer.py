@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,43 +45,6 @@ class TrainDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
-    """Random augmentation ranges, all symmetric around the identity; a part
-    is on exactly when its range (for elastic deformation, its magnitude) is > 0.
-
-    A range value r means: intensity shift in [-r, r], intensity scale in
-    [1-r, 1+r], translation components in [-r, r] px, rotation in [-r, r] rad,
-    spatial scale in [1-r, 1+r].  Elastic deformation draws a coarse
-    elastic_grid_size^2 displacement field with standard deviation
-    elastic_magnitude px and upsamples it smoothly.
-    """
-
-    intensity_shift_range: float = 0.0
-    intensity_scale_range: float = 0.0
-    translation_range: float = 0.0
-    rotation_range: float = 0.0
-    scale_range: float = 0.0
-    elastic_grid_size: int = 4
-    elastic_magnitude: float = 0.0
-
-    def validate(self) -> None:
-        for name in _AUGMENT_SWITCHES:
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"{name} must be >= 0")
-        if not 0 <= self.scale_range < 1:
-            raise InvalidParameterError("scale_range must be in [0, 1)")
-        if self.elastic_grid_size < 2:
-            raise InvalidParameterError("elastic_grid_size must be >= 2")
-
-    def is_identity(self) -> bool:
-        return not any(getattr(self, name) > 0 for name in _AUGMENT_SWITCHES)
-
-
-_AUGMENT_SWITCHES = ("intensity_shift_range", "intensity_scale_range", "translation_range",
-                     "rotation_range", "scale_range", "elastic_magnitude")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     alpha: float = 5.0
     gamma: float = 100.0
@@ -96,29 +59,23 @@ class TrainConfig:
     sigma_init: float = 3.0
     predictor_width: int = 16
     freeze_predictor: bool = False
-    augmentation: AugmentConfig = field(default_factory=AugmentConfig)
 
     def validate(self) -> None:
-        if not (self.alpha > 0 and self.gamma > 0):
-            raise InvalidParameterError("alpha and gamma must be > 0")
-        if not 0 <= self.dropout_rate < 1:
-            raise InvalidParameterError("dropout_rate must be in [0, 1)")
-        if self.target_mode not in TARGET_MODES:
-            raise InvalidParameterError(
-                f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
+        for name in ("alpha", "gamma", "learning_rate", "covariance_lr_multiplier", "sigma_init"):
+            if not getattr(self, name) > 0:
+                raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("iterations", "batch_size", "predictor_width"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (self.learning_rate > 0 and self.covariance_lr_multiplier > 0):
-            raise InvalidParameterError(
-                "learning_rate and covariance_lr_multiplier must be > 0")
         if self.weight_decay < 0:
-            raise InvalidParameterError("weight_decay must be >= 0")
-        if not self.sigma_init > 0:
-            raise InvalidParameterError("sigma_init must be > 0")
+            raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.dropout_rate < 1:
+            raise InvalidParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.target_mode not in TARGET_MODES:
+            raise InvalidParameterError(
+                f"target_mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        self.augmentation.validate()
 
 
 @dataclass
@@ -159,99 +116,6 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
         cov_grads[i, 1] = -2.0 * (r * dmaj).sum() + alpha * d.sigma_min
         cov_grads[i, 2] = -2.0 * (r * dmin).sum() + alpha * d.sigma_maj
     return float(loss), cov_grads, dpred
-
-
-# --- augmentation -------------------------------------------------------------
-
-
-def _bilinear(values, x, y):
-    """Bilinear samples of a (..., H, W) stack at pixel coordinates x, y (which
-    broadcast), the grid extended by its edge values.  Bit for bit
-    scipy.ndimage.map_coordinates(order=1, mode="nearest"): the far weight is
-    1 - (1 - t), not t, and the four terms are summed in scipy's order."""
-    h, w = values.shape[-2:]
-    x0, y0 = np.floor(x), np.floor(y)
-    gx, gy = 1.0 - (x - x0), 1.0 - (y - y0)
-    fx, fy = 1.0 - gx, 1.0 - gy
-    i0, i1 = (np.clip(x0 + k, 0, w - 1).astype(np.intp) for k in (0, 1))
-    j0, j1 = (np.clip(y0 + k, 0, h - 1).astype(np.intp) for k in (0, 1))
-    return (values[..., j0, i0] * gy * gx + values[..., j0, i1] * gy * fx
-            + values[..., j1, i0] * fy * gx + values[..., j1, i1] * fy * fx)
-
-
-def apply_spatial(image, coords, angle: float = 0.0, scale: float = 1.0,
-                  shift=(0.0, 0.0), elastic_field=None):
-    """Apply one spatial transform identically to an image and its coordinates;
-    returns (image, coords).
-
-    A point p maps to R(angle) * scale * (p - c) + c + shift with c the image
-    center; the image is resampled bilinearly under the same map, 0 outside
-    it.  If an elastic displacement field (2, H, W) in (dx, dy) order is given,
-    the image is additionally sampled at x + d(x), and coordinates are moved by
-    the matching inverse displacement (fixed-point iteration; fields are smooth
-    and small, so a few steps suffice).
-    """
-    image = np.asarray(image, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    h, w = image.shape
-    center = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
-    c, s = math.cos(angle), math.sin(angle)
-    fwd = scale * np.array([[c, -s], [s, c]])
-    inv = np.linalg.inv(fwd)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    px = xs - center[0] - shift[0]
-    py = ys - center[1] - shift[1]
-    sx = inv[0, 0] * px + inv[0, 1] * py + center[0]
-    sy = inv[1, 0] * px + inv[1, 1] * py + center[1]
-    if elastic_field is not None:
-        sx = sx + elastic_field[0]
-        sy = sy + elastic_field[1]
-    inside = (0 <= sx) & (sx <= w - 1) & (0 <= sy) & (sy <= h - 1)
-    warped = np.where(inside, _bilinear(image, sx, sy), 0.0)
-    new = (fwd @ (coords - center).T).T + center + shift
-    if elastic_field is not None:
-        for _ in range(4):
-            d = _bilinear(elastic_field, new[:, 0], new[:, 1]).T
-            new = (fwd @ (coords - d - center).T).T + center + shift
-    return warped, new
-
-
-def augment(image, coords, cfg: AugmentConfig, seed):
-    """Draw one random augmentation from cfg and apply it (seeded); returns
-    (image, coords).
-
-    Spatial parts move image and coordinates together; intensity parts touch
-    only the image.  The identity configuration returns the inputs unchanged.
-    Landmarks pushed outside the image keep their transformed coordinates.
-    """
-    cfg.validate()
-    image = np.asarray(image, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.float64)
-    if cfg.is_identity():
-        return image, coords
-    rng = np.random.default_rng(seed)
-    angle = rng.uniform(-cfg.rotation_range, cfg.rotation_range) if cfg.rotation_range > 0 else 0.0
-    scale = 1.0 + (rng.uniform(-cfg.scale_range, cfg.scale_range) if cfg.scale_range > 0 else 0.0)
-    if cfg.translation_range > 0:
-        shift = rng.uniform(-cfg.translation_range, cfg.translation_range, size=2)
-    else:
-        shift = np.zeros(2)
-    elastic = None
-    if cfg.elastic_magnitude > 0:
-        g = cfg.elastic_grid_size
-        h, w = image.shape
-        coarse = rng.normal(0.0, cfg.elastic_magnitude, size=(2, g, g))
-        # the grid's corner nodes sit on the image's corner pixels
-        elastic = _bilinear(coarse, np.arange(w) * ((g - 1) / (w - 1)),
-                            np.arange(h)[:, None] * ((g - 1) / (h - 1)))
-    warped, coords = apply_spatial(image, coords, angle, scale, shift, elastic)
-    if cfg.intensity_scale_range > 0:
-        warped = warped * (1.0 + rng.uniform(-cfg.intensity_scale_range,
-                                             cfg.intensity_scale_range))
-    if cfg.intensity_shift_range > 0:
-        warped = warped + rng.uniform(-cfg.intensity_shift_range,
-                                      cfg.intensity_shift_range)
-    return warped, coords
 
 
 # --- training loop --------------------------------------------------------------
@@ -305,7 +169,11 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
 
     trace = []
     for it in range(cfg.iterations):
-        idx = rng.integers(0, len(images), size=cfg.batch_size)
+        try:
+            idx = rng.integers(0, len(images), size=cfg.batch_size)
+        except (MemoryError, ValueError):  # past the address space or numpy's size limit
+            raise InvalidParameterError(
+                f"batch_size = {cfg.batch_size} is too large to draw a batch") from None
         batch_loss = 0.0
         grad = np.zeros_like(params)
         grad_cov = np.zeros((n_landmarks, 3))
@@ -313,12 +181,11 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
         b = np.exp(log_min)
         decomps = [CovarianceDecomposition(theta[i], a[i], b[i]) for i in range(n_landmarks)]
         for slot, j in enumerate(idx):
-            im, cs = augment(images[j], coords[j], cfg.augmentation, [cfg.seed, it, slot, 0])
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
                         if cfg.dropout_rate else None)
-            pred = net.forward(im, cfg.dropout_rate, drop_rng)
+            pred = net.forward(images[j], cfg.dropout_rate, drop_rng)
             # the regularizer (alpha = 0 here) is added once per batch below
-            loss, cov, dpred = aniso_loss_gradients(pred, cs, decomps, 0.0, cfg.gamma)
+            loss, cov, dpred = aniso_loss_gradients(pred, coords[j], decomps, 0.0, cfg.gamma)
             cov[:, 1] *= a  # chain rule to log parameters, per sample: scaling
             cov[:, 2] *= b  # the batch sum instead would round differently
             batch_loss += loss

@@ -18,7 +18,7 @@ from hmuq import fitting
 from hmuq.cli import main
 from hmuq.dataio import load_dataset, read_annotations, write_pgm
 from hmuq.synthdata import LandmarkSpec, SynthConfig
-from hmuq.trainer import AugmentConfig, TrainConfig
+from hmuq.trainer import TrainConfig
 
 from helpers import write_interobserver_fixture
 
@@ -308,6 +308,16 @@ class TestErrors:
         assert "k = 1000000000000000 is too large" in err
         assert "Traceback" not in err
 
+    def test_train_huge_batch_size_exits_1(self, pipeline, tmp_path, capsys):
+        # the batch draw of 10^15 indices (7.1 PiB) cannot be allocated
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("iterations = 1\nbatch_size = 1000000000000000\npredictor_width = 4\n")
+        assert main(["train", "--data", str(pipeline / "d"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "batch_size = 1000000000000000 is too large to draw a batch" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["fit", "mcd", "eval", "clinical"])
     def test_fit_commands_take_no_config(self, capsys, command):
         """The heatmap fit has no settings, so the fitting commands have no --config."""
@@ -542,6 +552,10 @@ BAD_INPUTS = {
     "checkpoint-unknown-snapshot-key": (
         _checkpoint_case("predict", _snapshot_edit(b"\nseed", b"\nbogus = 1\nseed")),
         "unknown config key 'bogus'"),
+    "checkpoint-augmentation-key": (
+        _checkpoint_case("predict", _snapshot_edit(
+            b"\nseed", b"\naugmentation.rotation_range = 0.0\nseed")),
+        "unknown config key 'augmentation.rotation_range'"),
     "checkpoint-width-misfit": (
         _checkpoint_case("predict", _snapshot_edit(b"predictor_width = 8", b"predictor_width = 9")),
         "parameters, got ("),
@@ -616,16 +630,10 @@ class TestBadInputs:
         assert "Traceback" not in err
 
 
-AUGMENTED_TRAIN_CFG = """\
+SMALL_TRAIN_CFG = """\
 iterations = 3
 batch_size = 2
 predictor_width = 4
-augmentation.intensity_shift_range = 0.1
-augmentation.intensity_scale_range = 0.1
-augmentation.translation_range = 2.0
-augmentation.rotation_range = 0.2
-augmentation.scale_range = 0.1
-augmentation.elastic_magnitude = 1.0
 """
 
 NO_SCIPY_RUN = """\
@@ -644,9 +652,9 @@ sys.exit(main(["synth", "--config", out + "/synth.cfg", "--out", out + "/d", "--
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self, tmp_path):
         """scipy is a test oracle only: with it blocked, every hmuq module
-        imports and a training run with every augmentation part on completes."""
+        imports and a training run completes."""
         (tmp_path / "synth.cfg").write_text("num_images = 4\n")
-        (tmp_path / "train.cfg").write_text(AUGMENTED_TRAIN_CFG)
+        (tmp_path / "train.cfg").write_text(SMALL_TRAIN_CFG)
         modules = ["hmuq"] + sorted(f"hmuq.{p.stem}" for p in (ROOT / "src" / "hmuq").glob("*.py")
                                     if p.stem not in ("__init__", "__main__"))
         env = dict(os.environ)
@@ -709,7 +717,7 @@ class TestReadme:
     def test_config_keys_documented(self):
         """Every field of the config dataclasses that --config files set is named in README.md."""
         text = (ROOT / "README.md").read_text(encoding="utf-8")
-        for cls in (TrainConfig, AugmentConfig, SynthConfig, LandmarkSpec):
+        for cls in (TrainConfig, SynthConfig, LandmarkSpec):
             for field in dataclasses.fields(cls):
                 assert re.search(rf"\b{field.name}\b", text), f"{cls.__name__}.{field.name}"
 

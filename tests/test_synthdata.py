@@ -128,6 +128,13 @@ class TestConfigDict:
         with pytest.raises(InvalidParameterError, match="num_landmarks must be >= 1"):
             config_from_dict(SynthConfig, {"num_landmarks": "0"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_floor", "-0.1"), ("position_jitter", "-1.0"), ("contrast", "1.5"),
+        ("num_images", "0")])
+    def test_bad_value_names_its_key_and_value(self, key, value):
+        with pytest.raises(InvalidParameterError, match=rf"^{key} must be .*, got {value}$"):
+            config_from_dict(SynthConfig, {key: value})
+
     def test_bad_landmark_value_names_key(self):
         d = config_to_dict(SynthConfig())
         d["landmark_2.noise_sigma_min"] = "-1.0"

@@ -1,18 +1,14 @@
-import hashlib
-import itertools
 import math
 import re
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from helpers import (
     loss_fixed,
     loss_learned_aniso,
     loss_learned_iso,
     max_rel_error,
-    render_isotropic,
     render_targets,
 )
 from hmuq.dataio import DataFormatError, Dataset, config_from_dict, config_to_dict, format_config
@@ -20,14 +16,10 @@ from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
 from hmuq.synthdata import LandmarkSpec, SynthConfig, generate
 from hmuq.trainer import (
-    AugmentConfig,
     TrainConfig,
     TrainDivergedError,
     TrainedModel,
-    _bilinear,
     aniso_loss_gradients,
-    apply_spatial,
-    augment,
     predict,
     read_checkpoint,
     train,
@@ -272,127 +264,6 @@ class TestPredict:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-class TestAugment:
-    def test_identity_returns_inputs_unchanged(self):
-        rng = np.random.default_rng(0)
-        image = rng.random((16, 16))
-        coords = rng.uniform(2.0, 13.0, size=(3, 2))
-        out_image, out_coords = augment(image, coords, AugmentConfig(), seed=1)
-        assert np.array_equal(out_image, image)
-        assert np.array_equal(out_coords, coords)
-
-    def test_pure_translation(self):
-        image = np.zeros((16, 16))
-        image[4, 6] = 1.0
-        out_image, out_coords = apply_spatial(image, np.array([[6.0, 4.0]]), shift=(5.0, -3.0))
-        assert out_coords[0] == pytest.approx((11.0, 1.0))
-        assert out_image[1, 11] == pytest.approx(1.0)
-
-    def test_rotation_maps_corner_to_corner(self):
-        image = np.zeros((17, 17))
-        _, out_coords = apply_spatial(image, np.array([[0.0, 0.0]]), angle=math.pi / 2.0)
-        assert out_coords[0] == pytest.approx((16.0, 0.0), abs=1e-9)
-
-    def test_image_follows_coords_affine(self):
-        # a rendered blob must land where the transformed coordinate says
-        from hmuq.fitting import fit_gaussian
-
-        image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
-        cfg = AugmentConfig(rotation_range=0.4, scale_range=0.1, translation_range=3.0)
-        out_image, out_coords = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)
-        fit = fit_gaussian(out_image)
-        assert fit.gaussian.mean == pytest.approx(tuple(out_coords[0]), abs=0.05)
-
-    def test_image_follows_coords_elastic(self):
-        # elastic warps distort the blob shape, so the fit drifts a little;
-        # the mapped coordinate must still track the peak
-        from hmuq.fitting import fit_gaussian
-
-        image = render_isotropic((20.0, 14.0), 2.0, 100.0, (48, 48))
-        cfg = AugmentConfig(elastic_grid_size=4, elastic_magnitude=0.5)
-        out_image, out_coords = augment(image, np.array([[20.0, 14.0]]), cfg, seed=9)
-        fit = fit_gaussian(out_image)
-        assert fit.gaussian.mean == pytest.approx(tuple(out_coords[0]), abs=0.25)
-
-    def test_out_of_bounds_coords_kept(self):
-        image = np.zeros((16, 16))
-        _, out_coords = apply_spatial(image, np.array([[1.0, 8.0], [8.0, 8.0]]),
-                                      shift=(-4.0, 0.0))
-        assert out_coords[0] == pytest.approx((-3.0, 8.0))
-
-    def test_intensity_touches_image_only(self):
-        rng = np.random.default_rng(2)
-        image = rng.random((16, 16))
-        coords = np.array([[5.0, 5.0]])
-        cfg = AugmentConfig(intensity_shift_range=0.2, intensity_scale_range=0.2)
-        out_image, out_coords = augment(image, coords, cfg, seed=4)
-        assert np.array_equal(out_coords, coords)
-        assert not np.array_equal(out_image, image)
-
-    def test_parts_off_at_zero_draw_nothing(self):
-        # a range of 0 switches its part off and takes no draw from the stream,
-        # so a lone intensity shift takes the stream's first draw
-        rng = np.random.default_rng(5)
-        image = rng.random((16, 16))
-        coords = np.array([[6.0, 7.0]])
-        out_image, out_coords = augment(image, coords, AugmentConfig(intensity_shift_range=0.2),
-                                        seed=8)
-        ref_image, ref_coords = apply_spatial(image, coords)
-        shift = np.random.default_rng(8).uniform(-0.2, 0.2)
-        assert np.array_equal(out_image, ref_image + shift)
-        assert np.array_equal(out_coords, ref_coords)
-
-    def test_bilinear_is_scipy_order_1(self):
-        """_bilinear is map_coordinates(order=1) bit for bit, scipy the oracle:
-        mode "nearest" as it is, mode "constant" (cval 0) masked to the grid as
-        apply_spatial masks it.  A far weight of t instead of 1 - (1 - t)
-        differs only where t has bits below the ulp of 1: at coordinates of
-        magnitude below 1 that are not multiples of 2^-53, as uniform draws are."""
-        rng = np.random.default_rng(0)
-        for _ in range(60):
-            h, w = rng.integers(2, 40, size=2)
-            values = rng.normal(size=(h, w)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            x, y = rng.uniform(-60.0, w + 60.0, 400), rng.uniform(-60.0, h + 60.0, 400)
-            x[:100], y[50:150] = np.clip(rng.normal(0.0, 0.5, (2, 100)), -1.5, 1.5)
-            x[200:250] = np.round(x[200:250])  # on grid columns and edges
-            got = _bilinear(values, x, y)
-            ref = ndimage.map_coordinates(values, [y, x], order=1, mode="nearest")
-            assert got.tobytes() == ref.tobytes()
-            assert _bilinear(np.stack([values, -values]), x, y).tobytes() == \
-                np.stack([ref, -ref]).tobytes()
-            inside = (0 <= x) & (x <= w - 1) & (0 <= y) & (y <= h - 1)
-            ref = ndimage.map_coordinates(values, [y, x], order=1, mode="constant", cval=0.0)
-            assert np.where(inside, got, 0.0).tobytes() == ref.tobytes()
-
-    def test_non_elastic_outputs_pinned(self):
-        """SHA-256 of augment over every on/off combination of the five
-        non-elastic parts and 3 seeds, taken when scipy's map_coordinates did
-        the warp (numpy 2.4, OpenBLAS, x86-64)."""
-        rng = np.random.default_rng(7)
-        image = rng.random((24, 20))
-        coords = rng.uniform(1.0, 19.0, size=(3, 2))
-        ranges = dict(intensity_shift_range=0.2, intensity_scale_range=0.3,
-                      translation_range=4.0, rotation_range=0.5, scale_range=0.2)
-        digest = hashlib.sha256()
-        for on in itertools.product((False, True), repeat=len(ranges)):
-            cfg = AugmentConfig(**{k: r * o for (k, r), o in zip(ranges.items(), on)})
-            for seed in range(3):
-                for out in augment(image, coords, cfg, seed):
-                    digest.update(out.tobytes())
-        assert digest.hexdigest() == \
-            "6a62281f5f2cb50615cd37e0d932d2c71c54ff253cf1a37271b2bca07c0bac0d"
-
-    def test_seeded_determinism(self):
-        rng = np.random.default_rng(3)
-        image = rng.random((16, 16))
-        coords = np.array([[8.0, 8.0]])
-        cfg = AugmentConfig(rotation_range=0.5)
-        a = augment(image, coords, cfg, seed=11)
-        b = augment(image, coords, cfg, seed=11)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-
-
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         ds, cfg = small_synth(iterations=30)
@@ -501,20 +372,12 @@ target_mode = learned_aniso
 sigma_init = 3.0
 predictor_width = 16
 freeze_predictor = false
-augmentation.intensity_shift_range = 0.0
-augmentation.intensity_scale_range = 0.0
-augmentation.translation_range = 0.0
-augmentation.rotation_range = 0.0
-augmentation.scale_range = 0.0
-augmentation.elastic_grid_size = 4
-augmentation.elastic_magnitude = 0.0
 """
 
 
 class TestConfigDict:
     def test_round_trip(self):
-        cfg = TrainConfig(alpha=2.5, iterations=123, target_mode="learned_iso",
-                          augmentation=AugmentConfig(rotation_range=0.25))
+        cfg = TrainConfig(alpha=2.5, iterations=123, target_mode="learned_iso")
         assert config_from_dict(TrainConfig, config_to_dict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
@@ -522,8 +385,9 @@ class TestConfigDict:
             config_from_dict(TrainConfig, {"alhpa": "5"})
 
     def test_unknown_nested_key_rejected(self):
-        with pytest.raises(InvalidParameterError, match="augmentation.rotaton_range"):
-            config_from_dict(TrainConfig, {"augmentation.rotaton_range": "0.1"})
+        with pytest.raises(InvalidParameterError,
+                           match="^unknown config key 'augmentation.rotation_range'$"):
+            config_from_dict(TrainConfig, {"augmentation.rotation_range": "0.0"})
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -533,6 +397,14 @@ class TestConfigDict:
     def test_count_below_one_names_its_key(self, key):
         with pytest.raises(InvalidParameterError, match=f"^{key} must be >= 1, got 0$"):
             config_from_dict(TrainConfig, {key: "0"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "0.0"), ("gamma", "-1.0"), ("learning_rate", "0.0"),
+        ("covariance_lr_multiplier", "-0.5"), ("sigma_init", "0.0"), ("weight_decay", "-0.1"),
+        ("dropout_rate", "1.0")])
+    def test_bad_value_names_its_key_and_value(self, key, value):
+        with pytest.raises(InvalidParameterError, match=rf"^{key} must be .*, got {value}$"):
+            config_from_dict(TrainConfig, {key: value})
 
     def test_default_snapshot_text(self):
         # the config snapshot that write_checkpoint stores, byte for byte

@@ -1,4 +1,5 @@
-"""Compare two golden-run trees and say by how much their CSV files differ.
+"""Compare two golden-run trees and say by how much their CSV and checkpoint
+files differ.
 
 Run with the two output directories of `tools/golden_run.py`:
 
@@ -9,12 +10,18 @@ listed.  For a CSV file with the same header and row count in both trees it
 gives the number of rows that differ and, for each column that differs, the
 largest absolute and relative difference over the rows where both values are
 numbers (relative to the larger magnitude of the two), or the number of
-differing cells when the column holds text.  Exits 0 when the trees are
-byte-identical and 1 otherwise.  Uses the standard library only.
+differing cells when the column holds text.  For a model checkpoint
+(`.ckpt`, the layout `hmuq.trainer.write_checkpoint` writes) it says whether
+the header (magic, version, landmark count) differs, how many landmarks'
+covariances and how many predictor parameters differ, and lists each config
+snapshot line found in only one tree, `-` for the first and `+` for the
+second.  Exits 0 when the trees are byte-identical and 1 otherwise.  Uses the
+standard library only.
 """
 
 import csv
 import math
+import struct
 import sys
 from pathlib import Path
 
@@ -60,6 +67,48 @@ def csv_report(a, b):
     return lines
 
 
+def _checkpoint_parts(path):
+    """The header, covariance and parameter bytes of a checkpoint and its
+    snapshot lines, or None when the file does not have that layout."""
+    raw = path.read_bytes()
+    try:
+        (count,) = struct.unpack_from("<I", raw, 6)
+        params_at = 10 + 24 * count + 4
+        (n_params,) = struct.unpack_from("<I", raw, params_at - 4)
+        snapshot_at = params_at + 4 * n_params + 4
+        (snapshot_len,) = struct.unpack_from("<I", raw, snapshot_at - 4)
+    except struct.error:
+        return None
+    if raw[:4] != b"HMUQ" or len(raw) != snapshot_at + snapshot_len:
+        return None
+    return (raw[:10], raw[10:params_at - 4], raw[params_at:snapshot_at - 4],
+            raw[snapshot_at:].decode("utf-8", "replace").splitlines())
+
+
+def _records_report(name, unit, a, b, size):
+    """A line saying how many `size`-byte records of a and b differ."""
+    if a == b:
+        return []
+    if len(a) != len(b):
+        return [f"  {name}: {len(a) // size} {unit} against {len(b) // size}"]
+    changed = sum(a[i:i + size] != b[i:i + size] for i in range(0, len(a), size))
+    return [f"  {name}: {changed} of {len(a) // size} {unit} differ"]
+
+
+def checkpoint_report(a, b):
+    """Lines describing how checkpoint b differs from checkpoint a."""
+    parts_a, parts_b = _checkpoint_parts(a), _checkpoint_parts(b)
+    if parts_a is None or parts_b is None:
+        return ["  not a readable checkpoint"]
+    (head_a, cov_a, params_a, snap_a), (head_b, cov_b, params_b, snap_b) = parts_a, parts_b
+    lines = ["  header differs"] if head_a != head_b else []
+    lines += _records_report("covariances", "landmarks", cov_a, cov_b, 24)
+    lines += _records_report("parameters", "values", params_a, params_b, 4)
+    lines += [f"  snapshot - {line}" for line in snap_a if line not in snap_b]
+    lines += [f"  snapshot + {line}" for line in snap_b if line not in snap_a]
+    return lines
+
+
 def compare(root_a: Path, root_b: Path) -> list[str]:
     """Report lines for every file that is missing from one tree or differs."""
     files_a = {p.relative_to(root_a) for p in root_a.rglob("*") if p.is_file()}
@@ -73,6 +122,8 @@ def compare(root_a: Path, root_b: Path) -> list[str]:
         lines.append(f"differ: {rel}")
         if rel.suffix == ".csv":
             lines += csv_report(a, b)
+        elif rel.suffix == ".ckpt":
+            lines += checkpoint_report(a, b)
     return lines
 
 
