@@ -3,10 +3,9 @@ prediction, heatmap fitting, Monte-Carlo-dropout baselines, metric reports,
 inter-observer analysis, clinical propagation, and SVG plots.
 
 Every subcommand reads its inputs, writes artifacts under --out, and never
-modifies what it read.  Reruns with the same inputs and seeds produce
-byte-identical CSV files; SVG output differs only in a timestamp comment,
-which --no-timestamp suppresses.  Exit status: 0 on success, 1 on runtime
-errors (with a diagnostic on stderr), 2 on usage errors.
+modifies what it read.  Reruns with the same inputs and seeds write
+byte-identical files, SVG figures included.  Exit status: 0 on success, 1 on
+runtime errors (with a diagnostic on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -376,25 +375,23 @@ def cmd_clinical(args) -> int:
     return 0
 
 
-def _require(args, parser, *flags) -> None:
+def _require(args, *flags) -> None:
     missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
-        parser.error(f"--kind {args.kind} requires {', '.join(missing)}")
+        args.parser.error(f"--kind {args.kind} requires {', '.join(missing)}")
 
 
-def cmd_plot(args, parser) -> int:
+def cmd_plot(args) -> int:
     if not 0 < args.scale < math.inf:
         raise InvalidParameterError(f"ellipse scale must be finite and > 0, got {args.scale}")
-    timestamp = not args.no_timestamp
 
     if args.kind == "accuracy_curve":
-        _require(args, parser, "curves")
+        _require(args, "curves")
         curves = {os.path.splitext(os.path.basename(path))[0].removeprefix("curve_"):
                   read_curve_csv(path) for path in args.curves}
-        svg = render_accuracy_curve(curves, title="accuracy vs considered fraction",
-                                    timestamp=timestamp)
+        svg = render_accuracy_curve(curves, title="accuracy vs considered fraction")
     else:
-        _require(args, parser, "model", "data")
+        _require(args, "model", "data")
         model, ds = _load_predictor_dataset(args.data, args.model)
         if args.kind == "ellipse_overlay":
             if args.image is not None and args.image not in ds.ids:
@@ -404,8 +401,7 @@ def cmd_plot(args, parser) -> int:
                      for j, d in enumerate(model.target_decomps)]
             svg = render_ellipse_overlay(ds.images[index].shape, items,
                                          scale=args.scale,
-                                         title=f"learned covariance, {ds.ids[index]}",
-                                         timestamp=timestamp)
+                                         title=f"learned covariance, {ds.ids[index]}")
         else:
             j = args.landmark
             if not 0 <= j < ds.landmark_count:
@@ -423,14 +419,12 @@ def cmd_plot(args, parser) -> int:
                 if len(offsets) >= 3:
                     overlays.append(("empirical", population_distribution(offsets)[1]))
                 svg = render_offset_scatter(offsets, overlays, scale=args.scale,
-                                            title=f"landmark {j} offsets (px)",
-                                            timestamp=timestamp)
+                                            title=f"landmark {j} offsets (px)")
             else:
                 products = [f.gaussian.decomp.product for _, f in fits]
                 errors = [point_error(gt, pred) for gt, pred in zip(gts, preds)]
                 svg = render_sigma_vs_error(products, errors,
-                                            title=f"landmark {j} spread vs error",
-                                            timestamp=timestamp)
+                                            title=f"landmark {j} spread vs error")
 
     out_path = _out_path(args, f"{args.kind}.svg")
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -455,7 +449,7 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hmuq",
         description="Landmark heatmap regression with anisotropic Gaussian "
@@ -464,11 +458,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     def add(name, help_text, **defaults):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(parser=p)
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         for flag, kwargs in defaults.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        return p
 
     config_kw = dict(default=None, help="flat key = value config file")
     # numpy's generators take no negative seed
@@ -502,18 +496,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         samples=dict(type=_int_at_least(1), default=10000,
                      help="Monte-Carlo samples per image"),
         seed=dict(seed_kw, default=0))
-    plot = add("plot", "render an SVG figure",
-               kind=dict(required=True, choices=PLOT_KINDS),
-               model=dict(default=None, help="model directory or checkpoint path"),
-               data=dict(default=None, help="dataset directory or manifest path"),
-               landmark=dict(type=int, default=0, help="landmark id for scatter kinds"),
-               image=dict(default=None, help="image id for ellipse_overlay"),
-               curves=dict(nargs="+", default=None,
-                           help="accuracy-curve CSV files for accuracy_curve"),
-               scale=dict(type=float, default=3.0, help="ellipse semi-axes in sigmas"),
-               no_timestamp=dict(action="store_true",
-                                 help="omit the timestamp comment from the SVG"))
-    return parser, plot
+    add("plot", "render an SVG figure",
+        kind=dict(required=True, choices=PLOT_KINDS),
+        model=dict(default=None, help="model directory or checkpoint path"),
+        data=dict(default=None, help="dataset directory or manifest path"),
+        landmark=dict(type=int, default=0, help="landmark id for scatter kinds"),
+        image=dict(default=None, help="image id for ellipse_overlay"),
+        curves=dict(nargs="+", default=None,
+                    help="accuracy-curve CSV files for accuracy_curve"),
+        scale=dict(type=float, default=3.0, help="ellipse semi-axes in sigmas"))
+    return parser
 
 
 HANDLERS = {
@@ -525,18 +517,16 @@ HANDLERS = {
     "eval": cmd_eval,
     "interobs": cmd_interobs,
     "clinical": cmd_clinical,
+    "plot": cmd_plot,
 }
 
 
 def main(argv=None) -> int:
-    parser, plot_parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "plot":
-            return cmd_plot(args, plot_parser)
         return HANDLERS[args.command](args)
     except SystemExit as exc:  # parser.error() inside a handler
         return exc.code if isinstance(exc.code, int) else 2

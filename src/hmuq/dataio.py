@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import InvalidParameterError
+from .gauss import InvalidParameterError, too_large
 
 ANNOTATION_HEADER = ["image_id", "landmark_id", "observer_id", "x_px", "y_px"]
 IMAGES_HEADER = ["image_id", "path", "spacing_mm"]
@@ -155,28 +155,24 @@ def config_from_dict(cls, items: dict[str, str]):
 # --- PGM (P5) grayscale images ----------------------------------------------------
 
 
-def write_pgm(path, values: np.ndarray, bits: int = 16) -> None:
-    """Write intensities in [0, 1] as a binary PGM (8 or 16 bit).
+def write_pgm(path, values: np.ndarray) -> None:
+    """Write intensities in [0, 1] as a 16-bit binary PGM.
 
-    16-bit samples are big-endian, as the format requires.
+    Samples are big-endian, as the format requires.
     """
-    if bits not in (8, 16):
-        raise DataFormatError(f"bits must be 8 or 16, got {bits}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DataFormatError(f"image must be 2-D, got shape {values.shape}")
     if values.min() < 0 or values.max() > 1:
         raise DataFormatError("intensities must lie in [0, 1]")
-    maxval = (1 << bits) - 1
-    quantized = np.rint(values * maxval)
     h, w = values.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(quantized.astype(">u2" if bits == 16 else "u1").tobytes())
+        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
+        fh.write(np.rint(values * 65535).astype(">u2").tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into float64 intensities in [0, 1]."""
+    """Read an 8- or 16-bit binary PGM into float64 intensities in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
@@ -344,7 +340,8 @@ def load_dataset(manifest_path) -> Dataset:
     coords = None
     if "annotations" in manifest:
         ann_path = os.path.join(base, manifest["annotations"])
-        coords = np.full((len(ids), landmark_count, 2), np.nan)
+        with too_large(f"{manifest_path}: landmark_count = {landmark_count} is too large to load"):
+            coords = np.full((len(ids), landmark_count, 2), np.nan)
         for row in _read_checked_annotations(ann_path, index, images, landmark_count):
             coords[index[row.image_id], row.landmark_id] = (row.x, row.y)
         if np.isnan(coords).any():
@@ -367,7 +364,7 @@ def load_dataset(manifest_path) -> Dataset:
 
 
 def write_dataset(out_dir, ids, images, coords, spacing, landmark_count,
-                  observer_rows=None, bits: int = 16) -> str:
+                  observer_rows=None) -> str:
     """Write a loadable dataset directory; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     img_dir = os.path.join(out_dir, "images")
@@ -375,7 +372,7 @@ def write_dataset(out_dir, ids, images, coords, spacing, landmark_count,
     image_rows = []
     for image_id, image, spc in zip(ids, images, spacing):
         rel = os.path.join("images", f"{image_id}.pgm")
-        write_pgm(os.path.join(out_dir, rel), image, bits=bits)
+        write_pgm(os.path.join(out_dir, rel), image)
         image_rows.append([image_id, rel, repr(float(spc))])
     write_csv(os.path.join(out_dir, "images.csv"), IMAGES_HEADER, image_rows)
     manifest = {"landmark_count": str(landmark_count), "images": "images.csv"}

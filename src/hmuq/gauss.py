@@ -9,6 +9,7 @@ centers; image arrays are indexed [row, col] = [y, x] while coordinates are
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -19,6 +20,16 @@ TWO_PI = 2.0 * math.pi
 
 class InvalidParameterError(ValueError):
     """A Gaussian parameter is outside its valid domain."""
+
+
+@contextlib.contextmanager
+def too_large(message: str):
+    """Raise InvalidParameterError(message) for an allocation in the block that
+    fails: past the address space (MemoryError) or numpy's size limit (ValueError)."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise InvalidParameterError(message) from None
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,8 @@ def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     d = g.decomp
     d.validate()
-    z = np.random.default_rng(seed).standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
+    with too_large(f"samples = {n} is too large to draw at once"):
+        z = np.random.default_rng(seed).standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
     c, s = math.cos(d.theta), math.sin(d.theta)
     return z @ np.array([[c, -s], [s, c]]).T + g.mean
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .gauss import InvalidParameterError
+from .gauss import InvalidParameterError, too_large
 
 
 def _row_patches(x):
@@ -59,12 +61,6 @@ def upsample2_backward(dy):
     return _sum2x2(dy)
 
 
-def _flat(weights, biases, dtype):
-    """Weights and biases of every layer, interleaved, as one `dtype` vector."""
-    return np.concatenate([p.ravel() for w, b in zip(weights, biases) for p in (w, b)],
-                          dtype=dtype)
-
-
 def check_image_shape(shape) -> None:
     """Raise InvalidParameterError unless the predictor takes images of this
     shape: 2-D with sides divisible by 4 (two pooling stages)."""
@@ -85,8 +81,9 @@ class ReferencePredictor:
     row-patch matrix.  Inputs are cast to `dtype` once on the way in; heatmaps
     and gradients are cast up to float64 once on the way out.  Gradients come
     from the explicit backward pass below; the finite-difference checks in the
-    test suite (float64) are the contract.  Weights keep the (Cout, Cin, 3, 3)
-    layout in the parameter vector and in checkpoints.
+    test suite (float64) are the contract.  `weights` and `biases` are views of
+    one `dtype` parameter vector, layer by layer; weights keep the
+    (Cout, Cin, 3, 3) layout there and in checkpoints.
     """
 
     def __init__(self, landmark_count: int, width: int = 16, seed: int = 0,
@@ -98,43 +95,46 @@ class ReferencePredictor:
             raise InvalidParameterError(f"dtype must be float32 or float64, got {self.dtype}")
         self.landmark_count = int(landmark_count)
         self.width = int(width)
-        rng = np.random.default_rng(seed)
         c, n = self.width, self.landmark_count
-        self.weights = []
-        self.biases = []
-        for cin in (1, c, c, c, c):
-            fan_in = cin * 9
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c, cin, 3, 3))
-            self.weights.append(w.astype(self.dtype, copy=False))
-            self.biases.append(np.zeros(c, dtype=self.dtype))
-        # zero head: initial output is exactly 0, so the first gradient step
-        # already points each landmark channel at its feature-target correlation
-        self.weights.append(np.zeros((n, c), dtype=self.dtype))
-        self.biases.append(np.zeros(n, dtype=self.dtype))
+        # (slice, shape) of each layer's weights, then its biases; Python ints,
+        # so a huge width fails at the allocation below instead of overflowing
+        self._layout, size = [], 0
+        for shape in [(c, cin, 3, 3) for cin in (1, c, c, c, c)] + [(n, c)]:
+            for part in (shape, shape[:1]):
+                self._layout.append((slice(size, size + math.prod(part)), part))
+                size += math.prod(part)
+        with too_large(f"predictor_width = {width} is too large to hold its parameters"):
+            self._params = np.zeros(size, dtype=self.dtype)
+        self.weights, self.biases = self._views(self._params)
+        # the head stays zero: initial output is exactly 0, so the first gradient
+        # step already points each landmark channel at its feature-target correlation
+        rng = np.random.default_rng(seed)
+        for w, cin in zip(self.weights, (1, c, c, c, c)):
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / (cin * 9)), size=w.shape)
         self._trunk_cache = None
         self._cache = None
 
     # --- parameter vector ---------------------------------------------------
 
+    def _views(self, vec):
+        """Per-layer weight and bias views of a flat parameter-shaped vector."""
+        views = [vec[part].reshape(shape) for part, shape in self._layout]
+        return views[0::2], views[1::2]
+
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._params.size
 
     def get_params(self) -> np.ndarray:
-        """Flat parameter vector in the predictor's dtype."""
-        return _flat(self.weights, self.biases, self.dtype)
+        """Copy of the flat parameter vector, in the predictor's dtype."""
+        return self._params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         """Copy a flat parameter vector of any float dtype in, cast to the predictor's."""
         flat = np.asarray(flat)
-        if flat.shape != (self.num_params(),):
+        if flat.shape != self._params.shape:
             raise InvalidParameterError(
                 f"expected {self.num_params()} parameters, got {flat.shape}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).astype(self.dtype)
-            pos += w.size
-            self.biases[i] = flat[pos:pos + b.size].astype(self.dtype)
-            pos += b.size
+        self._params[...] = flat
 
     # --- forward / backward ---------------------------------------------------
 
@@ -201,11 +201,11 @@ class ReferencePredictor:
             raise RuntimeError("backward called before forward")
         (rows, (a1, a2, a3, a4)), rows4, a5, mask = self._cache
         rows = (*rows, rows4)
-        gw = [None] * 6
-        gb = [None] * 6
+        grad = np.empty(self._params.size)
+        gw, gb = self._views(grad)
         dyf = np.asarray(dy, dtype=self.dtype).reshape(dy.shape[0], -1)
-        gw[5] = dyf @ a5.reshape(dyf.shape[1], -1)
-        gb[5] = dyf.sum(axis=1)
+        gw[5][...] = dyf @ a5.reshape(dyf.shape[1], -1)
+        gb[5][...] = dyf.sum(axis=1)
         da5 = (dyf.T @ self.weights[5]).reshape(a5.shape)
 
         def conv_back(dyc, act, layer):
@@ -215,9 +215,9 @@ class ReferencePredictor:
             h, wd = dyc.shape[:2]
             n = h * wd
             dym = dyc.reshape(n, cout)
-            gw[layer] = np.stack([dym.T @ rows[layer][ki * wd:ki * wd + n] for ki in (0, 1, 2)],
-                                 axis=1).reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
-            gb[layer] = dym.sum(axis=0)
+            g = np.stack([dym.T @ rows[layer][ki * wd:ki * wd + n] for ki in (0, 1, 2)], axis=1)
+            gw[layer][...] = g.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+            gb[layer][...] = dym.sum(axis=0)
             if layer == 0:
                 return None  # nothing reads the image gradient
             # transposed convolution: the output gradient convolved with the
@@ -231,4 +231,4 @@ class ReferencePredictor:
         dp2 = conv_back(upsample2_backward(du1), a3, 2)
         dp1 = conv_back(avgpool2_backward(dp2), a2, 1)
         conv_back(avgpool2_backward(dp1), a1, 0)
-        return _flat(gw, gb, np.float64)
+        return grad

@@ -1,14 +1,12 @@
 """Static SVG plots: offset scatters, covariance ellipses, curves.
 
-All geometry is emitted with fixed decimal formatting so identical inputs
-produce identical bytes; the only varying content is an optional generation
-timestamp comment, which callers can suppress.
+All geometry is emitted with fixed decimal formatting, and a document holds
+nothing but its inputs, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -27,13 +25,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def svg_document(body: list[str], timestamp: bool = True) -> str:
-    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
-            f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">']
-    if timestamp:
-        now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        head.append(f"<!-- generated {now} -->")
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+def svg_document(body: list[str]) -> str:
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+            f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">')
+    return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
 class _Axes:
@@ -142,8 +137,7 @@ def _square_limits(xs, ys, pad_frac=0.1):
     return (cx - half, cx + half), (cy - half * aspect, cy + half * aspect)
 
 
-def render_offset_scatter(offsets, overlays=(), scale: float = 3.0, title: str = "",
-                          timestamp: bool = True) -> str:
+def render_offset_scatter(offsets, overlays=(), scale: float = 3.0, title: str = "") -> str:
     """Scatter of (pred - target) offsets with covariance ellipses at `scale` sigma.
 
     overlays: [(label, CovarianceDecomposition), ...] centered on the offset mean.
@@ -159,11 +153,10 @@ def render_offset_scatter(offsets, overlays=(), scale: float = 3.0, title: str =
     center = offsets.mean(axis=0)
     for i, (label, d) in enumerate(overlays):
         ax.ellipse(center, d, scale, PALETTE[(i + 1) % len(PALETTE)], label)
-    return svg_document(ax.parts, timestamp=timestamp)
+    return svg_document(ax.parts)
 
 
-def render_ellipse_overlay(image_shape, items, scale: float = 3.0, title: str = "",
-                           timestamp: bool = True) -> str:
+def render_ellipse_overlay(image_shape, items, scale: float = 3.0, title: str = "") -> str:
     """Covariance ellipses in image coordinates over the image's extent box.
 
     items: [(label, mean_xy, CovarianceDecomposition), ...]
@@ -180,10 +173,10 @@ def render_ellipse_overlay(image_shape, items, scale: float = 3.0, title: str = 
         ax.parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y - 3)}" x2="{_fmt(x)}" '
                         f'y2="{_fmt(y + 3)}" stroke="{color}" stroke-width="1"/>')
         ax.ellipse(mean, d, scale, color, label)
-    return svg_document(ax.parts, timestamp=timestamp)
+    return svg_document(ax.parts)
 
 
-def render_accuracy_curve(curves, title: str = "", timestamp: bool = True) -> str:
+def render_accuracy_curve(curves, title: str = "") -> str:
     """Accuracy-vs-fraction-considered lines; curves: {label: [(frac, acc%), ...]}."""
     if not curves:
         raise InvalidParameterError("need at least one curve")
@@ -197,11 +190,10 @@ def render_accuracy_curve(curves, title: str = "", timestamp: bool = True) -> st
         ax.polyline([p[0] for p in pts], [p[1] for p in pts], color)
         entries.append((label, color))
     ax.legend(entries)
-    return svg_document(ax.parts, timestamp=timestamp)
+    return svg_document(ax.parts)
 
 
-def render_sigma_vs_error(products, errors, title: str = "",
-                          timestamp: bool = True) -> str:
+def render_sigma_vs_error(products, errors, title: str = "") -> str:
     """Scatter of per-image fitted sigma products against point errors."""
     products = np.asarray(products, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
@@ -213,4 +205,4 @@ def render_sigma_vs_error(products, errors, title: str = "",
     ax = _Axes(xlim, ylim, "fitted sigma_maj * sigma_min (px^2)", "point error (px)",
                title)
     ax.scatter(products, errors, PALETTE[0])
-    return svg_document(ax.parts, timestamp=timestamp)
+    return svg_document(ax.parts)

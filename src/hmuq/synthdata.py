@@ -29,6 +29,7 @@ from .gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
     sample_gaussian,
+    too_large,
 )
 
 STRUCTURES = ("corner", "edge", "blob")
@@ -144,8 +145,9 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, np.ndarray]:
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     ids = []
     images = []
-    truth = np.empty((cfg.num_images, n_landmarks, 2))
-    annotations = np.empty_like(truth)
+    with too_large(f"num_images = {cfg.num_images} is too large to hold its positions"):
+        truth = np.empty((cfg.num_images, n_landmarks, 2))
+        annotations = np.empty_like(truth)
     for i in range(cfg.num_images):
         rng = np.random.default_rng([cfg.seed, i])
         true = base + rng.uniform(-cfg.position_jitter, cfg.position_jitter,

@@ -29,6 +29,7 @@ from .gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
     render_with_param_gradients,
+    too_large,
 )
 from .nets import ReferencePredictor
 
@@ -169,11 +170,8 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
 
     trace = []
     for it in range(cfg.iterations):
-        try:
+        with too_large(f"batch_size = {cfg.batch_size} is too large to draw a batch"):
             idx = rng.integers(0, len(images), size=cfg.batch_size)
-        except (MemoryError, ValueError):  # past the address space or numpy's size limit
-            raise InvalidParameterError(
-                f"batch_size = {cfg.batch_size} is too large to draw a batch") from None
         batch_loss = 0.0
         grad = np.zeros_like(params)
         grad_cov = np.zeros((n_landmarks, 3))

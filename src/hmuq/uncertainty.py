@@ -6,7 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fitting import FitDegenerateError, FitResult, argmax_coord, fit_gaussian
-from .gauss import CovarianceDecomposition, InvalidParameterError, population_distribution
+from .gauss import (
+    CovarianceDecomposition,
+    InvalidParameterError,
+    population_distribution,
+    too_large,
+)
 
 
 def sample_uncertainty(h: np.ndarray) -> FitResult | None:
@@ -44,10 +49,8 @@ def mcd_predict(model, image, k: int = 20, seed: int = 0) -> tuple[np.ndarray, n
     if not rate > 0:
         raise InvalidParameterError("Monte-Carlo dropout needs a model trained with dropout")
     net = model.predictor
-    try:
+    with too_large(f"k = {k} is too large to hold its argmax points"):
         points = np.empty((net.landmark_count, k, 2), dtype=np.intp)
-    except (MemoryError, ValueError):  # past the address space or numpy's size limit
-        raise InvalidParameterError(f"k = {k} is too large to hold its argmax points") from None
     features = net.trunk(image)
     for i in range(k):
         heatmaps = net.head(features, rate, np.random.default_rng([seed, i]))

@@ -220,4 +220,4 @@ def write_interobserver_fixture(out_dir, num_images=100, seed=202):
             rows.extend(AnnotationRow(image_id, j, obs, float(x), float(y))
                         for obs, (x, y) in zip(OBSERVER_IDS, pts))
     return write_dataset(out_dir, ids, images, None, [spacing] * num_images,
-                         len(INTEROBS_TARGETS_MM), observer_rows=rows, bits=8)
+                         len(INTEROBS_TARGETS_MM), observer_rows=rows)

@@ -154,14 +154,14 @@ class TestPlots:
     def test_ellipse_overlay_one_per_landmark(self, pipeline):
         assert main(["plot", "--kind", "ellipse_overlay",
                      "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                     "--out", str(pipeline / "pl"), "--no-timestamp"]) == 0
+                     "--out", str(pipeline / "pl")]) == 0
         tags = self.svg_tags(pipeline / "pl" / "ellipse_overlay.svg")
         assert tags.count("ellipse") == 2
 
     def test_offset_scatter(self, pipeline):
         assert main(["plot", "--kind", "offset_scatter", "--landmark", "1",
                      "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                     "--out", str(pipeline / "pl"), "--no-timestamp"]) == 0
+                     "--out", str(pipeline / "pl")]) == 0
         tags = self.svg_tags(pipeline / "pl" / "offset_scatter.svg")
         assert tags.count("circle") == 12
         assert tags.count("ellipse") == 2  # learned + empirical
@@ -169,26 +169,33 @@ class TestPlots:
     def test_accuracy_curve_from_csv(self, pipeline):
         curve = pipeline / "rc" / "curve_span.csv"
         assert main(["plot", "--kind", "accuracy_curve", "--curves", str(curve),
-                     "--out", str(pipeline / "pl"), "--no-timestamp"]) == 0
+                     "--out", str(pipeline / "pl")]) == 0
         tags = self.svg_tags(pipeline / "pl" / "accuracy_curve.svg")
         assert tags.count("polyline") >= 1
 
     def test_sigma_vs_error(self, pipeline):
         assert main(["plot", "--kind", "sigma_vs_error", "--landmark", "0",
                      "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                     "--out", str(pipeline / "pl"), "--no-timestamp"]) == 0
+                     "--out", str(pipeline / "pl")]) == 0
         tags = self.svg_tags(pipeline / "pl" / "sigma_vs_error.svg")
         assert tags.count("circle") == 12
 
-    def test_timestamp_suppressed(self, pipeline):
-        text = (pipeline / "pl" / "ellipse_overlay.svg").read_text()
-        assert "generated" not in text
+    def test_every_kind_rerun_byte_identical(self, pipeline, tmp_path):
+        inputs = ["--model", str(pipeline / "m"), "--data", str(pipeline / "d")]
+        curves = ["--curves", str(pipeline / "rc" / "curve_span.csv")]
+        for kind in ("ellipse_overlay", "offset_scatter", "sigma_vs_error", "accuracy_curve"):
+            argv = ["plot", "--kind", kind] + (curves if kind == "accuracy_curve" else inputs)
+            runs = []
+            for out in ("a", "b"):
+                assert main(argv + ["--out", str(tmp_path / out), "--quiet"]) == 0
+                runs.append((tmp_path / out / f"{kind}.svg").read_bytes())
+            assert runs[0] == runs[1], kind
+            assert b"<!--" not in runs[0], kind
 
-    def test_timestamp_default_on(self, pipeline, tmp_path):
-        assert main(["plot", "--kind", "ellipse_overlay",
-                     "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
-                     "--out", str(tmp_path), "--quiet"]) == 0
-        assert "generated" in (tmp_path / "ellipse_overlay.svg").read_text()
+    def test_no_timestamp_flag_usage_exit(self, capsys):
+        assert main(["plot", "--kind", "accuracy_curve", "--curves", "c.csv",
+                     "--no-timestamp"]) == 2
+        assert "unrecognized arguments: --no-timestamp" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -316,6 +323,36 @@ class TestErrors:
                      "--out", str(tmp_path / "m"), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "batch_size = 1000000000000000 is too large to draw a batch" in err
+        assert "Traceback" not in err
+
+    def test_synth_huge_num_images_exits_1(self, tmp_path, capsys):
+        # the true positions of 10^15 images (58 PiB) cannot be allocated
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("num_images = 1000000000000000\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "num_images = 1000000000000000 is too large" in err
+        assert "Traceback" not in err
+
+    def test_train_huge_predictor_width_exits_1(self, pipeline, tmp_path, capsys):
+        # width 10^9 needs about 3.6e19 parameters, past numpy's size limit
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("iterations = 1\npredictor_width = 1000000000\n")
+        assert main(["train", "--data", str(pipeline / "d"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "predictor_width = 1000000000 is too large" in err
+        assert "Traceback" not in err
+
+    def test_clinical_huge_samples_exits_1(self, pipeline, tmp_path, capsys):
+        # 10^15 draws of one landmark (15 PiB) cannot be allocated
+        assert main(["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                     "--names", str(pipeline / "names.cfg"),
+                     "--measurements", str(pipeline / "meas.cfg"),
+                     "--samples", "1000000000000000", "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "samples = 1000000000000000 is too large" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["fit", "mcd", "eval", "clinical"])
@@ -461,13 +498,16 @@ def _non_utf8_dataset_case(name):
     return build
 
 
-def _manifest_case(pipeline, tmp):
-    bad = tmp / "bad"
-    shutil.copytree(pipeline / "d", bad)
-    manifest = bad / "manifest.cfg"
-    manifest.write_text("landmark_count = four\nimages = images.csv\n"
-                        "annotations = annotations.csv\n")
-    return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], manifest
+def _manifest_case(command, count):
+    """`command` on a copy of the pipeline dataset whose manifest has landmark_count `count`."""
+    def build(pipeline, tmp):
+        bad = tmp / "bad"
+        shutil.copytree(pipeline / "d", bad)
+        manifest = bad / "manifest.cfg"
+        manifest.write_text(f"landmark_count = {count}\nimages = images.csv\n"
+                            "annotations = annotations.csv\n")
+        return [command, "--model", str(pipeline / "m"), "--data", str(bad)], manifest
+    return build
 
 
 def _spacing_case(value):
@@ -559,6 +599,10 @@ BAD_INPUTS = {
     "checkpoint-width-misfit": (
         _checkpoint_case("predict", _snapshot_edit(b"predictor_width = 8", b"predictor_width = 9")),
         "parameters, got ("),
+    "checkpoint-huge-width": (
+        _checkpoint_case("predict", _snapshot_edit(b"predictor_width = 8",
+                                                   b"predictor_width = 1000000000")),
+        "predictor_width = 1000000000 is too large"),
     "checkpoint-non-utf8-snapshot": (
         _checkpoint_case("predict", _snapshot_edit(b"alpha", b"alph\xff")),
         "not UTF-8 text (byte "),
@@ -569,7 +613,11 @@ BAD_INPUTS = {
     "checkpoint-negative-sigma": (_checkpoint_case("plot", _sigma_maj(-3.0)), "must be >= 0"),
     "checkpoint-zero-landmarks": (_checkpoint_case("predict", _zero_landmarks),
                                   "landmark_count and width must be >= 1"),
-    "manifest-bad-count": (_manifest_case, "landmark_count: expected int, got 'four'"),
+    "manifest-bad-count": (_manifest_case("predict", "four"),
+                           "landmark_count: expected int, got 'four'"),
+    # (images, 10^12, 2) float64 annotations (175 TiB) cannot be allocated
+    "manifest-huge-landmark-count": (_manifest_case("eval", 10**12),
+                                     "landmark_count = 1000000000000 is too large"),
     "images-inf-spacing": (_spacing_case("inf"),
                            ":4: spacing must be finite and > 0, got 'inf'"),
     "measurements-bad-breakpoints": (

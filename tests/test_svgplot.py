@@ -23,34 +23,29 @@ def tags(svg):
 class TestOffsetScatter:
     def test_well_formed_with_points_and_ellipse(self):
         rng = np.random.default_rng(0)
-        svg = render_offset_scatter(rng.normal(0, 1, (40, 2)),
-                                    overlays=[("fit", DEC)], timestamp=False)
+        svg = render_offset_scatter(rng.normal(0, 1, (40, 2)), overlays=[("fit", DEC)])
         t = tags(svg)
         assert t.count("circle") == 40
         assert t.count("ellipse") == 1
 
     def test_deterministic_without_timestamp(self):
         offs = [(0.5, -0.25), (-1.0, 2.0)]
-        a = render_offset_scatter(offs, timestamp=False)
-        b = render_offset_scatter(offs, timestamp=False)
+        a = render_offset_scatter(offs)
+        b = render_offset_scatter(offs)
         assert a == b
-        assert "generated" not in a
-
-    def test_timestamp_comment_present_by_default(self):
-        svg = render_offset_scatter([(0.0, 0.0)])
-        assert "<!-- generated" in svg
+        assert "<!--" not in a
 
 
 class TestEllipseOverlay:
     def test_one_ellipse_per_landmark(self):
         items = [(f"L{i}", (20.0 + 5 * i, 30.0), DEC) for i in range(4)]
-        svg = render_ellipse_overlay((64, 64), items, timestamp=False)
+        svg = render_ellipse_overlay((64, 64), items)
         assert tags(svg).count("ellipse") == 4
 
     def test_semi_axes_scale_with_sigma(self):
         items = [("L0", (32.0, 32.0), DEC)]
-        svg3 = render_ellipse_overlay((64, 64), items, scale=3.0, timestamp=False)
-        svg6 = render_ellipse_overlay((64, 64), items, scale=6.0, timestamp=False)
+        svg3 = render_ellipse_overlay((64, 64), items, scale=3.0)
+        svg6 = render_ellipse_overlay((64, 64), items, scale=6.0)
         rx3 = float(ET.fromstring(svg3).find(".//{*}ellipse").get("rx"))
         rx6 = float(ET.fromstring(svg6).find(".//{*}ellipse").get("rx"))
         assert rx6 == pytest.approx(2.0 * rx3, rel=1e-3)
@@ -60,21 +55,20 @@ class TestEllipseOverlay:
 
 class TestCurves:
     def test_accuracy_curve_polyline(self):
-        svg = render_accuracy_curve({"ANB": [(0.5, 100.0), (1.0, 75.0)]},
-                                    timestamp=False)
+        svg = render_accuracy_curve({"ANB": [(0.5, 100.0), (1.0, 75.0)]})
         assert tags(svg).count("polyline") == 1
 
     def test_multiple_curves_sorted_stable(self):
         curves = {"b": [(1.0, 50.0)], "a": [(1.0, 90.0)]}
-        assert (render_accuracy_curve(curves, timestamp=False)
-                == render_accuracy_curve(dict(reversed(curves.items())), timestamp=False))
+        assert (render_accuracy_curve(curves)
+                == render_accuracy_curve(dict(reversed(curves.items()))))
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             render_accuracy_curve({})
 
     def test_sigma_vs_error(self):
-        svg = render_sigma_vs_error([1.0, 2.0, 3.0], [0.5, 0.2, 0.9], timestamp=False)
+        svg = render_sigma_vs_error([1.0, 2.0, 3.0], [0.5, 0.2, 0.9])
         assert tags(svg).count("circle") == 3
 
     def test_sigma_vs_error_shape_mismatch(self):

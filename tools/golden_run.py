@@ -8,7 +8,7 @@ It writes the default 200-image synthetic set, a 24-image held-out set
 (`--seed 1`), a 300-iteration checkpoint (`--seed 3`, dropout 0.1, lr 1e-5,
 covariance multiplier 3), then `predict`, `fit`, `mcd --k 5`, `eval` and
 `clinical` on the held-out set with the benchmark's names and measurements,
-and all four `plot --no-timestamp` kinds, each under OUT/<step>.  BLAS is
+and all four `plot` kinds, each under OUT/<step>.  BLAS is
 pinned to one thread, as in the benchmark, so that two commits run the same
 arithmetic.  Compare two commits with `diff -r OUT_A OUT_B` (see README.md).
 """
@@ -47,10 +47,9 @@ def run(out: Path) -> None:
             "--names", str(out / "names.cfg"), "--measurements", str(out / "measurements.cfg")]),
     ]
     for kind in ("ellipse_overlay", "offset_scatter", "sigma_vs_error"):
-        steps.append(("plot", ["plot", "--kind", kind, "--no-timestamp"] + model + held))
+        steps.append(("plot", ["plot", "--kind", kind] + model + held))
     curves = [str(out / "clinical" / f"curve_{m}.csv") for m in MEASUREMENTS]
-    steps.append(("plot", ["plot", "--kind", "accuracy_curve", "--no-timestamp",
-                           "--curves"] + curves))
+    steps.append(("plot", ["plot", "--kind", "accuracy_curve", "--curves"] + curves))
     for step, argv in steps:
         rc = hmuq.cli.main(argv + ["--out", str(out / step)])
         if rc != 0:
