@@ -17,6 +17,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .clinical import (
     accuracy_uncertainty_curve,
     classify,
@@ -36,7 +38,7 @@ from .dataio import (
     write_csv,
 )
 from .fitting import argmax_coord
-from .gauss import AnisotropicGaussian, InvalidParameterError, population_distribution
+from .gauss import AnisotropicGaussian, InvalidParameterError, population_distribution, too_large
 from .metrics import (
     aggregate_stats,
     interobserver_decomps,
@@ -319,6 +321,9 @@ def _landmark_names(path, landmark_count):
 
 
 def cmd_clinical(args) -> int:
+    # the draws of mc_classify come after every fit, so check their size first
+    with too_large(f"samples = {args.samples} is too large to draw at once"):
+        np.empty((args.samples, 2))
     model, ds = _load_predictor_dataset(args.data, args.model)
     measurements = list(load_measurements(args.measurements).values())
     names = _landmark_names(args.names, ds.landmark_count)
@@ -523,7 +528,9 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # the subcommand's usage, not the top-level one parse_args prints
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

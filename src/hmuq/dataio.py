@@ -7,6 +7,11 @@ annotator CSV) and/or `observer_annotations` (multi-annotator CSV).  Annotation
 CSVs share one schema: image_id,landmark_id,observer_id,x_px,y_px with the
 observer column empty for single-annotator data.  All values are written so
 that a read/write round trip preserves them exactly.
+
+`load_dataset` holds each image as float32, the dtype the predictor computes
+in: half the bytes of float64, and no level is lost, because the float32
+spacing below 1 is at most 2**-24 against a 16-bit step of 1/65535, so every
+8- and 16-bit level stays distinct and `np.rint(x * maxval)` recovers it.
 """
 
 from __future__ import annotations
@@ -261,6 +266,9 @@ def read_annotations(path) -> list[AnnotationRow]:
 class Dataset:
     """In-memory dataset: images plus per-image landmark coordinates in px.
 
+    `images` holds 2-D intensities in [0, 1]: float32 from `load_dataset`,
+    which loses no 8- or 16-bit level (see the module docstring), and float64
+    from `synthdata.generate`, whose values `write_pgm` rounds to 16 bits.
     `coords` is (num_images, landmark_count, 2) from the single-annotator
     table (None when the dataset only carries observer annotations);
     `observers` maps (image_id, landmark_id) to [(observer_id, x, y), ...];
@@ -313,7 +321,7 @@ def load_dataset(manifest_path) -> Dataset:
     if landmark_count < 1:
         raise DataFormatError(f"{manifest_path}: landmark_count must be >= 1")
 
-    ids: list[str] = []
+    index: dict[str, int] = {}
     paths: list[str] = []
     images: list[np.ndarray] = []
     spacing: list[float] = []
@@ -322,7 +330,7 @@ def load_dataset(manifest_path) -> Dataset:
         if len(rec) != 3:
             raise DataFormatError(f"{images_path}:{lineno}: expected 3 columns")
         image_id, rel, spc = rec
-        if image_id in ids:
+        if image_id in index:
             raise DataFormatError(f"{images_path}:{lineno}: duplicate image id {image_id!r}")
         try:
             spc_val = float(spc)
@@ -331,11 +339,11 @@ def load_dataset(manifest_path) -> Dataset:
         if not 0 < spc_val < math.inf:
             raise DataFormatError(f"{images_path}:{lineno}: spacing must be finite and > 0, "
                                   f"got {spc!r}")
-        ids.append(image_id)
+        index[image_id] = len(index)
         paths.append(os.path.join(base, rel))
-        images.append(read_pgm(paths[-1]))
+        images.append(read_pgm(paths[-1]).astype(np.float32))
         spacing.append(spc_val)
-    index = {image_id: i for i, image_id in enumerate(ids)}
+    ids = list(index)
 
     coords = None
     if "annotations" in manifest:

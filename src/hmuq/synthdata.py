@@ -137,6 +137,8 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, np.ndarray]:
 
     The Dataset's coords are the noisy annotations, as `load_dataset` reads
     them back from the written set; the (num_images, N, 2) array is truth.
+    Its images are float64, which `write_pgm` rounds to 16 bits and
+    `load_dataset` reads back as float32.
     """
     cfg.validate()
     base = _base_positions(cfg)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hmuq.cli
+import hmuq.uncertainty
 from hmuq import fitting
 from hmuq.cli import main
 from hmuq.dataio import load_dataset, read_annotations, write_pgm
@@ -345,8 +346,13 @@ class TestErrors:
         assert "predictor_width = 1000000000 is too large" in err
         assert "Traceback" not in err
 
-    def test_clinical_huge_samples_exits_1(self, pipeline, tmp_path, capsys):
-        # 10^15 draws of one landmark (15 PiB) cannot be allocated
+    def test_clinical_huge_samples_exits_1(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(hmuq.uncertainty, "fit_gaussian", no_fit)
+        # 10^15 draws of one landmark (15 PiB) cannot be allocated, and that
+        # is known before any fit runs
         assert main(["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
                      "--names", str(pipeline / "names.cfg"),
                      "--measurements", str(pipeline / "meas.cfg"),
@@ -361,6 +367,12 @@ class TestErrors:
         argv = [command, "--model", "m", "--data", "d", "--config", "fit.cfg"]
         assert main(argv + (["--names", "n.cfg"] if command == "clinical" else [])) == 2
         assert "unrecognized arguments: --config fit.cfg" in capsys.readouterr().err
+
+    def test_unknown_flag_prints_subcommand_usage(self, capsys):
+        assert main(["eval", "--model", "m", "--data", "d", "--bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hmuq eval")
+        assert "unrecognized arguments: --bogus" in err
 
     def test_zero_samples_usage_exit_before_any_fit(self, pipeline, tmp_path, capsys,
                                                     monkeypatch):
@@ -510,14 +522,15 @@ def _manifest_case(command, count):
     return build
 
 
-def _spacing_case(value):
-    """A copy of the pipeline dataset whose third image has pixel spacing `value`."""
+def _images_row_case(edit):
+    """A copy of the pipeline dataset whose images.csv line 4 (the third
+    image) is replaced by `edit(lines)` of the file's lines."""
     def build(pipeline, tmp):
         bad = tmp / "bad"
         shutil.copytree(pipeline / "d", bad)
         path = bad / "images.csv"
         lines = path.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + f",{value}"
+        lines[3] = edit(lines)
         path.write_text("\n".join(lines) + "\n")
         return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], path
     return build
@@ -618,8 +631,11 @@ BAD_INPUTS = {
     # (images, 10^12, 2) float64 annotations (175 TiB) cannot be allocated
     "manifest-huge-landmark-count": (_manifest_case("eval", 10**12),
                                      "landmark_count = 1000000000000 is too large"),
-    "images-inf-spacing": (_spacing_case("inf"),
+    "images-inf-spacing": (_images_row_case(lambda lines: lines[3].rsplit(",", 1)[0] + ",inf"),
                            ":4: spacing must be finite and > 0, got 'inf'"),
+    "images-duplicate-id": (  # line 4 takes the id of line 3
+        _images_row_case(lambda lines: lines[2].split(",")[0] + "," + lines[3].split(",", 1)[1]),
+        ":4: duplicate image id 'img_0001'"),
     "measurements-bad-breakpoints": (
         _clinical_case("measurements", MEAS_CFG.replace("6.0, 12.0", "6.0, x")),
         "bad breakpoints"),

@@ -283,6 +283,24 @@ class TestDataset:
         with pytest.raises(DataFormatError, match="unknown image id"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_images_load_as_float32_keeping_every_level(self, tmp_path, maxval):
+        side = 16 if maxval == 255 else 256  # one pixel per level
+        levels = np.arange(maxval + 1).reshape(side, side)
+        dtype = "u1" if maxval == 255 else ">u2"
+        (tmp_path / "all.pgm").write_bytes(f"P5\n{side} {side}\n{maxval}\n".encode()
+                                           + levels.astype(dtype).tobytes())
+        (tmp_path / "images.csv").write_text("image_id,path,spacing_mm\nall,all.pgm,1.0\n")
+        (tmp_path / "annotations.csv").write_text(
+            "image_id,landmark_id,observer_id,x_px,y_px\nall,0,,1.0,2.0\n")
+        (tmp_path / "manifest.cfg").write_text(
+            "landmark_count = 1\nimages = images.csv\nannotations = annotations.csv\n")
+        image = load_dataset(tmp_path / "manifest.cfg").images[0]
+        assert image.dtype == np.float32
+        assert np.array_equal(image, np.float32(levels / maxval))
+        assert np.unique(image).size == maxval + 1
+        assert np.array_equal(np.rint(image * maxval), levels)
+
     def test_nonpositive_spacing_rejected(self, tmp_path):
         manifest = self.make(tmp_path)
         images_csv = tmp_path / "ds" / "images.csv"

@@ -161,9 +161,10 @@ class TestWrite:
         loaded = load_dataset(write_synth_dataset(tmp_path / "out", ds, truth, cfg))
         assert loaded.ids == ds.ids
         assert loaded.landmark_count == ds.landmark_count == 4
-        # 16-bit quantization: intensities match to half a step
+        # each float64 intensity is rounded to 16 bits on disk, then loaded as float32
         for a, b in zip(loaded.images, ds.images):
-            assert np.abs(a - b).max() <= 0.5 / 65535
+            assert a.dtype == np.float32
+            assert np.array_equal(a, np.float32(np.rint(b * 65535) / 65535))
         assert np.array_equal(loaded.coords, ds.coords)
         assert np.array_equal(loaded.spacing, ds.spacing)
         assert (tmp_path / "out" / "generator.cfg").exists()
