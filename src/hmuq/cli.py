@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from .clinical import (
+    DegenerateGeometryError,
     accuracy_uncertainty_curve,
     classify,
     evaluate_measurement,
@@ -288,13 +289,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_interobs(args) -> int:
-    ds = load_dataset(_manifest_path(args.data))
+    manifest = _manifest_path(args.data)
+    ds = load_dataset(manifest)
     if ds.observers is None:
         raise InvalidParameterError(f"{args.data}: dataset has no observer annotations")
     rows = []
     for j in range(ds.landmark_count):
-        stats = aggregate_stats(interobserver_decomps(ds, j))
-        rows.append(report_row(j, stats))
+        with errors_named(manifest):
+            rows.append(report_row(j, aggregate_stats(interobserver_decomps(ds, j))))
     n_rows = sum(len(v) for v in ds.observers.values())
     _write_report(args, "interobserver.csv", rows,
                   f"{n_rows} observer annotations over {len(ds.ids)} images")
@@ -351,7 +353,12 @@ def cmd_clinical(args) -> int:
             if any(n not in gaussians for n in mdef.landmark_ids):
                 skipped += 1
                 continue
-            gt_label = classify(evaluate_measurement(gt_mm, mdef), thresholds)
+            try:
+                gt_label = classify(evaluate_measurement(gt_mm, mdef), thresholds)
+            except DegenerateGeometryError as exc:
+                raise DegenerateGeometryError(
+                    f"{_manifest_path(args.data)}: image {image_id!r}: {exc} "
+                    f"in its annotations") from None
             result = mc_classify(gaussians, mdef, thresholds, n=args.samples,
                                  seed=[args.seed, i, m_index])
             class_rows.append((image_id, mdef.name, gt_label, result.hard_class,

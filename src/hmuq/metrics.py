@@ -80,8 +80,9 @@ def aggregate_stats(decomps) -> AggregateStats:
 def interobserver_decomps(dataset, landmark_id: int) -> list[CovarianceDecomposition]:
     """Per-image covariance decompositions of one landmark's observer points (mm).
 
-    Images with fewer than 3 annotations for the landmark are skipped (a
-    Gaussian fit needs at least 3 points).
+    An image is skipped when it has fewer than 3 annotations for the
+    landmark (a Gaussian fit needs at least 3 points) or when its points are
+    collinear, so that sigma_min = 0 and the extent ratio is undefined.
     """
     if dataset.observers is None:
         raise InvalidParameterError("dataset has no observer annotations")
@@ -91,10 +92,12 @@ def interobserver_decomps(dataset, landmark_id: int) -> list[CovarianceDecomposi
         if entries is None or len(entries) < 3:
             continue
         pts = np.array([(x, y) for _, x, y in entries]) * dataset.spacing[i]
-        out.append(population_distribution(pts)[1])
+        spread = population_distribution(pts)[1]
+        if spread.sigma_min > 0:
+            out.append(spread)
     if not out:
         raise InvalidParameterError(
-            f"no image has >= 3 observer annotations for landmark {landmark_id}")
+            f"no image has >= 3 non-collinear observer annotations for landmark {landmark_id}")
     return out
 
 

@@ -1,11 +1,12 @@
 """Heatmap-regression training with fixed or jointly learned target covariances.
 
-Three target strategies share one loop: fixed isotropic targets, a learned
-per-landmark isotropic extent (pixel loss plus alpha * sigma^2), and a learned
-per-landmark anisotropic covariance (pixel loss plus alpha * sigma_maj *
-sigma_min).  The covariance parameters are optimized as (theta, log sigma_maj,
-log sigma_min) so the extents stay positive without constraints; results are
-reported canonically.
+Every step descends one objective, the pixel loss plus alpha * sigma_maj *
+sigma_min per landmark, whose value and gradients come from
+aniso_loss_gradients alone.  The covariance parameters are held as (theta,
+log sigma_maj, log sigma_min) so the extents stay positive without
+constraints.  The three target modes run one update and differ only in which
+parameters move: none (fixed_iso), both extents together (learned_iso) or
+all three (learned_aniso).  Results are reported canonically.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ from .gauss import (
 )
 from .nets import ReferencePredictor
 
-TARGET_MODES = ("fixed_iso", "learned_iso", "learned_aniso")
+# each target mode moves (theta, log sigma_maj, log sigma_min) along its
+# gradient times one projection: learned_iso moves both extents by their sum
+MODE_PROJECTIONS = {
+    "fixed_iso": np.zeros((3, 3)),
+    "learned_iso": np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+    "learned_aniso": np.eye(3),
+}
+TARGET_MODES = tuple(MODE_PROJECTIONS)
 MOMENTUM = 0.9
 CHECKPOINT_MAGIC = b"HMUQ"
 CHECKPOINT_VERSION = 1
@@ -127,9 +135,11 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
     """Stochastic gradient descent (momentum 0.9, weight decay) over a dataset.
 
     `dataset` needs `.images` (list of equally shaped 2-D arrays) and
-    `.coords` ((num_images, num_landmarks, 2) pixel coordinates).  Covariance
-    parameters move every step at learning_rate * covariance_lr_multiplier
-    (when the mode learns them); the run is deterministic for a fixed seed.
+    `.coords` ((num_images, num_landmarks, 2) pixel coordinates).  Every
+    target mode runs the same momentum step on the covariance parameters at
+    learning_rate * covariance_lr_multiplier, with the gradient projected
+    onto the parameters the mode moves (MODE_PROJECTIONS); the run is
+    deterministic for a fixed seed.
     `initial_params` overrides the random predictor initialization, which
     also enables freeze_predictor studies of the covariance dynamics alone.
     The predictor computes in NET_DTYPE; its parameters, their momentum and
@@ -161,12 +171,10 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
         net.set_params(params)
     vel = np.zeros_like(params)
 
-    theta = np.zeros(n_landmarks)
-    log_maj = np.full(n_landmarks, math.log(cfg.sigma_init))
-    log_min = np.full(n_landmarks, math.log(cfg.sigma_init))
-    vel_cov = np.zeros((n_landmarks, 3))
-    learn_cov = cfg.target_mode != "fixed_iso"
-    iso = cfg.target_mode == "learned_iso"
+    project = MODE_PROJECTIONS[cfg.target_mode]
+    cov = np.zeros((n_landmarks, 3))  # rows of (theta, log sigma_maj, log sigma_min)
+    cov[:, 1:] = math.log(cfg.sigma_init)
+    vel_cov = np.zeros_like(cov)
 
     trace = []
     for it in range(cfg.iterations):
@@ -174,68 +182,46 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
             idx = rng.integers(0, len(images), size=cfg.batch_size)
         batch_loss = 0.0
         grad = np.zeros_like(params)
-        grad_cov = np.zeros((n_landmarks, 3))
-        a = np.exp(log_maj)
-        b = np.exp(log_min)
-        decomps = [CovarianceDecomposition(theta[i], a[i], b[i]) for i in range(n_landmarks)]
+        grad_cov = np.zeros_like(cov)
+        extents = np.exp(cov[:, 1:])
+        decomps = [CovarianceDecomposition(cov[i, 0], *extents[i]) for i in range(n_landmarks)]
         for slot, j in enumerate(idx):
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
                         if cfg.dropout_rate else None)
             pred = net.forward(images[j], cfg.dropout_rate, drop_rng)
-            # the regularizer (alpha = 0 here) is added once per batch below
-            loss, cov, dpred = aniso_loss_gradients(pred, coords[j], decomps, 0.0, cfg.gamma)
-            cov[:, 1] *= a  # chain rule to log parameters, per sample: scaling
-            cov[:, 2] *= b  # the batch sum instead would round differently
+            loss, g, dpred = aniso_loss_gradients(pred, coords[j], decomps, cfg.alpha, cfg.gamma)
+            # chain rule to log extents per sample; the batch sum would round differently
+            g[:, 1:] *= extents
             batch_loss += loss
-            grad_cov += cov
+            grad_cov += g
             if not cfg.freeze_predictor:
                 grad += net.backward(dpred)
         batch_loss /= cfg.batch_size
-        grad /= cfg.batch_size
-        grad_cov /= cfg.batch_size
-
-        # regularizer: alpha * sum sigma_maj*sigma_min (anisotropic) or
-        # alpha * sum sigma^2 (isotropic); gradients in log parameters
-        prod = np.exp(log_maj + log_min)
-        batch_loss += cfg.alpha * prod.sum()
-        if learn_cov:
-            if iso:
-                shared = grad_cov[:, 1] + grad_cov[:, 2] + 2.0 * cfg.alpha * prod
-                grad_cov = np.stack([np.zeros_like(shared), shared, shared], axis=1)
-            else:
-                grad_cov[:, 1] += cfg.alpha * prod
-                grad_cov[:, 2] += cfg.alpha * prod
-
         if not math.isfinite(batch_loss):
             raise TrainDivergedError(f"non-finite loss at iteration {it}")
         trace.append(batch_loss)
 
         if not cfg.freeze_predictor:
-            grad += cfg.weight_decay * params
+            grad = grad / cfg.batch_size + cfg.weight_decay * params
             vel = MOMENTUM * vel - cfg.learning_rate * grad
             params = params + vel
             net.set_params(params)
-        if learn_cov:
-            vel_cov = MOMENTUM * vel_cov - (cfg.learning_rate
-                                            * cfg.covariance_lr_multiplier) * grad_cov
-            theta = theta + vel_cov[:, 0]
-            log_maj = log_maj + vel_cov[:, 1]
-            log_min = log_min + vel_cov[:, 2]
-            # log extents beyond e^30 px are runaway dynamics, not a fit
-            if max(np.abs(log_maj).max(), np.abs(log_min).max()) > 30.0:
-                raise TrainDivergedError(
-                    f"covariance parameters diverged at iteration {it}; lower "
-                    f"learning_rate * covariance_lr_multiplier")
+        vel_cov = MOMENTUM * vel_cov - (cfg.learning_rate * cfg.covariance_lr_multiplier) * (
+            grad_cov / cfg.batch_size @ project)
+        cov = cov + vel_cov
+        # log extents beyond e^30 px are runaway dynamics, not a fit
+        if np.abs(cov[:, 1:]).max() > 30.0:
+            raise TrainDivergedError(
+                f"covariance parameters diverged at iteration {it}; lower "
+                f"learning_rate * covariance_lr_multiplier")
         if progress is not None:
-            progress(it, batch_loss, np.exp(log_maj), np.exp(log_min))
+            progress(it, batch_loss, *np.exp(cov[:, 1:]).T)
 
-    if learn_cov:
-        decomps = [CovarianceDecomposition(theta[i], math.exp(log_maj[i]),
-                                           math.exp(log_min[i])).canonical()
-                   for i in range(n_landmarks)]
-    else:
-        decomps = [CovarianceDecomposition(0.0, cfg.sigma_init, cfg.sigma_init)
-                   for _ in range(n_landmarks)]
+    if project.any():
+        decomps = [CovarianceDecomposition(t, math.exp(a), math.exp(b)).canonical()
+                   for t, a, b in cov]
+    else:  # a fixed target reports sigma_init itself: exp(log(3.0)) != 3.0
+        decomps = [CovarianceDecomposition(0.0, cfg.sigma_init, cfg.sigma_init)] * n_landmarks
     return TrainedModel(net, decomps, cfg, np.array(trace))
 
 

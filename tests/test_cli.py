@@ -274,6 +274,30 @@ class TestInterobs:
         assert float(rows[0]["theta_mean_deg"]) == pytest.approx(39.33, abs=1.0)
         assert rows[0]["pe_mean"] == ""
 
+    def test_collinear_observers_are_skipped(self, tmp_path, capsys):
+        """An image whose observers all clicked one pixel has sigma_min = 0
+        and no extent ratio; it is skipped, not a traceback."""
+        manifest = write_interobserver_fixture(tmp_path / "iobs", num_images=3)
+        path = tmp_path / "iobs" / "observers.csv"
+        lines = path.read_text().splitlines()
+        same = lines[1].split(",")
+        lines[1:12] = [",".join(same[:2] + [f"obs_{k:02d}"] + same[3:]) for k in range(11)]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["interobs", "--data", str(manifest),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(read_rows(tmp_path / "interobserver.csv")) == 5
+
+    def test_no_usable_image_names_manifest(self, tmp_path, capsys):
+        manifest = write_interobserver_fixture(tmp_path / "iobs", num_images=1)
+        path = tmp_path / "iobs" / "observers.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + lines[12:]) + "\n")  # landmark 0: 2 observers
+        assert main(["interobs", "--data", str(manifest),
+                     "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: no image has >= 3 non-collinear" in err and "landmark 0" in err
+
     def test_rejects_single_annotator_data(self, pipeline, tmp_path):
         assert main(["interobs", "--data", str(pipeline / "d"),
                      "--out", str(tmp_path), "--quiet"]) == 1
@@ -550,6 +574,24 @@ def _clinical_case(flag, text):
     return build
 
 
+def _coincident_annotations_case(pipeline, tmp):
+    """clinical on a copy of the pipeline dataset whose third image has
+    landmark 1 annotated on landmark 0, under an angle at landmark 0."""
+    bad = tmp / "bad"
+    shutil.copytree(pipeline / "d", bad)
+    path = bad / "annotations.csv"
+    lines = path.read_text().splitlines()
+    first = lines.index(next(line for line in lines if line.startswith("img_0002,0,")))
+    lines[first + 1] = lines[first].replace(",0,", ",1,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    meas = tmp / "meas.cfg"
+    meas.write_text("bend.expression = angle(beta, alpha, beta)\n"
+                    "bend.breakpoints = 90.0\nbend.labels = acute, obtuse\n")
+    return ["clinical", "--model", str(pipeline / "m"), "--data", str(bad),
+            "--names", str(pipeline / "names.cfg"), "--measurements", str(meas),
+            "--samples", "10"], bad / "manifest.cfg"
+
+
 def _image_case(command, shape):
     """A copy of the pipeline dataset with img_0003.pgm replaced by a blank image of `shape`."""
     def build(pipeline, tmp):
@@ -678,6 +720,9 @@ BAD_INPUTS = {
                                         "checkpoint has 2 landmarks, dataset has 1 ("),
     "clinical-more-landmarks": (_landmark_count_case("clinical", 3),
                                 "checkpoint has 2 landmarks, dataset has 3 ("),
+    "clinical-coincident-annotations": (
+        _coincident_annotations_case,
+        "image 'img_0002': measurement 'bend' hit coincident points in its annotations"),
 }
 
 

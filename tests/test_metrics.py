@@ -112,9 +112,9 @@ class TestAggregateStats:
 
 
 class TestInterobserver:
-    def make_dataset(self, spacing=1.0, observers=None):
-        return Dataset(["im_a", "im_b"], [np.zeros((32, 32))] * 2, None,
-                       np.full(2, spacing), 1, observers)
+    def make_dataset(self, spacing=1.0, observers=None, count=2):
+        return Dataset([f"im_{k}" for k in "abc"[:count]], [np.zeros((32, 32))] * count,
+                       None, np.full(count, spacing), 1, observers)
 
     def test_spacing_scales_to_mm(self):
         k = np.arange(11)
@@ -129,9 +129,17 @@ class TestInterobserver:
 
     def test_skips_images_with_too_few_annotations(self):
         obs = {("im_a", 0): [("o1", 1.0, 1.0), ("o2", 2.0, 2.0)],
-               ("im_b", 0): [("o1", 1.0, 1.0), ("o2", 2.0, 1.0), ("o3", 1.0, 2.0)]}
-        ds = self.make_dataset(observers=obs)
-        assert len(interobserver_decomps(ds, 0)) == 1
+               ("im_b", 0): [("o1", 1.0, 1.0), ("o2", 2.0, 1.0), ("o3", 1.0, 2.0)],
+               # three identical points: sigma_min = 0, no extent ratio
+               ("im_c", 0): [("o1", 4.0, 4.0), ("o2", 4.0, 4.0), ("o3", 4.0, 4.0)]}
+        ds = self.make_dataset(observers=obs, count=3)
+        (d,) = interobserver_decomps(ds, 0)
+        assert d.sigma_min > 0
+
+    def test_collinear_only_is_error(self):
+        obs = {("im_a", 0): [("o1", 1.0, 2.0), ("o2", 3.0, 5.0), ("o3", 5.0, 8.0)]}
+        with pytest.raises(InvalidParameterError, match="non-collinear .* landmark 0"):
+            interobserver_decomps(self.make_dataset(observers=obs), 0)
 
     def test_no_usable_images_is_error(self):
         obs = {("im_a", 0): [("o1", 1.0, 1.0)]}

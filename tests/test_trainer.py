@@ -16,6 +16,8 @@ from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
 from hmuq.synthdata import LandmarkSpec, SynthConfig, generate
 from hmuq.trainer import (
+    MODE_PROJECTIONS,
+    TARGET_MODES,
     TrainConfig,
     TrainDivergedError,
     TrainedModel,
@@ -199,6 +201,42 @@ class TestTrain:
         m = train(ds, cfg)
         for d in m.target_decomps:
             assert d == CovarianceDecomposition(0.0, cfg.sigma_init, cfg.sigma_init)
+
+    @pytest.mark.parametrize("mode", TARGET_MODES)
+    def test_covariance_step_is_the_checked_gradient(self, mode):
+        """One step moves the covariance parameters by exactly the projected,
+        chain-ruled gradient of the objective aniso_loss_gradients computes."""
+        coords = np.array([[[14.2, 8.3], [4.7, 4.3]], [[17.0, 18.6], [13.7, 15.7]]])
+        ds = Dataset(["a", "b"], [np.zeros((24, 24))] * 2, coords, np.ones(2), 2)
+        cfg = TrainConfig(iterations=1, batch_size=2, seed=1, target_mode=mode,
+                          freeze_predictor=True, predictor_width=4)
+        zeros = np.zeros(ReferencePredictor(2, 4).num_params())
+        m = train(ds, cfg, initial_params=zeros)
+
+        start = np.zeros((2, 3))
+        start[:, 1:] = math.log(cfg.sigma_init)
+        extents = np.exp(start[:, 1:])
+        decomps = [CovarianceDecomposition(0.0, *e) for e in extents]
+        idx = np.random.default_rng(cfg.seed).integers(0, 2, size=2)  # train's batch draw
+        assert sorted(idx) == [0, 1]
+        loss, grad = 0.0, np.zeros((2, 3))
+        for j in idx:
+            value, g, _ = aniso_loss_gradients(np.zeros((2, 24, 24)), coords[j], decomps,
+                                               cfg.alpha, cfg.gamma)
+            g[:, 1:] *= extents
+            loss += value
+            grad += g
+        assert m.loss_trace.tolist() == [loss / 2]
+        step = -(cfg.learning_rate * cfg.covariance_lr_multiplier) * (
+            grad / 2 @ MODE_PROJECTIONS[mode])
+        if mode == "fixed_iso":
+            assert not step.any()
+            want = [CovarianceDecomposition(0.0, cfg.sigma_init, cfg.sigma_init)] * 2
+        else:
+            want = [CovarianceDecomposition(t, math.exp(a), math.exp(b)).canonical()
+                    for t, a, b in start + step]
+            assert step[:, 1:].all()
+        assert m.target_decomps == want
 
     def test_divergence_reports_iteration(self):
         ds, cfg = small_synth(iterations=200, learning_rate=10.0)
