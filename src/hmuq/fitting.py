@@ -2,10 +2,10 @@
 
 The fitted mean is the landmark prediction and the fitted covariance is its
 per-sample uncertainty.  Fitting minimizes soft-L1 robustified residuals
-between the rendered Gaussian model and the heatmap, starting from the heatmap
-maximum, with `_solve`: scipy's trust-region reflective least-squares method
-(`least_squares(method="trf")` without bounds, exact SVD-based steps after
-Moré 1978) restated for this 6-parameter problem.
+between the rendered Gaussian model and the heatmap from a start at the image
+moments around its maximum, in one run of `_solve`: scipy's trust-region
+reflective least-squares method (`least_squares(method="trf")` without
+bounds, exact SVD-based steps after Moré 1978) restated for this problem.
 """
 
 from __future__ import annotations
@@ -21,10 +21,14 @@ from .gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
     _gaussian,
+    decompose,
 )
 
-INIT_SIGMA = 3.0
-MAX_NFEV = 200        # model evaluations of one fit, both solves together
+INIT_SIGMA = 3.0      # the start window: +-WINDOW_SIGMAS * INIT_SIGMA around the maximum
+MOMENT_FLOOR = 0.14   # its pixels weigh max(value - MOMENT_FLOOR * window maximum, 0)
+MOMENT_SCALE = 1.3    # start extents: the weighted moment extents times this,
+MIN_SIGMA = 0.5       # and at least this (a one-pixel-wide ridge has sigma_min 0)
+MAX_NFEV = 200        # model evaluations of one fit
 TOLERANCE = 1e-8      # relative cost decrease and step tolerance
 WINDOW_SIGMAS = 5.0   # window half-width, in sigmas around the current mean
 EPS = np.finfo(np.float64).eps
@@ -36,7 +40,7 @@ class FitDegenerateError(RuntimeError):
 
 @dataclass
 class FitResult:
-    """A fitted Gaussian; `iterations` counts the model evaluations of both solves."""
+    """A fitted Gaussian; `iterations` counts the model evaluations of its solve."""
 
     gaussian: AnisotropicGaussian
     residual_norm: float
@@ -218,13 +222,14 @@ def _solve(values, p0, window, max_nfev):
 def fit_gaussian(h: np.ndarray) -> FitResult:
     """Fit mean, covariance and amplitude of an anisotropic Gaussian to a heatmap.
 
-    Initialized at the heatmap maximum with sigma_maj = sigma_min = 3, theta = 0
-    and the amplitude implied by the peak value.  Sigmas and amplitude are
-    optimized in log space; the fit runs on a window of +-WINDOW_SIGMAS times
-    the current extent around the maximum, re-cropped once after at most 10
-    evaluations.  Raises InvalidParameterError unless h is a non-empty 2-D
-    grid of finite values, and FitDegenerateError when fewer than 6 pixels
-    rise above 1% of the maximum (6 free parameters).
+    Starts from the weighted mean and covariance of the window around the
+    smoothed maximum (see the constants), and the amplitude that puts the
+    model's peak at the window maximum; then runs one solve of at most
+    MAX_NFEV evaluations on +-WINDOW_SIGMAS start sigma_maj around the start
+    mean, with sigmas and amplitude in log space.  Raises
+    InvalidParameterError unless h is a non-empty 2-D grid of finite values,
+    and FitDegenerateError when fewer than 6 pixels rise above 1% of the
+    maximum (6 free parameters) or the start window has no positive pixel.
     """
     values = np.asarray(h, dtype=np.float64)
     if values.ndim != 2 or values.size == 0:
@@ -236,22 +241,23 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
         raise FitDegenerateError(
             "need at least 6 pixels above 1% of the heatmap maximum to fit")
 
-    # initialize at the maximum of a 3x3-smoothed copy: an isolated spike must
-    # not hijack the start point, while a true peak moves by at most a pixel
-    x0, y0 = argmax_coord(_smooth3(values))
-    amp0 = values[y0, x0] if values[y0, x0] > 0 else peak
-    p = np.array([x0, y0, 0.0,
-                  math.log(INIT_SIGMA), math.log(INIT_SIGMA),
-                  math.log(amp0 * TWO_PI * INIT_SIGMA ** 2)])
-
-    window = _window(values.shape, (x0, y0), WINDOW_SIGMAS * INIT_SIGMA)
-    p, _, iterations, _ = _solve(values, p, window, 10)
-
-    sigma_est = max(math.exp(p[3]), math.exp(p[4]))
-    new_window = _window(values.shape, (p[0], p[1]),
-                         WINDOW_SIGMAS * max(sigma_est, INIT_SIGMA))
-    p, fun, nfev, status = _solve(values, p, new_window, MAX_NFEV - iterations)
-    iterations += nfev
+    # the start window is centered on the maximum of a 3x3-smoothed copy, which an
+    # isolated spike cannot hijack; the floor keeps the background out of the moments
+    x0, x1, y0, y1 = _window(values.shape, argmax_coord(_smooth3(values)),
+                             WINDOW_SIGMAS * INIT_SIGMA)
+    patch = values[y0:y1 + 1, x0:x1 + 1]
+    top = patch.max()
+    if top <= 0:
+        raise FitDegenerateError("no pixel near the smoothed heatmap maximum is positive")
+    weight = np.maximum(patch - MOMENT_FLOOR * top, 0.0).ravel()
+    pixels = np.mgrid[y0:y1 + 1, x0:x1 + 1][::-1].reshape(2, -1)  # rows x, y
+    mean = pixels @ weight / weight.sum()
+    centered = pixels - mean[:, None]
+    start = decompose((centered * weight) @ centered.T / weight.sum())
+    a, b = (max(MOMENT_SCALE * sigma, MIN_SIGMA) for sigma in (start.sigma_maj, start.sigma_min))
+    p = np.array([*mean, start.theta, math.log(a), math.log(b), math.log(top * TWO_PI * a * b)])
+    window = _window(values.shape, mean, WINDOW_SIGMAS * a)
+    p, fun, iterations, status = _solve(values, p, window, MAX_NFEV)
 
     mx, my, theta, log_a, log_b, log_amp = p
     decomp = CovarianceDecomposition(theta, math.exp(log_a), math.exp(log_b)).canonical()

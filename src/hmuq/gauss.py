@@ -186,23 +186,25 @@ def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
     return z @ np.array([[c, -s], [s, c]]).T + g.mean
 
 
-def population_distribution(points) -> tuple[np.ndarray, CovarianceDecomposition]:
-    """Mean and population covariance (divisor n) of (n, 2) points, decomposed.
+def decompose(cov) -> CovarianceDecomposition:
+    """Canonical decomposition of a 2x2 covariance (pixel^2) of weighted points.
 
     A zero-variance direction (collinear or duplicate points) yields
-    sigma_min = 0 instead of an error; the covariance, a Gram matrix, has no
-    negative eigenvalue beyond rounding, which the clip at 0 absorbs.
+    sigma_min = 0; negative eigenvalues are rounding, and the clip at 0 absorbs them.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if not np.isfinite(points).all():  # before inf - inf warns in the centering
-        raise InvalidParameterError("covariance entries must be finite")
-    mean = points.mean(axis=0)
-    centered = points - mean
-    cov = centered.T @ centered / len(points)
     if not np.all(np.isfinite(cov)):
         raise InvalidParameterError("covariance entries must be finite")
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
     vals = np.clip(vals, 0.0, None)
     theta = math.atan2(vecs[1, 1], vecs[0, 1])  # the major eigenvector
-    return mean, CovarianceDecomposition(theta, math.sqrt(vals[1]),
-                                         math.sqrt(vals[0])).canonical()
+    return CovarianceDecomposition(theta, math.sqrt(vals[1]), math.sqrt(vals[0])).canonical()
+
+
+def population_distribution(points) -> tuple[np.ndarray, CovarianceDecomposition]:
+    """Mean and population covariance (divisor n) of (n, 2) points, decomposed."""
+    points = np.asarray(points, dtype=np.float64)
+    if not np.isfinite(points).all():  # before inf - inf warns in the centering
+        raise InvalidParameterError("covariance entries must be finite")
+    mean = points.mean(axis=0)
+    centered = points - mean
+    return mean, decompose(centered.T @ centered / len(points))

@@ -136,8 +136,8 @@ class TestFitRoundTrip:
         h = render_isotropic((32.0, 32.0), 4.0, 100.0, (64, 64))
         res = fit_gaussian(h)
         assert not res.converged
-        # the warmup's at most 10 evaluations, then the main stage's first one
-        assert res.iterations <= 11
+        # one solve, stopped by the budget
+        assert res.iterations <= fitting.MAX_NFEV
 
 
 class TestFitJacobian:
@@ -202,11 +202,11 @@ class TestSolverOracle:
         assert np.abs(fun - ref.fun).max() <= 1e-12
 
     def test_matches_scipy_on_noisy_heatmaps(self, monkeypatch):
-        # both stages of every fit: the 10-evaluation warmup and the re-cropped solve
+        # one solve per fit, from the moment start on its window
         rng = np.random.default_rng(41)
         heatmaps = [noisy_anisotropic(rng) for _ in range(12)]
         calls = self.recorded_solves(monkeypatch, heatmaps)
-        assert len(calls) == 24
+        assert len(calls) == 12
         for args, out in calls:
             self.assert_matches(args, out)
 
@@ -214,10 +214,44 @@ class TestSolverOracle:
         solve = fitting._solve
         rng = np.random.default_rng(43)
         calls = self.recorded_solves(monkeypatch, [noisy_anisotropic(rng)])
-        args = calls[0][0][:3] + (3,)  # the warmup's window and start, 3 evaluations
+        args = calls[0][0][:3] + (3,)  # the fit's start and window, 3 evaluations
         out = solve(*args)
         assert out[2:] == (3, 0)  # budget spent, not converged
         self.assert_matches(args, out)
+
+
+class TestMomentStart:
+    """The fit starts from the moments of the window around the maximum and
+    runs one solve."""
+
+    def test_one_solve_per_fit_and_fewer_evaluations(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        heatmaps = [noisy_anisotropic(rng) for _ in range(12)]
+        fits = [fit_gaussian(h) for h in heatmaps]
+        assert len(TestSolverOracle.recorded_solves(monkeypatch, heatmaps)) == 12
+        assert all(f.converged for f in fits)
+        # 7.17 evaluations per fit here; a 10-evaluation warm-up before the solve took 10.08
+        assert np.mean([f.iterations for f in fits]) <= 8.5
+
+    def test_one_pixel_ridge_has_finite_start(self):
+        h = np.zeros((32, 32))
+        h[16, 8:24] = 1.0  # the moments give sigma_min = 0
+        res = fit_gaussian(h)
+        assert res.converged
+        assert res.gaussian.mean == pytest.approx((15.5, 16.0), abs=1e-6)
+        assert res.gaussian.decomp.sigma_min < 0.5 < 5.0 < res.gaussian.decomp.sigma_maj
+
+    def test_no_positive_pixel_near_the_maximum_is_degenerate(self):
+        # six peaks, each ringed by -9, leave the smoothed maximum at the zero
+        # corner (multiples of 9 keep the box sums exact), and its window has
+        # no positive pixel to take moments of
+        h = np.zeros((64, 64))
+        for k in range(6):
+            y, x = 40 + 8 * (k // 3), 34 + 8 * (k % 3)
+            h[y - 1:y + 2, x - 1:x + 2] = -9.0
+            h[y, x] = 9.0
+        with pytest.raises(FitDegenerateError, match="positive"):
+            fit_gaussian(h)
 
 
 class TestFitInPlaceOracle:
@@ -267,7 +301,8 @@ class TestFitInvariances:
             assert axis_angle_difference_deg(t1 - t0, math.degrees(delta)) < 0.5
 
     def test_large_sigma_window_regrow(self):
-        # initial window is sized for sigma=3; the re-crop must reach sigma=8
+        # the start window is sized for sigma=3; the fit's window, sized from the
+        # start's moments, must reach sigma=8
         g = AnisotropicGaussian((80.0, 78.5), CovarianceDecomposition(0.8, 8.0, 5.0), 100.0)
         res = fit_gaussian(render_anisotropic(g, (160, 160)))
         assert res.gaussian.decomp.sigma_maj == pytest.approx(8.0, rel=0.01)

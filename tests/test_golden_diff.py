@@ -95,7 +95,21 @@ class TestCheckpointDiff:
             tmp_path / "sigma", checkpoint(self.COVS, self.PARAMS, ""),
             checkpoint([self.COVS[0], (0.0, 1.5, 1.25)], self.PARAMS, ""))
         assert golden_diff.compare(a, b) == [
-            "differ: model/model.ckpt", "  covariances: 1 of 2 landmarks differ"]
+            "differ: model/model.ckpt", "  covariances: 1 of 2 landmarks differ",
+            "  covariances sigma_min: 1 values, max abs 0.25, max rel 0.167"]
+
+    def test_covariance_differences_by_size(self, tmp_path):
+        a, b = write_checkpoints(
+            tmp_path, checkpoint(self.COVS + [(0.5, 4.0, 1.0)], self.PARAMS, ""),
+            checkpoint([(0.1, 3.0, 2.0), (0.25, 1.5, 1.5), (0.5, 5.0, float("nan"))],
+                       self.PARAMS, ""))
+        assert golden_diff.compare(a, b) == [
+            "differ: model/model.ckpt",
+            "  covariances: 2 of 3 landmarks differ",
+            "  covariances theta_rad: 1 values, max abs 0.25, max rel 1",
+            "  covariances sigma_maj: 1 values, max abs 1, max rel 0.2",
+            "  covariances sigma_min: 1 cells differ",
+        ]
 
     def test_unreadable_checkpoint(self, tmp_path):
         good = checkpoint(self.COVS, self.PARAMS, "seed = 0\n")

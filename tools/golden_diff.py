@@ -13,7 +13,9 @@ numbers (relative to the larger magnitude of the two), or the number of
 differing cells when the column holds text.  For a model checkpoint
 (`.ckpt`, the layout `hmuq.trainer.write_checkpoint` writes) it says whether
 the header (magic, version, landmark count) differs, how many landmarks'
-covariances and how many predictor parameters differ, and lists each config
+covariances differ and, for each of theta (radians), sigma_maj and sigma_min
+that differs, the largest absolute and relative difference as for a CSV
+column, how many predictor parameters differ, and lists each config
 snapshot line found in only one tree, `-` for the first and `+` for the
 second.  Exits 0 when the trees are byte-identical and 1 otherwise.  Uses the
 standard library only.
@@ -52,19 +54,21 @@ def csv_report(a, b):
     changed = [(ra, rb) for ra, rb in zip(rows_a[1:], rows_b[1:]) if ra != rb]
     lines = [f"  {len(changed)} of {len(rows_a) - 1} rows differ"]
     for col, name in enumerate(header):
-        pairs = [(ra[col], rb[col]) for ra, rb in changed if ra[col] != rb[col]]
-        if not pairs:
-            continue
-        numbers = [(_number(x), _number(y)) for x, y in pairs]
-        if all(x is not None and y is not None for x, y in numbers):
-            abs_diff = max(abs(x - y) for x, y in numbers)
-            rel_diff = max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
-                           for x, y in numbers)
-            lines.append(f"  {name}: {len(pairs)} values, max abs {abs_diff:.3g}, "
-                         f"max rel {rel_diff:.3g}")
-        else:
-            lines.append(f"  {name}: {len(pairs)} cells differ")
+        pairs = [(_number(ra[col]), _number(rb[col])) for ra, rb in changed if ra[col] != rb[col]]
+        if pairs:
+            lines.append(_values_line(name, pairs))
     return lines
+
+
+def _values_line(name, pairs):
+    """The report line for the differing (a, b) values of one column or field:
+    the largest absolute and relative difference when all are numbers (None
+    marks one that is not), else their count."""
+    if any(x is None or y is None for x, y in pairs):
+        return f"  {name}: {len(pairs)} cells differ"
+    abs_diff = max(abs(x - y) for x, y in pairs)
+    rel_diff = max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0 for x, y in pairs)
+    return f"  {name}: {len(pairs)} values, max abs {abs_diff:.3g}, max rel {rel_diff:.3g}"
 
 
 def _checkpoint_parts(path):
@@ -95,6 +99,21 @@ def _records_report(name, unit, a, b, size):
     return [f"  {name}: {changed} of {len(a) // size} {unit} differ"]
 
 
+def _covariance_lines(a, b):
+    """One line per covariance field (theta in radians, sigma_maj, sigma_min)
+    whose float64 values differ between two covariance sections of equal size."""
+    if len(a) != len(b):
+        return []
+    fields = [(a[i:i + 8], b[i:i + 8]) for i in range(0, len(a), 8)]
+    lines = []
+    for k, name in enumerate(("theta_rad", "sigma_maj", "sigma_min")):
+        pairs = [tuple(_number(struct.unpack("<d", raw)[0]) for raw in pair)
+                 for pair in fields[k::3] if pair[0] != pair[1]]
+        if pairs:
+            lines.append(_values_line(f"covariances {name}", pairs))
+    return lines
+
+
 def checkpoint_report(a, b):
     """Lines describing how checkpoint b differs from checkpoint a."""
     parts_a, parts_b = _checkpoint_parts(a), _checkpoint_parts(b)
@@ -103,6 +122,7 @@ def checkpoint_report(a, b):
     (head_a, cov_a, params_a, snap_a), (head_b, cov_b, params_b, snap_b) = parts_a, parts_b
     lines = ["  header differs"] if head_a != head_b else []
     lines += _records_report("covariances", "landmarks", cov_a, cov_b, 24)
+    lines += _covariance_lines(cov_a, cov_b)
     lines += _records_report("parameters", "values", params_a, params_b, 4)
     lines += [f"  snapshot - {line}" for line in snap_a if line not in snap_b]
     lines += [f"  snapshot + {line}" for line in snap_b if line not in snap_a]
