@@ -323,9 +323,6 @@ def _landmark_names(path, landmark_count):
 
 
 def cmd_clinical(args) -> int:
-    # the draws of mc_classify come after every fit, so check their size first
-    with too_large(f"samples = {args.samples} is too large to draw at once"):
-        np.empty((args.samples, 2))
     model, ds = _load_predictor_dataset(args.data, args.model)
     measurements = list(load_measurements(args.measurements).values())
     names = _landmark_names(args.names, ds.landmark_count)
@@ -336,6 +333,11 @@ def cmd_clinical(args) -> int:
             raise InvalidParameterError(
                 f"measurement {mdef.name!r} needs landmark names {missing} "
                 f"that {args.names} does not define")
+    # each image's draw holds every needed landmark at once and comes after
+    # every fit, so check its size first
+    needed = {n for mdef, _ in measurements for n in mdef.landmark_ids}
+    with too_large(f"samples = {args.samples} is too large to draw at once"):
+        np.empty((args.samples, 2 * len(needed)))
     class_rows = []
     prob_rows = []
     per_measurement = {mdef.name: [] for mdef, _ in measurements}  # (id, result, gt)
@@ -343,24 +345,27 @@ def cmd_clinical(args) -> int:
     all_fits = _fit_dataset(model, ds, sorted(names))
     for i, (image_id, fits) in enumerate(zip(ds.ids, all_fits)):
         spacing = float(ds.spacing[i])
-        gaussians = {}
+        # every named landmark in index order, since its position keys its
+        # draws; None where the fit failed
+        gaussians = {names[j]: None for j in sorted(names)}
         for j, fit in fits.items():
             (x, y), d = fit.gaussian.mean, fit.gaussian.decomp
             gaussians[names[j]] = AnisotropicGaussian((x * spacing, y * spacing),
                                                       d.scaled(spacing), 1.0)
         gt_mm = {name: ds.coords[i, j] * spacing for j, name in names.items()}
-        for m_index, (mdef, thresholds) in enumerate(measurements):
-            if any(n not in gaussians for n in mdef.landmark_ids):
-                skipped += 1
-                continue
+        usable = [(mdef, thresholds) for mdef, thresholds in measurements
+                  if all(gaussians[n] is not None for n in mdef.landmark_ids)]
+        skipped += len(measurements) - len(usable)
+        gt_labels = []
+        for mdef, thresholds in usable:
             try:
-                gt_label = classify(evaluate_measurement(gt_mm, mdef), thresholds)
+                gt_labels.append(classify(evaluate_measurement(gt_mm, mdef), thresholds))
             except DegenerateGeometryError as exc:
                 raise DegenerateGeometryError(
                     f"{_manifest_path(args.data)}: image {image_id!r}: {exc} "
                     f"in its annotations") from None
-            result = mc_classify(gaussians, mdef, thresholds, n=args.samples,
-                                 seed=[args.seed, i, m_index])
+        results = mc_classify(gaussians, usable, n=args.samples, seed=[args.seed, i])
+        for (mdef, _), gt_label, result in zip(usable, gt_labels, results):
             class_rows.append((image_id, mdef.name, gt_label, result.hard_class,
                                f"{result.entropy_nats:.6f}",
                                int(result.hard_class == gt_label)))

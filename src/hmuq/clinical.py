@@ -54,6 +54,8 @@ def _parse(text: str):
 
     Python's parser reads the text; the walker admits only numbers, +, -, /,
     unary - and calls of the measurement functions on bare landmark names.
+    Operations on numbers alone become their value, and a divisor that is the
+    number zero is rejected.
     """
     stray = _STRAY.search(text)
     if stray:
@@ -71,9 +73,12 @@ def _parse(text: str):
                 raise ExpressionError(f"number out of range in expression {text!r}")
             return ("num", float(node.value))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return ("neg", walk(node.operand))
+            return _fold(("neg", walk(node.operand)))
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+            tree = (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+            if tree[0] == "div" and tree[2] == ("num", 0.0):
+                raise ExpressionError(f"division by zero in expression {text!r}")
+            return _fold(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             fname = node.func.id
             if fname not in FUNC_ARITY:
@@ -140,46 +145,56 @@ class ClassificationResult:
 # --- evaluation ------------------------------------------------------------------
 
 
-def _eval(node, coords):
-    """Evaluate over (n, 2) coordinate arrays; entries on coincident points become NaN."""
+def _fold(tree):
+    """A ("num", value) node for an operation on numbers alone, else the tree."""
+    if all(child[0] == "num" for child in tree[1:]):
+        return ("num", float(_eval(tree, {})))
+    return tree
+
+
+def _eval(tree, coords):
+    """Evaluate over (n, 2) coordinate arrays; entries on coincident points or a
+    zero divisor become NaN, and overflow becomes inf without a warning."""
+    with np.errstate(all="ignore"):
+        return _values(tree, coords)
+
+
+def _values(node, coords):
     kind = node[0]
     if kind == "num":
-        return np.full(next(iter(coords.values())).shape[0], node[1])
+        return np.float64(node[1])
     if kind == "neg":
-        return -_eval(node[1], coords)
+        return -_values(node[1], coords)
     if kind in ("add", "sub", "div"):
-        left = _eval(node[1], coords)
-        right = _eval(node[2], coords)
+        left = _values(node[1], coords)
+        right = _values(node[2], coords)
         if kind == "add":
             return left + right
         if kind == "sub":
             return left - right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = left / right
-        return np.where(right == 0.0, np.nan, out)
+        return np.where(right == 0.0, np.nan, left / right)
     fname, args = node[1], node[2]
     pts = [coords[a] for a in args]
     if fname == "distance":
-        d = pts[0] - pts[1]
-        return np.hypot(d[:, 0], d[:, 1])
+        return _norm(pts[0] - pts[1])
     if fname == "angle":
         u = pts[0] - pts[1]
         v = pts[2] - pts[1]
-        nu = np.hypot(u[:, 0], u[:, 1])
-        nv = np.hypot(v[:, 0], v[:, 1])
-        denom = nu * nv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = (u * v).sum(axis=1) / denom
+        denom = _norm(u) * _norm(v)
+        cos = (u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]) / denom
         cos = np.where(denom == 0.0, np.nan, np.clip(cos, -1.0, 1.0))
         return np.degrees(np.arccos(cos))
     # linedist: |cross(b - a, p - a)| / |b - a|
     p, a, b = pts
     d = b - a
-    length = np.hypot(d[:, 0], d[:, 1])
+    length = _norm(d)
     cross = d[:, 0] * (p[:, 1] - a[:, 1]) - d[:, 1] * (p[:, 0] - a[:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs(cross) / length
-    return np.where(length == 0.0, np.nan, out)
+    return np.where(length == 0.0, np.nan, np.abs(cross) / length)
+
+
+def _norm(d):
+    """Row lengths of an (n, 2) array."""
+    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
 def evaluate_measurement(landmarks, mdef: MeasurementDef) -> float:
@@ -216,32 +231,42 @@ def entropy_nats(probs) -> float:
 # --- Monte-Carlo propagation -------------------------------------------------------
 
 
-def mc_classify(predictions, mdef: MeasurementDef, thresholds: ClassThresholds,
-                n: int = 10000, seed=0) -> ClassificationResult:
-    """Propagate landmark uncertainty into class probabilities.
-
-    Draws n joint samples (independent across landmarks), evaluates the
-    measurement on each, and classifies.  A draw hits coincident points with
-    probability zero unless landmarks are point masses at one spot, where
-    every draw does; any such draw raises.  Deterministic per seed.
+def mc_classify(predictions, measurements, n: int = 10000,
+                seed=0) -> list[ClassificationResult]:
+    """One ClassificationResult per (MeasurementDef, ClassThresholds) pair of
+    `measurements`, all classified on one joint draw of n points of each
+    landmark they need from `predictions` (name -> AnisotropicGaussian, or
+    None for no prediction).  The k-th landmark of `predictions` draws from
+    default_rng([*seed, k]), so a measurement's result depends only on its own
+    landmarks.  A draw hits coincident points with probability zero unless
+    landmarks are point masses at one spot, where every draw does; any such
+    draw raises.
     """
-    for name in mdef.landmark_ids:
-        if name not in predictions:
-            raise InvalidParameterError(
-                f"measurement {mdef.name!r} has no prediction for landmark {name!r}")
-    rng = np.random.default_rng(seed)
-    coords = {name: sample_gaussian(predictions[name], n, rng) for name in mdef.landmark_ids}
-    values = _eval(mdef.tree, coords)
-    bad = np.count_nonzero(np.isnan(values))
-    if bad:
-        raise DegenerateGeometryError(
-            f"measurement {mdef.name!r} hit coincident points in {bad} of {n} samples")
-    idx = np.searchsorted(thresholds.breakpoints, values, side="left")
-    counts = np.bincount(idx, minlength=len(thresholds.labels))
-    probs = counts / n
-    return ClassificationResult(thresholds.labels, tuple(float(p) for p in probs),
-                                entropy_nats(probs),
-                                thresholds.labels[int(np.argmax(probs))])
+    prefix = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    coords = {}
+    for mdef, _ in measurements:
+        for name in mdef.landmark_ids:
+            if name in coords:
+                continue
+            if predictions.get(name) is None:
+                raise InvalidParameterError(
+                    f"measurement {mdef.name!r} has no prediction for landmark {name!r}")
+            k = list(predictions).index(name)
+            coords[name] = sample_gaussian(predictions[name], n, [*prefix, k])
+    results = []
+    for mdef, thresholds in measurements:
+        values = _eval(mdef.tree, coords)
+        bad = np.count_nonzero(np.isnan(values))
+        if bad:
+            raise DegenerateGeometryError(
+                f"measurement {mdef.name!r} hit coincident points in {bad} of {n} samples")
+        # right-inclusive: the samples at or below each breakpoint
+        at_or_below = [np.count_nonzero(values <= b) for b in thresholds.breakpoints]
+        probs = np.diff([0, *at_or_below, n]) / n
+        results.append(ClassificationResult(thresholds.labels, tuple(float(p) for p in probs),
+                                            entropy_nats(probs),
+                                            thresholds.labels[int(np.argmax(probs))]))
+    return results
 
 
 def accuracy_uncertainty_curve(image_ids, results, gt_labels):

@@ -311,7 +311,7 @@ def test_criterion_7_clinical_properties():
     point = {"a": AnisotropicGaussian((10.0, 0.0), CovarianceDecomposition(0.0, 0.0, 0.0), 1.0),
              "b": AnisotropicGaussian((0.0, 0.0), CovarianceDecomposition(0.0, 0.0, 0.0), 1.0),
              "c": AnisotropicGaussian((3.0, 9.0), CovarianceDecomposition(0.0, 0.0, 0.0), 1.0)}
-    res_point = mc_classify(point, mdef, thr, n=1000, seed=1)
+    [res_point] = mc_classify(point, [(mdef, thr)], n=1000, seed=1)
     deterministic = classify(evaluate_measurement(
         {k: g.mean for k, g in point.items()}, mdef), thr)
     point_ok = res_point.entropy_nats == 0.0 and res_point.hard_class == deterministic
@@ -320,7 +320,7 @@ def test_criterion_7_clinical_properties():
     thr2 = ClassThresholds((100.0,), ("below", "above"))
     centered = {"a": AnisotropicGaussian((0.0, 0.0), CovarianceDecomposition(0.0, 0.0, 0.0), 1.0),
                 "b": AnisotropicGaussian((100.0, 0.0), CovarianceDecomposition(0.0, 0.5, 0.5), 1.0)}
-    res_bp = mc_classify(centered, span, thr2, n=100000, seed=2)
+    [res_bp] = mc_classify(centered, [(span, thr2)], n=100000, seed=2)
     bp_dev = abs(res_bp.entropy_nats - math.log(2.0))
     bp_ok = bp_dev <= 0.02
 
@@ -338,7 +338,7 @@ def test_criterion_7_clinical_properties():
                                            1.0)
                  for name, p in gt.items()}
         ids.append(f"img_{i:02d}")
-        results.append(mc_classify(preds, mdef, thr, n=2000, seed=[9, i]))
+        results += mc_classify(preds, [(mdef, thr)], n=2000, seed=[9, i])
         gts.append(gt_label)
     curve = accuracy_uncertainty_curve(ids, results, gts)
     half_acc = curve[len(curve) // 2 - 1][1]

@@ -148,6 +148,55 @@ class TestPipeline:
         assert len(probs) == 36  # 12 images x 3 classes
 
 
+def _clinical_rows(pipeline, out, measurements):
+    """clinical on the pipeline with `measurements` as its config: the lines of
+    classifications.csv and probabilities.csv, by measurement."""
+    out.mkdir()
+    (out / "meas.cfg").write_text(measurements)
+    assert main(["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+                 "--names", str(pipeline / "names.cfg"), "--measurements", str(out / "meas.cfg"),
+                 "--samples", "200", "--seed", "4", "--out", str(out), "--quiet"]) == 0
+    rows = {}
+    for name in ("classifications.csv", "probabilities.csv"):
+        for line in (out / name).read_text().splitlines()[1:]:
+            rows.setdefault(line.split(",")[1], []).append(line)
+    return rows
+
+
+class TestClinicalDraws:
+    """Each image's landmarks are drawn once and shared by every measurement."""
+
+    LEAD = ("lead.expression = distance(beta, alpha) / 2\n"
+            "lead.breakpoints = 4.0\nlead.labels = near, far\n")
+
+    def test_prepended_measurement_leaves_rows_unchanged(self, pipeline, tmp_path):
+        alone = _clinical_rows(pipeline, tmp_path / "alone", MEAS_CFG)
+        led = _clinical_rows(pipeline, tmp_path / "led", self.LEAD + MEAS_CFG)
+        assert led["span"] == alone["span"]
+
+    def test_same_expression_same_probabilities(self, pipeline, tmp_path):
+        twin = MEAS_CFG.replace("span.", "twin.")
+        rows = _clinical_rows(pipeline, tmp_path / "both", MEAS_CFG + twin)
+        assert [r.replace(",twin,", ",span,") for r in rows["twin"]] == rows["span"]
+        assert any(0.0 < float(r.rsplit(",", 1)[1]) < 1.0 for r in rows["span"]
+                   if r.count(",") == 3)
+
+    def test_overflow_leaves_no_warning_on_stderr(self, pipeline, tmp_path):
+        (tmp_path / "meas.cfg").write_text(
+            MEAS_CFG.replace("distance(alpha, beta)", "1e308 / distance(alpha, beta) / 1e-308"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-m", "hmuq", "clinical", "--model", str(pipeline / "m"),
+             "--data", str(pipeline / "d"), "--names", str(pipeline / "names.cfg"),
+             "--measurements", str(tmp_path / "meas.cfg"), "--samples", "10",
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "RuntimeWarning" not in run.stderr
+
+
 class TestPlots:
     def svg_tags(self, path):
         return [e.tag.split("}")[-1] for e in ET.parse(path).getroot().iter()]
@@ -688,6 +737,10 @@ BAD_INPUTS = {
         _clinical_case("measurements",
                        MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta")),
         "expected ')'"),
+    "measurements-zero-divisor": (
+        _clinical_case("measurements",
+                       MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta) / 0")),
+        "division by zero in expression 'distance(alpha, beta) / 0'"),
     "curve-bad-header": (_curve_case("fraction,accuracy\n1.0,100.0\n"),
                          ":1: expected header fraction,accuracy_percent"),
     "curve-no-rows": (_curve_case("fraction,accuracy_percent\n"), ": no curve points"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ class TestExpressions:
         with pytest.raises(ExpressionError, match="no landmarks"):
             MeasurementDef("m", "1.5")
 
+    @pytest.mark.parametrize("expression", ["distance(a, b) / 0", "distance(a, b) / -0.0",
+                                            "distance(a, b) / (2 - 1 - 1)",
+                                            "1 / 0 + distance(a, b)"])
+    def test_constant_zero_divisor_rejected(self, expression):
+        with pytest.raises(ExpressionError, match="division by zero"):
+            MeasurementDef("m", expression)
+
+    def test_constants_fold(self):
+        m = MeasurementDef("m", "distance(a, b) / (2 - -1) + -(1 / 4)")
+        assert m.tree == ("add", ("div", ("call", "distance", ("a", "b")), ("num", 3.0)),
+                          ("num", -0.25))
+
 
 class TestEvaluate:
     def test_right_angle(self):
@@ -76,6 +89,12 @@ class TestEvaluate:
         m = MeasurementDef("m", "linedist(p, a, b)")
         lm = {"p": (0.0, 3.0), "a": (-2.0, 0.0), "b": (5.0, 0.0)}
         assert evaluate_measurement(lm, m) == pytest.approx(3.0)
+
+    def test_overflow_is_inf_without_warning(self):
+        m = MeasurementDef("m", "1e308 / distance(a, b) / 1e-308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_measurement({"a": (0.0, 0.0), "b": (0.5, 0.0)}, m) == math.inf
 
     def test_unary_minus(self):
         m = MeasurementDef("m", "-distance(a, b) + 10")
@@ -139,24 +158,32 @@ class TestMcClassify:
 
     def test_point_mass_one_hot(self):
         t = ClassThresholds((45.0,), ("acute", "wide"))
-        r = mc_classify(self.point_masses(), ANGLE, t, n=100, seed=0)
+        [r] = mc_classify(self.point_masses(), [(ANGLE, t)], n=100, seed=0)
         assert r.probs == (0.0, 1.0)
         assert r.entropy_nats == 0.0
         lm = {k: g.mean for k, g in self.point_masses().items()}
         assert r.hard_class == classify(evaluate_measurement(lm, ANGLE), t)
 
+    def test_value_on_breakpoint_goes_lower(self):
+        m = MeasurementDef("d", "distance(a, b)")
+        t = ClassThresholds((5.0,), ("short", "long"))
+        points = {"a": gaussian(0.0, 0.0), "b": gaussian(3.0, 4.0)}
+        [r] = mc_classify(points, [(m, t)], n=100, seed=0)
+        assert r.probs == (1.0, 0.0)
+        assert r.hard_class == classify(5.0, t) == "short"
+
     def test_n_one_is_one_hot(self):
         preds = {"a": gaussian(1, 0, 0.0, 0.3, 0.3), "b": gaussian(0, 0),
                  "c": gaussian(0, 1, 0.0, 0.3, 0.3)}
         t = ClassThresholds((45.0,), ("acute", "wide"))
-        r = mc_classify(preds, ANGLE, t, n=1, seed=5)
+        [r] = mc_classify(preds, [(ANGLE, t)], n=1, seed=5)
         assert sorted(r.probs) == [0.0, 1.0]
 
     def test_probs_sum_to_one(self):
         preds = {"a": gaussian(1, 0, 0.0, 0.5, 0.2), "b": gaussian(0, 0, 0.0, 0.5, 0.2),
                  "c": gaussian(0, 1, 0.0, 0.5, 0.2)}
         t = ClassThresholds((30.0, 60.0, 90.0), ("w", "x", "y", "z"))
-        r = mc_classify(preds, ANGLE, t, n=997, seed=2)
+        [r] = mc_classify(preds, [(ANGLE, t)], n=997, seed=2)
         assert math.fsum(r.probs) == pytest.approx(1.0, abs=1e-12)
         assert r.entropy_nats <= math.log(4) + 1e-12
 
@@ -165,16 +192,16 @@ class TestMcClassify:
         m = MeasurementDef("d", "distance(a, b)")
         preds = {"a": gaussian(10.0, 0.0, 0.0, 1.0, 1.0), "b": gaussian(0.0, 0.0)}
         t = ClassThresholds((10.0,), ("short", "long"))
-        r = mc_classify(preds, m, t, n=100000, seed=7)
+        [r] = mc_classify(preds, [(m, t)], n=100000, seed=7)
         assert abs(r.entropy_nats - math.log(2)) < 0.02
 
     def test_deterministic_per_seed(self):
         preds = {"a": gaussian(1, 0, 0.1, 0.4, 0.2), "b": gaussian(0, 0, 0.0, 0.4, 0.4),
                  "c": gaussian(0, 1, -0.4, 0.6, 0.1)}
         t = ClassThresholds((45.0,), ("acute", "wide"))
-        a = mc_classify(preds, ANGLE, t, n=2000, seed=3)
-        b = mc_classify(preds, ANGLE, t, n=2000, seed=3)
-        c = mc_classify(preds, ANGLE, t, n=2000, seed=4)
+        [a] = mc_classify(preds, [(ANGLE, t)], n=2000, seed=3)
+        [b] = mc_classify(preds, [(ANGLE, t)], n=2000, seed=3)
+        [c] = mc_classify(preds, [(ANGLE, t)], n=2000, seed=4)
         assert a == b
         assert a != c
 
@@ -185,20 +212,35 @@ class TestMcClassify:
         preds = {"a": gaussian(0, 0, 0.0, 0.5, 0.5), "b": gaussian(0, 0),
                  "c": gaussian(0, 1)}
         t = ClassThresholds((45.0,), ("acute", "wide"))
-        r = mc_classify(preds, ANGLE, t, n=500, seed=1)
+        [r] = mc_classify(preds, [(ANGLE, t)], n=500, seed=1)
         assert math.fsum(r.probs) == pytest.approx(1.0)
+
+    def test_result_depends_only_on_own_landmarks(self):
+        preds = {"a": gaussian(1, 0, 0.1, 0.4, 0.2), "b": gaussian(0, 0, 0.0, 0.4, 0.4),
+                 "c": gaussian(0, 1, -0.4, 0.6, 0.1), "d": gaussian(3, 1, 0.0, 0.5, 0.5)}
+        t = ClassThresholds((45.0,), ("acute", "wide"))
+        lead = (MeasurementDef("lead", "distance(d, b)"), ClassThresholds((3.0,), ("x", "y")))
+        twin = MeasurementDef("twin", ANGLE.expression)
+        [alone] = mc_classify(preds, [(ANGLE, t)], n=2000, seed=[3, 1])
+        _, first, second = mc_classify(preds, [lead, (ANGLE, t), (twin, t)], n=2000,
+                                       seed=[3, 1])
+        assert first == second == alone
+        assert 0.0 < alone.probs[0] < 1.0
 
     def test_persistent_degeneracy_errors(self):
         preds = {"a": gaussian(0, 0), "b": gaussian(0, 0), "c": gaussian(0, 1)}
         t = ClassThresholds((45.0,), ("acute", "wide"))
         with pytest.raises(DegenerateGeometryError,
                            match="'angle_abc' hit coincident points in 10 of 10 samples"):
-            mc_classify(preds, ANGLE, t, n=10, seed=0)
+            mc_classify(preds, [(ANGLE, t)], n=10, seed=0)
 
     def test_missing_prediction(self):
         t = ClassThresholds((45.0,), ("acute", "wide"))
         with pytest.raises(InvalidParameterError, match="no prediction"):
-            mc_classify({"a": gaussian(1, 0)}, ANGLE, t, n=10)
+            mc_classify({"a": gaussian(1, 0)}, [(ANGLE, t)], n=10)
+        with pytest.raises(InvalidParameterError, match="no prediction for landmark 'b'"):
+            mc_classify({"a": gaussian(1, 0), "b": None, "c": gaussian(0, 1)}, [(ANGLE, t)],
+                        n=10)
 
 
 def result(entropy, hard):
