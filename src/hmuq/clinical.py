@@ -24,6 +24,7 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class ExpressionError(InvalidParameterError):
 
 
 class DegenerateGeometryError(ValueError):
-    """A geometric primitive was evaluated on coincident points."""
+    """A measurement is undefined: a geometric primitive was evaluated on
+    coincident points, or its arithmetic divided by zero or overflowed."""
 
 
 # --- expression parsing ----------------------------------------------------------
@@ -197,6 +199,32 @@ def _norm(d):
     return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
+def _coincident(node, coords):
+    """Where a geometric primitive of the tree meets coincident points: an arm
+    of an angle, or the line of a linedist, has length 0."""
+    if node[0] != "call":
+        children = [_coincident(c, coords) for c in node[1:] if isinstance(c, tuple)]
+        return reduce(np.logical_or, children, False)
+    p = [coords[a] for a in node[2]]
+    arms = {"angle": (0, 2), "linedist": (2,), "distance": ()}[node[1]]  # p[k] - p[1]
+    return reduce(np.logical_or, [_norm(p[k] - p[1]) == 0.0 for k in arms], False)
+
+
+def _undefined(mdef, values, coords, n=None) -> DegenerateGeometryError:
+    """The error for a measurement whose values hold NaN: coincident points on
+    the samples where one of its geometric primitives does, else a zero
+    divisor or an overflow (such as inf - inf) in its arithmetic.  With n,
+    the message counts the samples of n."""
+    with np.errstate(all="ignore"):
+        bad = np.count_nonzero(_coincident(mdef.tree, coords))
+    fault = "hit coincident points"
+    if not bad:
+        bad = np.count_nonzero(np.isnan(values))
+        fault = "is undefined (a zero divisor or an overflow)"
+    where = f" in {bad} of {n} samples" if n else ""
+    return DegenerateGeometryError(f"measurement {mdef.name!r} {fault}{where}")
+
+
 def evaluate_measurement(landmarks, mdef: MeasurementDef) -> float:
     """Evaluate one measurement on a dict of landmark name -> (x, y) in mm."""
     coords = {}
@@ -208,11 +236,10 @@ def evaluate_measurement(landmarks, mdef: MeasurementDef) -> float:
         if not np.all(np.isfinite(pt)):
             raise InvalidParameterError(f"landmark {name!r} must be finite")
         coords[name] = pt
-    value = float(_eval(mdef.tree, coords)[0])
-    if math.isnan(value):
-        raise DegenerateGeometryError(
-            f"measurement {mdef.name!r} hit coincident points")
-    return value
+    values = _eval(mdef.tree, coords)
+    if np.isnan(values[0]):
+        raise _undefined(mdef, values, coords)
+    return float(values[0])
 
 
 def classify(value: float, thresholds: ClassThresholds) -> str:
@@ -240,7 +267,8 @@ def mc_classify(predictions, measurements, n: int = 10000,
     default_rng([*seed, k]), so a measurement's result depends only on its own
     landmarks.  A draw hits coincident points with probability zero unless
     landmarks are point masses at one spot, where every draw does; any such
-    draw raises.
+    draw raises, and so does one whose arithmetic divides by zero or
+    overflows to inf - inf.
     """
     prefix = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     coords = {}
@@ -256,10 +284,8 @@ def mc_classify(predictions, measurements, n: int = 10000,
     results = []
     for mdef, thresholds in measurements:
         values = _eval(mdef.tree, coords)
-        bad = np.count_nonzero(np.isnan(values))
-        if bad:
-            raise DegenerateGeometryError(
-                f"measurement {mdef.name!r} hit coincident points in {bad} of {n} samples")
+        if np.isnan(values).any():
+            raise _undefined(mdef, values, coords, n)
         # right-inclusive: the samples at or below each breakpoint
         at_or_below = [np.count_nonzero(values <= b) for b in thresholds.breakpoints]
         probs = np.diff([0, *at_or_below, n]) / n

@@ -3,7 +3,8 @@
 The fitted mean is the landmark prediction and the fitted covariance is its
 per-sample uncertainty.  Fitting minimizes soft-L1 robustified residuals
 between the rendered Gaussian model and the heatmap from a start at the image
-moments around its maximum, in one run of `_solve`: scipy's trust-region
+moments around its maximum, over the pixels within WINDOW_SIGMAS start sigmas
+of the start mean (an ellipse), in one run of `_solve`: scipy's trust-region
 reflective least-squares method (`least_squares(method="trf")` without
 bounds, exact SVD-based steps after Moré 1978) restated for this problem.
 """
@@ -30,7 +31,7 @@ MOMENT_SCALE = 1.3    # start extents: the weighted moment extents times this,
 MIN_SIGMA = 0.5       # and at least this (a one-pixel-wide ridge has sigma_min 0)
 MAX_NFEV = 200        # model evaluations of one fit
 TOLERANCE = 1e-8      # relative cost decrease and step tolerance
-WINDOW_SIGMAS = 5.0   # window half-width, in sigmas around the current mean
+WINDOW_SIGMAS = 5.0   # the fitted pixels lie within this many start sigmas of the start mean
 EPS = np.finfo(np.float64).eps
 
 
@@ -153,8 +154,9 @@ def _trust_step(uf, s, vt, delta, alpha, m):
     return p * (delta / _norm(p)), alpha
 
 
-def _solve(values, p0, window, max_nfev):
-    """Soft-L1 trust-region fit of the model to one window of the heatmap.
+def _solve(xs, ys, data, p0, max_nfev):
+    """Soft-L1 trust-region fit of the model to the heatmap values `data` at
+    pixel centers (xs, ys), three flat arrays.
 
     Restates scipy.optimize.least_squares(method="trf", loss="soft_l1",
     tr_solver="exact", x_scale=1, gtol=None) with xtol = ftol = TOLERANCE
@@ -163,10 +165,6 @@ def _solve(values, p0, window, max_nfev):
     stop tests.  Returns (x, residuals at x, function evaluations counting
     the initial one, status): 2 ftol, 3 xtol, 4 both, 0 budget spent.
     """
-    x0, x1, y0, y1 = window
-    xs = np.tile(np.arange(x0, x1 + 1, dtype=np.float64), y1 - y0 + 1)
-    ys = np.repeat(np.arange(y0, y1 + 1, dtype=np.float64), x1 - x0 + 1)
-    data = values[y0:y1 + 1, x0:x1 + 1].ravel()
     jac, jac_new = np.empty((2, 6, data.size))  # a rejected trial fills the spare one
 
     x = np.array(p0, dtype=np.float64)
@@ -225,8 +223,8 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
     Starts from the weighted mean and covariance of the window around the
     smoothed maximum (see the constants), and the amplitude that puts the
     model's peak at the window maximum; then runs one solve of at most
-    MAX_NFEV evaluations on +-WINDOW_SIGMAS start sigma_maj around the start
-    mean, with sigmas and amplitude in log space.  Raises
+    MAX_NFEV evaluations on the pixels within WINDOW_SIGMAS start sigmas of
+    the start mean, with sigmas and amplitude in log space.  Raises
     InvalidParameterError unless h is a non-empty 2-D grid of finite values,
     and FitDegenerateError when fewer than 6 pixels rise above 1% of the
     maximum (6 free parameters) or the start window has no positive pixel.
@@ -256,8 +254,14 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
     start = decompose((centered * weight) @ centered.T / weight.sum())
     a, b = (max(MOMENT_SCALE * sigma, MIN_SIGMA) for sigma in (start.sigma_maj, start.sigma_min))
     p = np.array([*mean, start.theta, math.log(a), math.log(b), math.log(top * TWO_PI * a * b)])
-    window = _window(values.shape, mean, WINDOW_SIGMAS * a)
-    p, fun, iterations, status = _solve(values, p, window, MAX_NFEV)
+    # the pixels of the box around the start ellipse that lie inside it
+    x0, x1, y0, y1 = _window(values.shape, mean, WINDOW_SIGMAS * a)
+    box = np.mgrid[y0:y1 + 1, x0:x1 + 1][::-1].astype(np.float64)  # x, y
+    dx, dy = box[0] - mean[0], box[1] - mean[1]
+    c, s = math.cos(start.theta), math.sin(start.theta)
+    inside = ((c * dx + s * dy) / a) ** 2 + ((c * dy - s * dx) / b) ** 2 <= WINDOW_SIGMAS ** 2
+    xs, ys = box[:, inside]
+    p, fun, iterations, status = _solve(xs, ys, values[y0:y1 + 1, x0:x1 + 1][inside], p, MAX_NFEV)
 
     mx, my, theta, log_a, log_b, log_amp = p
     decomp = CovarianceDecomposition(theta, math.exp(log_a), math.exp(log_b)).canonical()

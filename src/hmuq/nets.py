@@ -179,9 +179,9 @@ class ReferencePredictor:
         else:
             mask = None
         a5, rows4 = self._conv_relu(features, 4)
-        y = a5.reshape(h * w, c) @ self.weights[5].T + self.biases[5]
+        y = self.weights[5] @ a5.reshape(h * w, c).T + self.biases[5][:, None]  # (N, H*W)
         self._cache = (self._trunk_cache, rows4, a5, mask)
-        return np.array(y.T, dtype=np.float64, order="C").reshape(-1, h, w)
+        return y.astype(np.float64).reshape(-1, h, w)
 
     def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None) -> np.ndarray:

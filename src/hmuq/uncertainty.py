@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fitting import FitDegenerateError, FitResult, argmax_coord, fit_gaussian
+from .fitting import FitDegenerateError, FitResult, fit_gaussian
 from .gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
@@ -54,6 +54,7 @@ def mcd_predict(model, image, k: int = 20, seed: int = 0) -> tuple[np.ndarray, n
     features = net.trunk(image)
     for i in range(k):
         heatmaps = net.head(features, rate, np.random.default_rng([seed, i]))
-        points[:, i] = [argmax_coord(h) for h in heatmaps]
+        flat = heatmaps.reshape(len(heatmaps), -1).argmax(axis=1)  # argmax_coord's tie-break
+        points[:, i, 1], points[:, i, 0] = np.divmod(flat, heatmaps.shape[2])
         total = total + heatmaps if i else heatmaps
     return total / k, points

@@ -95,15 +95,11 @@ def allocating_soft_l1(f):
     return cost, weight, f * (rho1 / weight)
 
 
-def scipy_solve(values, p0, window, max_nfev, loss="soft_l1"):
-    """scipy's trust-region soft-L1 fit of fitting._model to one window: the
-    oracle of fitting._solve, with the same stop tolerances and budget.
-    loss="linear" makes it a plain least-squares fit."""
-    x0, x1, y0, y1 = window
-    ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-    xs = xs.ravel().astype(np.float64)
-    ys = ys.ravel().astype(np.float64)
-    data = values[y0:y1 + 1, x0:x1 + 1].ravel()
+def scipy_solve(xs, ys, data, p0, max_nfev, loss="soft_l1"):
+    """scipy's trust-region soft-L1 fit of fitting._model to the heatmap values
+    `data` at pixel centers (xs, ys): the oracle of fitting._solve, with the
+    same stop tolerances and budget.  loss="linear" makes it a plain
+    least-squares fit."""
 
     def jac(p):
         out = np.empty((6, xs.size))

@@ -641,6 +641,17 @@ def _coincident_annotations_case(pipeline, tmp):
             "--samples", "10"], bad / "manifest.cfg"
 
 
+def _overflow_measurement_case(pipeline, tmp):
+    """clinical with a measurement whose arithmetic overflows to inf - inf on
+    every image."""
+    half = "1e308 / distance(alpha, beta) / 1e-308"
+    meas = tmp / "meas.cfg"
+    meas.write_text(MEAS_CFG.replace("distance(alpha, beta)", f"{half} - {half}"))
+    return ["clinical", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
+            "--names", str(pipeline / "names.cfg"), "--measurements", str(meas),
+            "--samples", "10"], pipeline / "d" / "manifest.cfg"
+
+
 def _image_case(command, shape):
     """A copy of the pipeline dataset with img_0003.pgm replaced by a blank image of `shape`."""
     def build(pipeline, tmp):
@@ -776,6 +787,10 @@ BAD_INPUTS = {
     "clinical-coincident-annotations": (
         _coincident_annotations_case,
         "image 'img_0002': measurement 'bend' hit coincident points in its annotations"),
+    "clinical-overflow-annotations": (
+        _overflow_measurement_case,
+        "image 'img_0000': measurement 'span' is undefined (a zero divisor or an overflow) "
+        "in its annotations"),
 }
 
 

@@ -111,7 +111,13 @@ class TestEvaluate:
 
     def test_coincident_vertex_degenerate(self):
         lm = {"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (0.0, 1.0)}
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError, match="hit coincident points"):
+            evaluate_measurement(lm, ANGLE)
+
+    def test_overflowing_angle_is_not_coincident_points(self):
+        # |a - b| |c - b| overflows to inf, and so does the dot product
+        lm = {"a": (1e200, 0.0), "b": (0.0, 0.0), "c": (1e200, 1e200)}
+        with pytest.raises(DegenerateGeometryError, match="'angle_abc' is undefined"):
             evaluate_measurement(lm, ANGLE)
 
     def test_similarity_invariance(self):
@@ -233,6 +239,21 @@ class TestMcClassify:
         with pytest.raises(DegenerateGeometryError,
                            match="'angle_abc' hit coincident points in 10 of 10 samples"):
             mc_classify(preds, [(ANGLE, t)], n=10, seed=0)
+
+    @pytest.mark.parametrize("expression", [
+        # 1e308 / 5 / 1e-308 overflows to inf on both sides, and inf - inf is NaN
+        "1e308 / distance(a, b) / 1e-308 - 1e308 / distance(a, b) / 1e-308",
+        "1 / (distance(a, b) - distance(b, a))",
+    ])
+    def test_undefined_arithmetic_is_not_coincident_points(self, expression):
+        m = MeasurementDef("x", expression)
+        t = ClassThresholds((5.0,), ("short", "long"))
+        preds = {"a": gaussian(0, 0, 0.0, 0.5, 0.5), "b": gaussian(3, 4, 0.0, 0.5, 0.5)}
+        fault = r"measurement 'x' is undefined \(a zero divisor or an overflow\)"
+        with pytest.raises(DegenerateGeometryError, match=fault + " in 100 of 100 samples"):
+            mc_classify(preds, [(m, t)], n=100)
+        with pytest.raises(DegenerateGeometryError, match=fault + "$"):
+            evaluate_measurement({"a": (0.0, 0.0), "b": (3.0, 4.0)}, m)
 
     def test_missing_prediction(self):
         t = ClassThresholds((45.0,), ("acute", "wide"))

@@ -109,7 +109,9 @@ class TestFitRoundTrip:
         x0, y0 = argmax_coord(fitting._smooth3(noisy))
         p0 = np.array([x0, y0, 0.0, math.log(3.0), math.log(3.0),
                        math.log(noisy[y0, x0] * 2 * math.pi * 9.0)])
-        plain = scipy_solve(noisy, p0, (0, 63, 0, 63), fitting.MAX_NFEV, loss="linear")
+        ys, xs = np.mgrid[0:64, 0:64].astype(np.float64)
+        plain = scipy_solve(xs.ravel(), ys.ravel(), noisy.ravel(), p0, fitting.MAX_NFEV,
+                            loss="linear")
         err_plain = math.hypot(plain.x[0] - 32.3, plain.x[1] - 30.7)
         assert err_robust < 0.1
         assert err_robust < err_plain
@@ -183,9 +185,9 @@ class TestSolverOracle:
         calls = []
         solve = fitting._solve
 
-        def recording(values, p0, window, max_nfev):
-            out = solve(values, p0, window, max_nfev)
-            calls.append(((values, p0.copy(), window, max_nfev), out))
+        def recording(xs, ys, data, p0, max_nfev):
+            out = solve(xs, ys, data, p0, max_nfev)
+            calls.append(((xs, ys, data, p0.copy(), max_nfev), out))
             return out
 
         monkeypatch.setattr(fitting, "_solve", recording)
@@ -202,7 +204,7 @@ class TestSolverOracle:
         assert np.abs(fun - ref.fun).max() <= 1e-12
 
     def test_matches_scipy_on_noisy_heatmaps(self, monkeypatch):
-        # one solve per fit, from the moment start on its window
+        # one solve per fit, from the moment start on its pixels
         rng = np.random.default_rng(41)
         heatmaps = [noisy_anisotropic(rng) for _ in range(12)]
         calls = self.recorded_solves(monkeypatch, heatmaps)
@@ -214,10 +216,54 @@ class TestSolverOracle:
         solve = fitting._solve
         rng = np.random.default_rng(43)
         calls = self.recorded_solves(monkeypatch, [noisy_anisotropic(rng)])
-        args = calls[0][0][:3] + (3,)  # the fit's start and window, 3 evaluations
+        args = calls[0][0][:4] + (3,)  # the fit's pixels and start, 3 evaluations
         out = solve(*args)
         assert out[2:] == (3, 0)  # budget spent, not converged
         self.assert_matches(args, out)
+
+
+def start_sigmas_sq(xs, ys, p0):
+    """Squared distance of pixels (xs, ys) from the start mean of p0, in start sigmas."""
+    mx, my, theta, log_a, log_b = p0[:5]
+    c, s = math.cos(theta), math.sin(theta)
+    dx, dy = xs - mx, ys - my
+    return ((c * dx + s * dy) / math.exp(log_a)) ** 2 + ((c * dy - s * dx) / math.exp(log_b)) ** 2
+
+
+class TestStartEllipse:
+    """The solve fits the pixels within WINDOW_SIGMAS start sigmas of the start
+    mean, not the square box around them."""
+
+    def test_solves_on_the_pixels_of_the_start_ellipse(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        heatmaps = [noisy_anisotropic(rng) for _ in range(12)]
+        calls = TestSolverOracle.recorded_solves(monkeypatch, heatmaps)
+        limit = fitting.WINDOW_SIGMAS ** 2
+        grid_y, grid_x = np.mgrid[0:64, 0:64]
+        for h, ((xs, ys, data, p0, _), _) in zip(heatmaps, calls):
+            assert start_sigmas_sq(xs, ys, p0).max() <= limit * (1 + 1e-12)
+            assert np.array_equal(data, h[ys.astype(int), xs.astype(int)])
+            # and no pixel of the grid inside the ellipse is left out
+            inside = start_sigmas_sq(grid_x, grid_y, p0) < limit * (1 - 1e-12)
+            assert xs.size >= np.count_nonzero(inside)
+
+    def test_spike_outside_the_ellipse_is_ignored(self):
+        # the start extents are 6.7 and 2.9 px, so (86, 86) is in the corner of the
+        # +-33 px box, 8.4 start sigmas out and outside the 31x31 start window
+        g = AnisotropicGaussian((64.3, 63.7), CovarianceDecomposition(0.0, 7.0, 3.0), 100.0)
+        clean = render_anisotropic(g, (128, 128))
+        spiked = clean.copy()
+        spiked[86, 86] = clean.max()
+        assert fit_gaussian(spiked) == fit_gaussian(clean)
+
+    def test_corner_peak_at_the_smallest_extents(self, monkeypatch):
+        h = render_isotropic((-0.1, -0.1), 0.7, 100.0, (16, 16))
+        [((xs, _, _, p0, _), _)] = TestSolverOracle.recorded_solves(monkeypatch, [h])
+        assert np.exp(p0[3:5]) == pytest.approx([fitting.MIN_SIGMA] * 2)
+        assert xs.size >= 8
+        res = fit_gaussian(h)
+        assert res.converged
+        assert res.gaussian.mean == pytest.approx((-0.1, -0.1), abs=1e-6)
 
 
 class TestMomentStart:

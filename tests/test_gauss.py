@@ -203,7 +203,7 @@ class TestKernelInPlace:
     @staticmethod
     def offsets(rng, flat):
         mx, my = rng.uniform(-5.0, 45.0, size=2)
-        if flat:  # a fit window, as fitting._solve lays it out
+        if flat:  # flat pixel arrays of a box, as fitting._solve takes them
             x0, y0 = rng.integers(0, 20, size=2)
             w, h = rng.integers(1, 30, size=2)
             xs = np.tile(np.arange(x0, x0 + w, dtype=np.float64), h)
