@@ -57,7 +57,7 @@ from .svgplot import (
 )
 from .synthdata import SynthConfig, generate, write_synth_dataset
 from .trainer import TrainConfig, predict, read_checkpoint, train, write_checkpoint
-from .uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
+from .uncertainty import mcd_heatmap_fit, mcd_keep_masks, mcd_max, mcd_predict, sample_uncertainty
 
 
 def _say(args, message: str) -> None:
@@ -250,8 +250,13 @@ def cmd_mcd(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
     fits = []
+    keep = None  # the masks of the k passes, drawn once per image shape
     for image_id, image in zip(ds.ids, ds.images):
-        for j, (mean, points) in enumerate(zip(*mcd_predict(model, image, args.k, args.seed))):
+        if keep is None or keep.shape[1:3] != image.shape:
+            keep = None  # free the old block before the new one is drawn
+            keep = mcd_keep_masks(model, image.shape, args.k, args.seed)
+        mcd = mcd_predict(model, image, args.k, args.seed, keep)
+        for j, (mean, points) in enumerate(zip(*mcd)):
             estimates = [("mcd_max", *mcd_max(points))]
             fit = mcd_heatmap_fit(mean)
             fits.append(fit)

@@ -61,6 +61,13 @@ def upsample2_backward(dy):
     return _sum2x2(dy)
 
 
+def keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """C-contiguous bool dropout keep mask of (H, W, C) features: the float64
+    draw rng.random((C, H, W)) >= rate, laid out channels-last."""
+    h, w, c = shape
+    return np.ascontiguousarray((rng.random((c, h, w)) >= rate).transpose(1, 2, 0))
+
+
 def check_image_shape(shape) -> None:
     """Raise InvalidParameterError unless the predictor takes images of this
     shape: 2-D with sides divisible by 4 (two pooling stages)."""
@@ -75,15 +82,16 @@ class ReferencePredictor:
     conv+ReLU on the way back, one (inverted) dropout layer in front of the
     final stage, and a linear 1x1 head with one output channel per landmark.
 
-    Parameters, activations, row-patch matrices, dropout masks and every
-    matrix product are in `dtype` (float32 or float64) on channels-last
-    (H, W, C) activations; each 3x3 convolution is three products on one 1x3
-    row-patch matrix.  Inputs are cast to `dtype` once on the way in; heatmaps
-    and gradients are cast up to float64 once on the way out.  Gradients come
-    from the explicit backward pass below; the finite-difference checks in the
-    test suite (float64) are the contract.  `weights` and `biases` are views of
-    one `dtype` parameter vector, layer by layer; weights keep the
-    (Cout, Cin, 3, 3) layout there and in checkpoints.
+    Parameters, activations, row-patch matrices, the dropout rescale and
+    every matrix product are in `dtype` (float32 or float64) on channels-last
+    (H, W, C) activations, and dropout keep masks are bool; each 3x3
+    convolution is three products on one 1x3 row-patch matrix.  Inputs are
+    cast to `dtype` once on the way in; heatmaps and gradients are cast up to
+    float64 once on the way out.  Gradients come from the explicit backward
+    pass below; the finite-difference checks in the test suite (float64) are
+    the contract.  `weights` and `biases` are views of one `dtype` parameter
+    vector, layer by layer; weights keep the (Cout, Cin, 3, 3) layout there
+    and in checkpoints.
     """
 
     def __init__(self, landmark_count: int, width: int = 16, seed: int = 0,
@@ -160,28 +168,43 @@ class ReferencePredictor:
         self._trunk_cache = ((rows0, rows1, rows2, rows3), (a1, a2, a3, a4))
         return upsample2(a4)
 
+    def dropout_scale(self, dropout_rate: float):
+        """The inverted-dropout rescale 1/(1-rate) of kept units, in the predictor's dtype."""
+        return np.divide(1, 1 - dropout_rate, dtype=self.dtype)
+
     def head(self, features: np.ndarray, dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None) -> np.ndarray:
         """Dropout, the last conv stage and the 1x1 head on trunk() features.
 
         Returns float64 (N, H, W) heatmaps.  A nonzero dropout_rate needs an
-        rng; the mask comes from the float64 draw rng.random((C, H, W)) in
-        either dtype, so both dtypes drop the same units, and kept activations
-        are rescaled by 1/(1-rate) so the expected activation is unchanged.
+        rng: the units where keep_mask(features.shape, rate, rng) is False are
+        dropped and the rest scaled by dropout_scale(rate), as in masked_head;
+        both dtypes draw the same float64 mask, so they drop the same units.
         """
-        if dropout_rate and rng is None:
-            raise InvalidParameterError("dropout_rate > 0 requires an rng")
-        h, w, c = features.shape
+        keep = None
         if dropout_rate:
-            mask = np.divide(rng.random((c, h, w)) >= dropout_rate, 1.0 - dropout_rate,
-                             dtype=self.dtype).transpose(1, 2, 0)
-            features = features * mask
-        else:
-            mask = None
-        a5, rows4 = self._conv_relu(features, 4)
+            if rng is None:
+                raise InvalidParameterError("dropout_rate > 0 requires an rng")
+            keep = keep_mask(features.shape, dropout_rate, rng)
+            features = features * self.dropout_scale(dropout_rate)
+        heatmaps, rows4, a5 = self._masked_head(features, keep)
+        self._cache = (self._trunk_cache, rows4, a5, dropout_rate, keep)
+        return heatmaps
+
+    def masked_head(self, scaled: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """head() for Monte-Carlo passes, which keep nothing for backward: on
+        trunk() features already multiplied by dropout_scale(rate), it drops
+        the units where the bool (H, W, C) mask `keep` is False."""
+        return self._masked_head(scaled, keep)[0]
+
+    def _masked_head(self, scaled, keep):
+        # the one dropout path: the rescale and the bool mask are two
+        # multiplies, which give the bits of one multiply by a float mask of 0
+        # and 1/(1-rate); backward applies the same two to its gradient
+        h, w, c = scaled.shape
+        a5, rows4 = self._conv_relu(scaled * keep if keep is not None else scaled, 4)
         y = self.weights[5] @ a5.reshape(h * w, c).T + self.biases[5][:, None]  # (N, H*W)
-        self._cache = (self._trunk_cache, rows4, a5, mask)
-        return y.astype(np.float64).reshape(-1, h, w)
+        return y.astype(np.float64).reshape(-1, h, w), rows4, a5
 
     def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -199,7 +222,7 @@ class ReferencePredictor:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        (rows, (a1, a2, a3, a4)), rows4, a5, mask = self._cache
+        (rows, (a1, a2, a3, a4)), rows4, a5, rate, keep = self._cache
         rows = (*rows, rows4)
         grad = np.empty(self._params.size)
         gw, gb = self._views(grad)
@@ -226,7 +249,7 @@ class ReferencePredictor:
             return dx.reshape(h, wd, cin)
 
         dd = conv_back(da5, a5, 4)
-        du2 = dd * mask if mask is not None else dd
+        du2 = dd * self.dropout_scale(rate) * keep if keep is not None else dd
         du1 = conv_back(upsample2_backward(du2), a4, 3)
         dp2 = conv_back(upsample2_backward(du1), a3, 2)
         dp1 = conv_back(avgpool2_backward(dp2), a2, 1)

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,9 +18,11 @@ import hmuq.cli
 import hmuq.uncertainty
 from hmuq import fitting
 from hmuq.cli import main
-from hmuq.dataio import load_dataset, read_annotations, write_pgm
+from hmuq.dataio import load_dataset, read_annotations, write_csv, write_dataset, write_pgm
+from hmuq.fitting import argmax_coord
 from hmuq.synthdata import LandmarkSpec, SynthConfig
-from hmuq.trainer import TrainConfig
+from hmuq.trainer import TrainConfig, read_checkpoint
+from hmuq.uncertainty import mcd_heatmap_fit, mcd_max
 
 from helpers import write_interobserver_fixture
 
@@ -269,6 +272,51 @@ class TestDeterminism:
                      "--out", str(tmp_path), "--quiet"]) == 0
         assert (tmp_path / "mcd.csv").read_bytes() == \
             (pipeline / "mc" / "mcd.csv").read_bytes()
+
+    def test_mcd_mask_block_matches_per_image_passes(self, pipeline, tmp_path, monkeypatch):
+        """mcd draws the k keep masks once per image shape and shares them
+        between the images of that shape; its mcd.csv must equal K full
+        forward passes per image, with at most one mask block alive."""
+        ds = load_dataset(pipeline / "d" / "manifest.cfg")
+        wide = np.random.default_rng(4).random((24, 40))
+        images = [ds.images[0], ds.images[1], wide, ds.images[2]]  # shapes A, A, B, A
+        ids = ["a0", "a1", "b0", "a2"]
+        write_dataset(tmp_path / "d", ids, images, np.full((4, ds.landmark_count, 2), 8.0),
+                      [1.0] * 4, ds.landmark_count)
+        drawn = []
+
+        def one_block_alive(model, shape, k, seed):
+            assert all(ref() is None for ref in drawn)
+            block = hmuq.uncertainty.mcd_keep_masks(model, shape, k, seed)
+            drawn.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(hmuq.cli, "mcd_keep_masks", one_block_alive)
+        k, seed = 5, 3
+        assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(tmp_path / "d"),
+                     "--k", str(k), "--seed", str(seed), "--out", str(tmp_path / "got"),
+                     "--quiet"]) == 0
+        assert len(drawn) == 3  # A, then B, then A again
+
+        model = read_checkpoint(pipeline / "m" / "model.ckpt")
+        rate = model.config.dropout_rate
+        rows = []
+        for image_id, image in zip(ids, load_dataset(tmp_path / "d" / "manifest.cfg").images):
+            passes = np.stack([model.predictor.forward(image, rate,
+                                                       np.random.default_rng([seed, i]))
+                               for i in range(k)])
+            for j, mean in enumerate(passes.mean(axis=0)):
+                estimates = [("mcd_max", *mcd_max([argmax_coord(h) for h in passes[:, j]]))]
+                fit = mcd_heatmap_fit(mean)
+                if fit is not None:
+                    estimates.append(("mcd_heatmap_fit", fit.gaussian.mean, fit.gaussian.decomp))
+                rows += [(image_id, j, source, repr(float(x)), repr(float(y)),
+                          repr(d.theta_deg), repr(d.sigma_maj), repr(d.sigma_min))
+                         for source, (x, y), d in estimates]
+        write_csv(tmp_path / "want.csv", ["image_id", "landmark_id", "source", "x_px", "y_px",
+                                          "theta_deg", "sigma_maj", "sigma_min"], rows)
+        assert (tmp_path / "got" / "mcd.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
 
     def test_seed_changes_synth(self, pipeline, tmp_path):
         assert main(["synth", "--config", str(pipeline / "synth.cfg"), "--seed", "6",

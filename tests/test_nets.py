@@ -293,6 +293,58 @@ class TestFloat32:
             ReferencePredictor(1, width=4, dtype=np.float16)
 
 
+class TestKeepMask:
+    """head and backward drop units with a bool keep mask and a separate
+    1/(1-rate) multiply; that must give the bits of the multiply by the
+    float mask it replaced, signed zeros included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_float_mask_multiply(self, dtype, monkeypatch):
+        rate, h, w, c = 0.3, 12, 16, 5
+        rng = np.random.default_rng(41)
+        net = ReferencePredictor(3, width=c, seed=41, dtype=dtype)
+        randomize(net, rng)
+        net.trunk(rng.random((h, w)))  # the activations backward reads
+        features = rng.normal(size=(h, w, c)).astype(dtype)
+        features[0::3] = 0.0
+        features[1::3, ::2] = -0.0
+        mask = np.divide(np.random.default_rng(7).random((c, h, w)) >= rate, 1 - rate,
+                         dtype=dtype).transpose(1, 2, 0)
+        want = features * mask
+        assert np.signbit(want[features == 0]).any() and not np.signbit(want[features == 0]).all()
+        calls = []
+        conv3x3 = hmuq.nets._conv3x3
+
+        def recording_conv(x, wt):
+            y, rows = conv3x3(x, wt)
+            calls.append((x, y))
+            return y, rows
+
+        plain = net.head(want)
+        monkeypatch.setattr(hmuq.nets, "_conv3x3", recording_conv)
+        got = net.head(features, rate, np.random.default_rng(7))
+        assert calls[0][0].tobytes() == want.tobytes()
+        assert np.array_equal(got, plain)
+
+        dy = rng.normal(size=(3, h, w))
+        dy[:, : h // 2] = 0.0  # exact zeros in the gradient that reaches the mask
+        upsampled = []
+        up_backward = hmuq.nets.upsample2_backward
+
+        def recording_up(g):
+            upsampled.append(g)
+            return up_backward(g)
+
+        monkeypatch.setattr(hmuq.nets, "upsample2_backward", recording_up)
+        calls.clear()
+        net.backward(dy)
+        dd = calls[0][1].reshape(h, w, c)  # stage 4's input gradient
+        assert (dd == 0).any()
+        # the rest of backward is shared code, so equal bits here give an
+        # equal parameter gradient
+        assert upsampled[0].tobytes() == (dd * mask).tobytes()
+
+
 class TestDropout:
     def test_zero_rate_is_identity(self):
         net = ReferencePredictor(2, width=4, seed=2)

@@ -15,7 +15,13 @@ from hmuq.gauss import (
 )
 from hmuq.nets import ReferencePredictor
 from hmuq.trainer import TrainConfig, TrainedModel
-from hmuq.uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
+from hmuq.uncertainty import (
+    mcd_heatmap_fit,
+    mcd_keep_masks,
+    mcd_max,
+    mcd_predict,
+    sample_uncertainty,
+)
 
 
 def pass_mean(heatmaps):
@@ -145,18 +151,31 @@ class TestMcdPredict:
         assert points.shape == (2, 2, 2) and points.dtype == np.intp
 
     def test_shared_trunk_matches_separate_passes(self):
-        # mcd_predict runs the trunk once and sums the heads as they come; the
-        # result must equal K full dropout forward passes with pass seeds [seed, i]
+        # mcd_predict runs the trunk once and sums the heads as they come, with
+        # masks drawn per pass or read from one block; the result must equal
+        # K full dropout forward passes with pass seeds [seed, i]
         model = self.model(0.2)
         image = np.random.default_rng(32).random((16, 20))
-        mean, points = mcd_predict(model, image, k=5, seed=9)
         passes = [model.predictor.forward(image, 0.2, np.random.default_rng([9, i]))
                   for i in range(5)]
         assert not np.array_equal(passes[0], passes[1])
-        assert np.array_equal(mean, np.stack(passes).mean(axis=0))
-        for i, heatmaps in enumerate(passes):
-            for j, h in enumerate(heatmaps):
-                assert tuple(points[j, i]) == argmax_coord(h)
+        for keep in (None, mcd_keep_masks(model, image.shape, k=5, seed=9)):
+            mean, points = mcd_predict(model, image, k=5, seed=9, keep=keep)
+            assert np.array_equal(mean, np.stack(passes).mean(axis=0))
+            for i, heatmaps in enumerate(passes):
+                for j, h in enumerate(heatmaps):
+                    assert tuple(points[j, i]) == argmax_coord(h)
+
+    def test_mask_block_checked(self):
+        model = self.model(0.2)
+        keep = mcd_keep_masks(model, (16, 20), k=3)
+        assert keep.shape == (3, 16, 20, 4) and keep.dtype == bool
+        assert keep.flags.c_contiguous
+        with pytest.raises(InvalidParameterError,
+                           match=r"keep masks must have shape \(2, 16, 20, 4\)"):
+            mcd_predict(model, np.zeros((16, 20)), k=2, keep=keep)
+        with pytest.raises(InvalidParameterError, match="needs a model trained with dropout"):
+            mcd_keep_masks(self.model(0.0), (16, 20), k=3)
 
     def test_memory_flat_in_k(self):
         # only the 2k argmax integers per landmark grow with k, not k heatmaps
