@@ -63,6 +63,6 @@ from .trainer import (
     train,
     write_checkpoint,
 )
-from .uncertainty import mcd_heatmap_fit, mcd_keep_masks, mcd_max, mcd_predict, sample_uncertainty
+from .uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
 __version__ = "0.1.0"

@@ -57,7 +57,7 @@ from .svgplot import (
 )
 from .synthdata import SynthConfig, generate, write_synth_dataset
 from .trainer import TrainConfig, predict, read_checkpoint, train, write_checkpoint
-from .uncertainty import mcd_heatmap_fit, mcd_keep_masks, mcd_max, mcd_predict, sample_uncertainty
+from .uncertainty import mcd_heatmap_fit, mcd_max, mcd_predict, sample_uncertainty
 
 
 def _say(args, message: str) -> None:
@@ -250,12 +250,9 @@ def cmd_mcd(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
     fits = []
-    keep = None  # the masks of the k passes, drawn once per image shape
+    masks = {}  # the k passes' masks, drawn once per image shape
     for image_id, image in zip(ds.ids, ds.images):
-        if keep is None or keep.shape[1:3] != image.shape:
-            keep = None  # free the old block before the new one is drawn
-            keep = mcd_keep_masks(model, image.shape, args.k, args.seed)
-        mcd = mcd_predict(model, image, args.k, args.seed, keep)
+        mcd = mcd_predict(model, image, args.k, args.seed, masks)
         for j, (mean, points) in enumerate(zip(*mcd)):
             estimates = [("mcd_max", *mcd_max(points))]
             fit = mcd_heatmap_fit(mean)
@@ -321,6 +318,9 @@ def _landmark_names(path, landmark_count):
         if not 0 <= index < landmark_count:
             raise InvalidParameterError(
                 f"{path}: landmark index {index} outside 0..{landmark_count - 1}")
+        if index in names:
+            raise InvalidParameterError(
+                f"{path}: landmark index {index} named twice, {names[index]!r} and {value!r}")
         if value in names.values():
             raise InvalidParameterError(f"{path}: duplicate landmark name {value!r}")
         names[index] = value

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import (
+    MAX_LOG_EXTENT,
     TWO_PI,
     AnisotropicGaussian,
     CovarianceDecomposition,
@@ -56,19 +57,12 @@ def argmax_coord(h: np.ndarray) -> tuple[int, int]:
 
 
 def _smooth3(values):
-    """3x3 box mean with edge values repeated past the border.
-
-    Bit for bit scipy.ndimage.uniform_filter(values, size=3, mode="nearest"):
-    rows (axis 0) first, then columns, each as scipy's running sum
-    0 + p0 + p1 + p2, then + (p[k+3] - p[k]), divided by 3.  cumsum adds in
-    that sequence; the other axis order rounds differently.
-    """
-    out = values
-    for _ in range(2):  # the .T hands axis 1 to the second pass and restores the layout
-        p = np.concatenate((out[:1], out, out[-1:]))
-        steps = np.concatenate(((0.0 + p[0] + p[1] + p[2])[None], p[3:] - p[:-3]))
-        out = (np.cumsum(steps, axis=0) / 3).T
-    return out
+    """3x3 box sums with edge values repeated past the border: 9 times
+    scipy.ndimage.uniform_filter(values, size=3, mode="nearest") up to
+    rounding.  Only its argmax is read."""
+    p = np.pad(values, 1, mode="edge")
+    rows = p[:-2] + p[1:-1] + p[2:]
+    return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
 
 
 def _window(shape, center, halfwidth):
@@ -186,10 +180,11 @@ def _solve(xs, ys, data, p0, max_nfev):
             js = J @ step
             predicted = -(0.5 * (js @ js) + step @ g)
             x_new = x + step
-            fun_new = _model(x_new, xs, ys, jac_new) - data
             nfev += 1
             step_norm = _norm(step)
-            if not np.isfinite(fun_new).all():
+            # a log extent past MAX_LOG_EXTENT counts as a non-finite model, unevaluated
+            if (max(abs(x_new[3]), abs(x_new[4])) > MAX_LOG_EXTENT
+                    or not np.isfinite(fun_new := _model(x_new, xs, ys, jac_new) - data).all()):
                 delta = 0.25 * step_norm
                 continue
             cost_new, weight_new, f_new = _soft_l1(fun_new)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+MAX_LOG_EXTENT = 30.0  # |log sigma| past this (e^30 px) is runaway dynamics, not a Gaussian
 
 
 class InvalidParameterError(ValueError):

@@ -156,7 +156,7 @@ class ReferencePredictor:
     def trunk(self, image: np.ndarray) -> np.ndarray:
         """Deterministic part of forward: stages 0-3 and the last upsampling.
 
-        Maps a (H, W) image to (H, W, C) features for head(); with dropout
+        Maps a (H, W) image to (H, W, C) features for the head; with dropout
         only in the head, Monte-Carlo passes over one image share one trunk.
         """
         image = np.asarray(image, dtype=self.dtype)
@@ -172,29 +172,10 @@ class ReferencePredictor:
         """The inverted-dropout rescale 1/(1-rate) of kept units, in the predictor's dtype."""
         return np.divide(1, 1 - dropout_rate, dtype=self.dtype)
 
-    def head(self, features: np.ndarray, dropout_rate: float = 0.0,
-             rng: np.random.Generator | None = None) -> np.ndarray:
-        """Dropout, the last conv stage and the 1x1 head on trunk() features.
-
-        Returns float64 (N, H, W) heatmaps.  A nonzero dropout_rate needs an
-        rng: the units where keep_mask(features.shape, rate, rng) is False are
-        dropped and the rest scaled by dropout_scale(rate), as in masked_head;
-        both dtypes draw the same float64 mask, so they drop the same units.
-        """
-        keep = None
-        if dropout_rate:
-            if rng is None:
-                raise InvalidParameterError("dropout_rate > 0 requires an rng")
-            keep = keep_mask(features.shape, dropout_rate, rng)
-            features = features * self.dropout_scale(dropout_rate)
-        heatmaps, rows4, a5 = self._masked_head(features, keep)
-        self._cache = (self._trunk_cache, rows4, a5, dropout_rate, keep)
-        return heatmaps
-
     def masked_head(self, scaled: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """head() for Monte-Carlo passes, which keep nothing for backward: on
-        trunk() features already multiplied by dropout_scale(rate), it drops
-        the units where the bool (H, W, C) mask `keep` is False."""
+        """The head of forward() for Monte-Carlo passes, which keep nothing for
+        backward: on trunk() features already multiplied by dropout_scale(rate),
+        it drops the units where the bool (H, W, C) mask `keep` is False."""
         return self._masked_head(scaled, keep)[0]
 
     def _masked_head(self, scaled, keep):
@@ -208,11 +189,24 @@ class ReferencePredictor:
 
     def forward(self, image: np.ndarray, dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """Run the network on a (H, W) image; returns (N, H, W) heatmaps.
+        """Run the network on a (H, W) image; returns float64 (N, H, W) heatmaps.
 
-        H and W must be divisible by 4 (two pooling stages); dropout as in head().
+        H and W must be divisible by 4 (two pooling stages).  A nonzero
+        dropout_rate needs an rng: the trunk() features where
+        keep_mask(features.shape, rate, rng) is False are dropped and the rest
+        scaled by dropout_scale(rate), as in masked_head; both dtypes draw the
+        same float64 mask, so they drop the same units.
         """
-        return self.head(self.trunk(image), dropout_rate, rng)
+        features = self.trunk(image)
+        keep = None
+        if dropout_rate:
+            if rng is None:
+                raise InvalidParameterError("dropout_rate > 0 requires an rng")
+            keep = keep_mask(features.shape, dropout_rate, rng)
+            features = features * self.dropout_scale(dropout_rate)
+        heatmaps, rows4, a5 = self._masked_head(features, keep)
+        self._cache = (self._trunk_cache, rows4, a5, dropout_rate, keep)
+        return heatmaps
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Backpropagate (N, H, W) output gradients from the latest forward call.

@@ -26,6 +26,7 @@ from .dataio import (
     parse_config_text,
 )
 from .gauss import (
+    MAX_LOG_EXTENT,
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
@@ -130,8 +131,7 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
 # --- training loop --------------------------------------------------------------
 
 
-def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
-          progress=None) -> TrainedModel:
+def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
     """Stochastic gradient descent (momentum 0.9, weight decay) over a dataset.
 
     `dataset` needs `.images` (list of equally shaped 2-D arrays) and
@@ -140,8 +140,8 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
     learning_rate * covariance_lr_multiplier, with the gradient projected
     onto the parameters the mode moves (MODE_PROJECTIONS); the run is
     deterministic for a fixed seed.
-    `initial_params` overrides the random predictor initialization, which
-    also enables freeze_predictor studies of the covariance dynamics alone.
+    The predictor's 1x1 head starts at zero, so under freeze_predictor its
+    output is exactly 0 throughout: a study of the covariance dynamics alone.
     The predictor computes in NET_DTYPE; its parameters, their momentum and
     the covariance parameters are float64 master copies updated here, and
     the predictor gets the master weights cast down after every step.
@@ -164,11 +164,7 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
 
     rng = np.random.default_rng(cfg.seed)
     net = ReferencePredictor(n_landmarks, cfg.predictor_width, seed=cfg.seed, dtype=NET_DTYPE)
-    if initial_params is None:
-        params = net.get_params().astype(np.float64)
-    else:
-        params = np.array(initial_params, dtype=np.float64)
-        net.set_params(params)
+    params = net.get_params().astype(np.float64)
     vel = np.zeros_like(params)
 
     project = MODE_PROJECTIONS[cfg.target_mode]
@@ -209,8 +205,7 @@ def train(dataset, cfg: TrainConfig, initial_params: np.ndarray | None = None,
         vel_cov = MOMENTUM * vel_cov - (cfg.learning_rate * cfg.covariance_lr_multiplier) * (
             grad_cov / cfg.batch_size @ project)
         cov = cov + vel_cov
-        # log extents beyond e^30 px are runaway dynamics, not a fit
-        if np.abs(cov[:, 1:]).max() > 30.0:
+        if np.abs(cov[:, 1:]).max() > MAX_LOG_EXTENT:
             raise TrainDivergedError(
                 f"covariance parameters diverged at iteration {it}; lower "
                 f"learning_rate * covariance_lr_multiplier")

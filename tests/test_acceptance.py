@@ -189,8 +189,7 @@ def test_criterion_3_sigma_equilibrium():
     cfg = TrainConfig(alpha=5.0, gamma=100.0, iterations=600, learning_rate=1e-4,
                       covariance_lr_multiplier=20.0, batch_size=1, seed=1,
                       predictor_width=4, freeze_predictor=True)
-    n_params = ReferencePredictor(2, 4, seed=1).num_params()
-    model = train(ds, cfg, initial_params=np.zeros(n_params))
+    model = train(ds, cfg)  # the zero head keeps the frozen predictor's output at 0
     expected = 100.0 / (2.0 * math.sqrt(math.pi * 5.0))
     products = [d.product for d in model.target_decomps]
     worst = max(abs(p - expected) / expected for p in products)

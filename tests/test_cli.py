@@ -283,15 +283,23 @@ class TestDeterminism:
         ids = ["a0", "a1", "b0", "a2"]
         write_dataset(tmp_path / "d", ids, images, np.full((4, ds.landmark_count, 2), 8.0),
                       [1.0] * 4, ds.landmark_count)
-        drawn = []
+        drawn = []  # weak references to the blocks mcd_predict left in its dict
+        mcd_predict, keep_mask = hmuq.cli.mcd_predict, hmuq.uncertainty.keep_mask
 
-        def one_block_alive(model, shape, k, seed):
+        def recording_predict(model, image, k, seed, masks):
+            out = mcd_predict(model, image, k, seed, masks)
+            (block,) = masks.values()
+            if not drawn or drawn[-1]() is not block:
+                drawn.append(weakref.ref(block))
+            return out
+
+        def one_block_alive(*args):
+            # the CLI passes a dict, so a mask is drawn only into a new block
             assert all(ref() is None for ref in drawn)
-            block = hmuq.uncertainty.mcd_keep_masks(model, shape, k, seed)
-            drawn.append(weakref.ref(block))
-            return block
+            return keep_mask(*args)
 
-        monkeypatch.setattr(hmuq.cli, "mcd_keep_masks", one_block_alive)
+        monkeypatch.setattr(hmuq.cli, "mcd_predict", recording_predict)
+        monkeypatch.setattr(hmuq.uncertainty, "keep_mask", one_block_alive)
         k, seed = 5, 3
         assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(tmp_path / "d"),
                      "--k", str(k), "--seed", str(seed), "--out", str(tmp_path / "got"),
@@ -351,6 +359,25 @@ class TestFitWarnings:
         match = re.fullmatch(rf"warning: (\d+) of {fits} fits did not converge\n", err)
         assert match and 0 < int(match.group(1)) <= fits, err
         assert out == ""
+
+    def test_under_trained_checkpoint_fits_without_traceback(self, tmp_path, capsys):
+        """40 iterations of the benchmark recipe leave heatmaps whose fits step
+        to log extents far past any image; those trial points count as
+        non-finite, so `fit` on 8 held-out images completes."""
+        (tmp_path / "train.cfg").write_text(
+            "batch_size = 4\ndropout_rate = 0.1\ntarget_mode = learned_aniso\n"
+            "learning_rate = 1e-05\ncovariance_lr_multiplier = 3.0\n")
+        (tmp_path / "held.cfg").write_text("num_images = 8\n")
+        assert main(["synth", "--seed", "0", "--out", str(tmp_path / "d"), "--quiet"]) == 0
+        assert main(["train", "--data", str(tmp_path / "d"),
+                     "--config", str(tmp_path / "train.cfg"), "--iterations", "40",
+                     "--seed", "3", "--out", str(tmp_path / "m"), "--quiet"]) == 0
+        assert main(["synth", "--config", str(tmp_path / "held.cfg"), "--seed", "1",
+                     "--out", str(tmp_path / "h"), "--quiet"]) == 0
+        assert main(["fit", "--model", str(tmp_path / "m"), "--data", str(tmp_path / "h"),
+                     "--out", str(tmp_path / "f"), "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(read_rows(tmp_path / "f" / "fits.csv")) == 32
 
     def test_no_warning_when_every_fit_converges(self, pipeline, tmp_path, capsys):
         assert main(["eval", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
@@ -429,8 +456,8 @@ class TestErrors:
         assert message in capsys.readouterr().err
 
     def test_mcd_huge_k_exits_1(self, pipeline, tmp_path, capsys):
-        # the k argmax points of each landmark (32 PB here) are allocated up
-        # front, so a k past the address space fails at once, not by growing
+        # the k masks (8 EB here) and argmax points are allocated before the
+        # first pass, so a k past the address space fails at once, not by growing
         assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),
                      "--k", "1000000000000000", "--out", str(tmp_path), "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -811,6 +838,8 @@ BAD_INPUTS = {
                        "not UTF-8 text (byte 14)"),
     "names-non-utf8": (_clinical_case("names", b"0 = alpha\n1 = b\xffta\n"),
                        "not UTF-8 text (byte 15)"),
+    "names-index-twice": (_clinical_case("names", "0 = alpha\n1 = beta\n01 = gamma\n"),
+                          "landmark index 1 named twice, 'beta' and 'gamma'"),
     "measurements-non-utf8": (
         _clinical_case("measurements", MEAS_CFG.encode().replace(b"6.0", b"\xff.0")),
         "not UTF-8 text (byte 59)"),

@@ -294,7 +294,7 @@ class TestFloat32:
 
 
 class TestKeepMask:
-    """head and backward drop units with a bool keep mask and a separate
+    """forward and backward drop units with a bool keep mask and a separate
     1/(1-rate) multiply; that must give the bits of the multiply by the
     float mask it replaced, signed zeros included."""
 
@@ -320,9 +320,12 @@ class TestKeepMask:
             calls.append((x, y))
             return y, rows
 
-        plain = net.head(want)
+        # stage 4 reached through forward, on these features in place of the trunk's
+        monkeypatch.setattr(net, "trunk", lambda image: want)
+        plain = net.forward(None)
+        monkeypatch.setattr(net, "trunk", lambda image: features)
         monkeypatch.setattr(hmuq.nets, "_conv3x3", recording_conv)
-        got = net.head(features, rate, np.random.default_rng(7))
+        got = net.forward(None, rate, np.random.default_rng(7))
         assert calls[0][0].tobytes() == want.tobytes()
         assert np.array_equal(got, plain)
 

@@ -178,8 +178,7 @@ class TestTrain:
         cfg = TrainConfig(iterations=600, learning_rate=1e-4, covariance_lr_multiplier=20.0,
                           batch_size=1, seed=0, target_mode="learned_aniso",
                           freeze_predictor=True, predictor_width=4)
-        zeros = np.zeros(ReferencePredictor(1, 4).num_params())
-        m = train(ds, cfg, initial_params=zeros)
+        m = train(ds, cfg)
         want = GAMMA / (2.0 * math.sqrt(math.pi * ALPHA))
         assert m.target_decomps[0].product == pytest.approx(want, rel=0.05)
 
@@ -210,8 +209,7 @@ class TestTrain:
         ds = Dataset(["a", "b"], [np.zeros((24, 24))] * 2, coords, np.ones(2), 2)
         cfg = TrainConfig(iterations=1, batch_size=2, seed=1, target_mode=mode,
                           freeze_predictor=True, predictor_width=4)
-        zeros = np.zeros(ReferencePredictor(2, 4).num_params())
-        m = train(ds, cfg, initial_params=zeros)
+        m = train(ds, cfg)
 
         start = np.zeros((2, 3))
         start[:, 1:] = math.log(cfg.sigma_init)

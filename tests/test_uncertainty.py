@@ -13,11 +13,10 @@ from hmuq.gauss import (
     population_distribution,
     sample_gaussian,
 )
-from hmuq.nets import ReferencePredictor
+from hmuq.nets import ReferencePredictor, keep_mask
 from hmuq.trainer import TrainConfig, TrainedModel
 from hmuq.uncertainty import (
     mcd_heatmap_fit,
-    mcd_keep_masks,
     mcd_max,
     mcd_predict,
     sample_uncertainty,
@@ -152,30 +151,43 @@ class TestMcdPredict:
 
     def test_shared_trunk_matches_separate_passes(self):
         # mcd_predict runs the trunk once and sums the heads as they come, with
-        # masks drawn per pass or read from one block; the result must equal
-        # K full dropout forward passes with pass seeds [seed, i]
+        # masks drawn per pass, into a new block or read from a kept one; the
+        # result must equal K full dropout forward passes with pass seeds [seed, i]
         model = self.model(0.2)
         image = np.random.default_rng(32).random((16, 20))
         passes = [model.predictor.forward(image, 0.2, np.random.default_rng([9, i]))
                   for i in range(5)]
         assert not np.array_equal(passes[0], passes[1])
-        for keep in (None, mcd_keep_masks(model, image.shape, k=5, seed=9)):
-            mean, points = mcd_predict(model, image, k=5, seed=9, keep=keep)
+        masks = {}
+        for kept in (None, masks, masks):
+            mean, points = mcd_predict(model, image, k=5, seed=9, masks=kept)
             assert np.array_equal(mean, np.stack(passes).mean(axis=0))
             for i, heatmaps in enumerate(passes):
                 for j, h in enumerate(heatmaps):
                     assert tuple(points[j, i]) == argmax_coord(h)
 
-    def test_mask_block_checked(self):
+    def test_mask_block_kept_per_key(self):
+        # the dict holds one block, reused for an image of the same shape and
+        # drawn again when the feature shape, k, seed or rate changes
         model = self.model(0.2)
-        keep = mcd_keep_masks(model, (16, 20), k=3)
-        assert keep.shape == (3, 16, 20, 4) and keep.dtype == bool
-        assert keep.flags.c_contiguous
-        with pytest.raises(InvalidParameterError,
-                           match=r"keep masks must have shape \(2, 16, 20, 4\)"):
-            mcd_predict(model, np.zeros((16, 20)), k=2, keep=keep)
+        image = np.random.default_rng(34).random((16, 20))
+        masks = {}
+
+        def block(model=model, image=image, k=3, seed=0):
+            mcd_predict(model, image, k, seed, masks)
+            (kept,) = masks.values()
+            return kept
+
+        first = block()
+        assert first.shape == (3, 16, 20, 4) and first.dtype == bool
+        assert first.flags.c_contiguous
+        assert np.array_equal(first[1], keep_mask((16, 20, 4), 0.2, np.random.default_rng([0, 1])))
+        assert block(image=image[::-1].copy()) is first
+        for change in ({"image": np.zeros((20, 16))}, {"k": 4}, {"seed": 1},
+                       {"model": self.model(0.3)}):
+            assert block(**change) is not block()
         with pytest.raises(InvalidParameterError, match="needs a model trained with dropout"):
-            mcd_keep_masks(self.model(0.0), (16, 20), k=3)
+            mcd_predict(self.model(0.0), image, k=3, masks=masks)
 
     def test_memory_flat_in_k(self):
         # only the 2k argmax integers per landmark grow with k, not k heatmaps
