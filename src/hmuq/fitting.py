@@ -52,15 +52,18 @@ class FitResult:
 
 def argmax_coord(h: np.ndarray) -> tuple[int, int]:
     """(x, y) of the maximum pixel; ties break to the smallest row, then column."""
-    row, col = np.unravel_index(np.argmax(h), np.shape(h))
-    return int(col), int(row)
+    row, col = divmod(int(np.argmax(h)), np.shape(h)[1])
+    return col, row
 
 
 def _smooth3(values):
     """3x3 box sums with edge values repeated past the border: 9 times
     scipy.ndimage.uniform_filter(values, size=3, mode="nearest") up to
     rounding.  Only its argmax is read."""
-    p = np.pad(values, 1, mode="edge")
+    p = np.empty((values.shape[0] + 2, values.shape[1] + 2), values.dtype)
+    p[1:-1, 1:-1] = values  # then the edge rows and columns, as np.pad(mode="edge")
+    p[0, 1:-1], p[-1, 1:-1] = values[0], values[-1]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
     rows = p[:-2] + p[1:-1] + p[2:]
     return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
 
@@ -148,6 +151,7 @@ def _trust_step(uf, s, vt, delta, alpha, m):
     return p * (delta / _norm(p)), alpha
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # 0/0 in _trust_step, as in scipy's solver
 def _solve(xs, ys, data, p0, max_nfev):
     """Soft-L1 trust-region fit of the model to the heatmap values `data` at
     pixel centers (xs, ys), three flat arrays.
@@ -243,7 +247,9 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
     if top <= 0:
         raise FitDegenerateError("no pixel near the smoothed heatmap maximum is positive")
     weight = np.maximum(patch - MOMENT_FLOOR * top, 0.0).ravel()
-    pixels = np.mgrid[y0:y1 + 1, x0:x1 + 1][::-1].reshape(2, -1)  # rows x, y
+    pixels = np.empty((2, *patch.shape))  # rows x, y
+    pixels[0], pixels[1] = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
+    pixels = pixels.reshape(2, -1)
     mean = pixels @ weight / weight.sum()
     centered = pixels - mean[:, None]
     start = decompose((centered * weight) @ centered.T / weight.sum())
@@ -251,12 +257,13 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
     p = np.array([*mean, start.theta, math.log(a), math.log(b), math.log(top * TWO_PI * a * b)])
     # the pixels of the box around the start ellipse that lie inside it
     x0, x1, y0, y1 = _window(values.shape, mean, WINDOW_SIGMAS * a)
-    box = np.mgrid[y0:y1 + 1, x0:x1 + 1][::-1].astype(np.float64)  # x, y
-    dx, dy = box[0] - mean[0], box[1] - mean[1]
+    x, y = np.arange(x0, x1 + 1, dtype=np.float64), np.arange(y0, y1 + 1, dtype=np.float64)
+    dx, dy = x - mean[0], (y - mean[1])[:, None]  # a row and a column: the box by broadcasting
     c, s = math.cos(start.theta), math.sin(start.theta)
     inside = ((c * dx + s * dy) / a) ** 2 + ((c * dy - s * dx) / b) ** 2 <= WINDOW_SIGMAS ** 2
-    xs, ys = box[:, inside]
-    p, fun, iterations, status = _solve(xs, ys, values[y0:y1 + 1, x0:x1 + 1][inside], p, MAX_NFEV)
+    rows, cols = inside.nonzero()  # row-major, as a boolean mask selects
+    data = values[y0:y1 + 1, x0:x1 + 1][inside]
+    p, fun, iterations, status = _solve(x[cols], y[rows], data, p, MAX_NFEV)
 
     mx, my, theta, log_a, log_b, log_amp = p
     decomp = CovarianceDecomposition(theta, math.exp(log_a), math.exp(log_b)).canonical()

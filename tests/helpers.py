@@ -1,14 +1,24 @@
 """Shared helpers for the test suite: the Gaussian renderers, the covariance
 composer and the axis-angle difference that only tests use, losses, scipy's
-least-squares solver, and the allocating Gaussian kernel and soft-L1 loss that
-serve as independent oracles for the anisotropic code paths."""
+least-squares solver, and the allocating Gaussian kernel, soft-L1 loss and fit
+set-up that serve as independent oracles for the anisotropic code paths."""
 
 import math
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from hmuq.fitting import EPS, TOLERANCE, _model
+from hmuq.fitting import (
+    EPS,
+    INIT_SIGMA,
+    MIN_SIGMA,
+    MOMENT_FLOOR,
+    MOMENT_SCALE,
+    TOLERANCE,
+    WINDOW_SIGMAS,
+    _model,
+    _window,
+)
 from hmuq.gauss import (
     TWO_PI,
     AnisotropicGaussian,
@@ -16,6 +26,7 @@ from hmuq.gauss import (
     InvalidParameterError,
     _gaussian,
     _grid_args,
+    decompose,
 )
 from hmuq.trainer import aniso_loss_gradients
 
@@ -93,6 +104,40 @@ def allocating_soft_l1(f):
     weight[weight < EPS] = EPS
     weight **= 0.5
     return cost, weight, f * (rho1 / weight)
+
+
+def padded_smooth3(values):
+    """fitting._smooth3 on an np.pad(mode="edge") copy: the oracle that its
+    buffer, filled edge by edge, must match bit for bit."""
+    p = np.pad(values, 1, mode="edge")
+    rows = p[:-2] + p[1:-1] + p[2:]
+    return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]
+
+
+def mgrid_fit_operands(h):
+    """The (xs, ys, data, p0) that fitting.fit_gaussian passes to _solve, built
+    on np.pad and np.mgrid grids: the oracle that the fit's set-up must match
+    bit for bit, pixel order and dtypes included."""
+    values = np.asarray(h, dtype=np.float64)
+    smooth = padded_smooth3(values)
+    row, col = np.unravel_index(np.argmax(smooth), smooth.shape)
+    x0, x1, y0, y1 = _window(values.shape, (int(col), int(row)), WINDOW_SIGMAS * INIT_SIGMA)
+    patch = values[y0:y1 + 1, x0:x1 + 1]
+    top = patch.max()
+    weight = np.maximum(patch - MOMENT_FLOOR * top, 0.0).ravel()
+    pixels = np.mgrid[y0:y1 + 1, x0:x1 + 1][::-1].reshape(2, -1)  # rows x, y
+    mean = pixels @ weight / weight.sum()
+    centered = pixels - mean[:, None]
+    start = decompose((centered * weight) @ centered.T / weight.sum())
+    a, b = (max(MOMENT_SCALE * sigma, MIN_SIGMA) for sigma in (start.sigma_maj, start.sigma_min))
+    p0 = np.array([*mean, start.theta, math.log(a), math.log(b), math.log(top * TWO_PI * a * b)])
+    x0, x1, y0, y1 = _window(values.shape, mean, WINDOW_SIGMAS * a)
+    box = np.mgrid[y0:y1 + 1, x0:x1 + 1][::-1].astype(np.float64)  # x, y
+    dx, dy = box[0] - mean[0], box[1] - mean[1]
+    c, s = math.cos(start.theta), math.sin(start.theta)
+    inside = ((c * dx + s * dy) / a) ** 2 + ((c * dy - s * dx) / b) ** 2 <= WINDOW_SIGMAS ** 2
+    xs, ys = box[:, inside]
+    return xs, ys, values[y0:y1 + 1, x0:x1 + 1][inside], p0
 
 
 def scipy_solve(xs, ys, data, p0, max_nfev, loss="soft_l1"):

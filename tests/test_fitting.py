@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from helpers import (
     allocating_soft_l1,
     axis_angle_difference_deg,
     max_rel_error,
+    mgrid_fit_operands,
+    padded_smooth3,
     random_decomposition,
     render_anisotropic,
     render_isotropic,
@@ -172,10 +175,12 @@ class TestFitJacobian:
             checked += 1
 
 
-def noisy_anisotropic(rng, shape=(64, 64)):
-    """A rendered anisotropic Gaussian with additive noise and impulse outliers."""
+def noisy_anisotropic(rng, shape=(64, 64), mean=None):
+    """A rendered anisotropic Gaussian with additive noise and impulse outliers,
+    by default centered within 8 px of the middle of a 64x64 grid."""
     d = random_decomposition(rng, 1.5, 6.0, max_ratio=3.0)
-    mean = (rng.uniform(24.0, 40.0), rng.uniform(24.0, 40.0))
+    if mean is None:
+        mean = (rng.uniform(24.0, 40.0), rng.uniform(24.0, 40.0))
     clean = render_anisotropic(AnisotropicGaussian(mean, d, 100.0), shape)
     noisy = clean + rng.normal(0.0, 0.01 * clean.max(), shape)
     return add_impulses(noisy, mean, 4, rng)
@@ -224,6 +229,50 @@ class TestSolverOracle:
         out = solve(*args)
         assert out[2:] == (3, 0)  # budget spent, not converged
         self.assert_matches(args, out)
+
+    def test_no_signal_solve_warns_nothing(self):
+        # far from the 8x8 grid the model and every residual are 0, and the step
+        # meets 0/0 as scipy's does: the same evaluations and status, no warning
+        ys, xs = np.mgrid[0:8, 0:8].reshape(2, -1).astype(np.float64)
+        args = (xs, ys, np.zeros(64), np.array([1000.0, 1000.0, 0, 0, 0, 0]), 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fitting._solve(*args)
+        with np.errstate(divide="ignore", invalid="ignore"):  # scipy's own 0/0
+            self.assert_matches(args, out)
+
+
+class TestSetUpOracle:
+    """fit_gaussian builds the solve's start and pixels on a filled buffer and
+    broadcast ranges; the np.pad and np.mgrid set-up of tests/helpers.py is the
+    oracle: _solve must get its operands bit for bit and give the same fits."""
+
+    @staticmethod
+    def heatmaps():
+        rng = np.random.default_rng(53)
+        yield from (noisy_anisotropic(rng) for _ in range(12))
+        # peaks within 2 px of each border and each corner
+        for mx in (0.6, 31.7, 62.2):
+            for my in (-0.4, 32.3, 61.4):
+                if (mx, my) != (31.7, 32.3):
+                    yield noisy_anisotropic(rng, mean=(mx, my))
+        yield noisy_anisotropic(rng, (16, 16), mean=(7.3, 8.6))
+        yield noisy_anisotropic(rng, (40, 64), mean=(45.2, 14.7))
+        yield noisy_anisotropic(rng, (64, 24), mean=(11.8, 29.1))  # narrower than the window
+
+    def test_solver_gets_the_mgrid_operands(self, monkeypatch):
+        heatmaps = list(self.heatmaps())
+        fits = [fit_gaussian(h) for h in heatmaps]
+        solve = fitting._solve
+        calls = TestSolverOracle.recorded_solves(monkeypatch, heatmaps)
+        assert len(calls) == len(heatmaps)
+        for h, fit, (args, _) in zip(heatmaps, fits, calls):
+            assert np.array_equal(fitting._smooth3(h), padded_smooth3(h)), h.shape
+            want = mgrid_fit_operands(h)
+            for got, expected in zip(args[:4], want):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), h.shape
+            monkeypatch.setattr(fitting, "_solve", lambda *_: solve(*want, fitting.MAX_NFEV))
+            assert fit_gaussian(h) == fit
 
 
 def start_sigmas_sq(xs, ys, p0):
