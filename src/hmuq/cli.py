@@ -221,8 +221,7 @@ def cmd_predict(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
     rows = []
     for image_id, image in zip(ds.ids, ds.images):
-        for j, heatmap in enumerate(predict(model, image)):
-            x, y = argmax_coord(heatmap)
+        for j, (x, y) in enumerate(zip(*argmax_coord(predict(model, image)))):
             rows.append(AnnotationRow(image_id, j, "", float(x), float(y)))
     out_path = _out_path(args, "predictions.csv")
     write_annotations(out_path, rows)
@@ -248,11 +247,13 @@ def cmd_fit(args) -> int:
 
 def cmd_mcd(args) -> int:
     model, ds = _load_predictor_dataset(args.data, args.model, annotated=False)
+    if not model.config.dropout_rate > 0:
+        raise InvalidParameterError(f"{_checkpoint_path(args.model)}: Monte-Carlo dropout "
+                                    f"needs a model trained with dropout")
     rows = []
     fits = []
-    masks = {}  # the k passes' masks, drawn once per image shape
     for image_id, image in zip(ds.ids, ds.images):
-        mcd = mcd_predict(model, image, args.k, args.seed, masks)
+        mcd = mcd_predict(model, image, args.k, args.seed)
         for j, (mean, points) in enumerate(zip(*mcd)):
             estimates = [("mcd_max", *mcd_max(points))]
             fit = mcd_heatmap_fit(mean)

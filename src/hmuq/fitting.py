@@ -50,9 +50,11 @@ class FitResult:
     converged: bool
 
 
-def argmax_coord(h: np.ndarray) -> tuple[int, int]:
-    """(x, y) of the maximum pixel; ties break to the smallest row, then column."""
-    row, col = divmod(int(np.argmax(h)), np.shape(h)[1])
+def argmax_coord(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the maximum pixel of each (H, W) grid of a (..., H, W) array,
+    each intp of shape (...); ties break to the smallest row, then column."""
+    h = np.asarray(h)
+    row, col = np.divmod(h.reshape(*h.shape[:-2], -1).argmax(axis=-1), h.shape[-1])
     return col, row
 
 

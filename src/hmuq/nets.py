@@ -121,6 +121,7 @@ class ReferencePredictor:
             w[...] = rng.normal(0.0, np.sqrt(2.0 / (cin * 9)), size=w.shape)
         self._trunk_cache = None
         self._cache = None
+        self.mc_masks = {}  # uncertainty.mcd_predict's one dropout-mask block, by its key
 
     # --- parameter vector ---------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fitting import FitDegenerateError, FitResult, fit_gaussian
+from .fitting import FitDegenerateError, FitResult, argmax_coord, fit_gaussian
 from .gauss import (
     CovarianceDecomposition,
     InvalidParameterError,
@@ -33,8 +33,7 @@ def mcd_heatmap_fit(mean: np.ndarray) -> FitResult | None:
     return sample_uncertainty(mean)
 
 
-def mcd_predict(model, image, k: int = 20, seed: int = 0,
-                masks: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mcd_predict(model, image, k: int = 20, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """K stochastic forward passes, streamed: returns (mean, points).
 
     mean is the float64 (N, H, W) mean of the passes, summed in pass order
@@ -42,12 +41,11 @@ def mcd_predict(model, image, k: int = 20, seed: int = 0,
     array of each pass's argmax_coord.  Dropout sits only in the predictor
     head, so the trunk runs once, its features are rescaled once, and the K
     heads run on them.  Pass i equals predictor.forward(image, rate,
-    default_rng([seed, i])) and draws that mask as it goes, so only the
-    points grow with k.  With `masks`, a dict the caller keeps for one run,
-    the k masks are drawn into a C-contiguous bool (k, H, W, C) block held
-    there, again only when the feature shape, k, seed or rate changes, and
-    after the old block is freed.  A block or points too large to allocate
-    raise InvalidParameterError naming k.
+    default_rng([seed, i])).  Its mask is row i of one C-contiguous bool
+    (K, H, W, C) block that the predictor keeps in `mc_masks` and draws again
+    only when the feature shape, k, seed or rate changes, after the old block
+    is freed.  A block or points too large to allocate raise
+    InvalidParameterError naming k.
     """
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -56,22 +54,19 @@ def mcd_predict(model, image, k: int = 20, seed: int = 0,
         raise InvalidParameterError("Monte-Carlo dropout needs a model trained with dropout")
     net = model.predictor
     features = net.trunk(image)
-    keeps = (keep_mask(features.shape, rate, np.random.default_rng([seed, i])) for i in range(k))
-    if masks is not None:
-        key = (features.shape, k, seed, rate)
-        if key not in masks:
-            masks.clear()  # free the old block before the new one is drawn
-            with too_large(f"k = {k} is too large to hold its dropout masks"):
-                block = masks[key] = np.empty((k, *features.shape), dtype=bool)
-            for i, mask in enumerate(keeps):
-                block[i] = mask
-        keeps = masks[key]
+    key = (features.shape, k, seed, rate)
+    if key not in net.mc_masks:
+        net.mc_masks.clear()  # free the old block before the new one is drawn
+        with too_large(f"k = {k} is too large to hold its dropout masks"):
+            block = np.empty((k, *features.shape), dtype=bool)
+        for i in range(k):
+            block[i] = keep_mask(features.shape, rate, np.random.default_rng([seed, i]))
+        net.mc_masks[key] = block
     with too_large(f"k = {k} is too large to hold its argmax points"):
         points = np.empty((net.landmark_count, k, 2), dtype=np.intp)
     scaled = features * net.dropout_scale(rate)
-    for i, mask in enumerate(keeps):
+    for i, mask in enumerate(net.mc_masks[key]):
         heatmaps = net.masked_head(scaled, mask)
-        flat = heatmaps.reshape(len(heatmaps), -1).argmax(axis=1)  # argmax_coord's tie-break
-        points[:, i, 1], points[:, i, 0] = np.divmod(flat, heatmaps.shape[2])
+        points[:, i, 0], points[:, i, 1] = argmax_coord(heatmaps)
         total = total + heatmaps if i else heatmaps
     return total / k, points

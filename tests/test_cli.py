@@ -283,18 +283,18 @@ class TestDeterminism:
         ids = ["a0", "a1", "b0", "a2"]
         write_dataset(tmp_path / "d", ids, images, np.full((4, ds.landmark_count, 2), 8.0),
                       [1.0] * 4, ds.landmark_count)
-        drawn = []  # weak references to the blocks mcd_predict left in its dict
+        drawn = []  # weak references to the blocks mcd_predict left in the predictor
         mcd_predict, keep_mask = hmuq.cli.mcd_predict, hmuq.uncertainty.keep_mask
 
-        def recording_predict(model, image, k, seed, masks):
-            out = mcd_predict(model, image, k, seed, masks)
-            (block,) = masks.values()
+        def recording_predict(model, image, k, seed):
+            out = mcd_predict(model, image, k, seed)
+            (block,) = model.predictor.mc_masks.values()
             if not drawn or drawn[-1]() is not block:
                 drawn.append(weakref.ref(block))
             return out
 
         def one_block_alive(*args):
-            # the CLI passes a dict, so a mask is drawn only into a new block
+            # a mask is drawn only into a new block, after the old one is freed
             assert all(ref() is None for ref in drawn)
             return keep_mask(*args)
 
@@ -759,6 +759,15 @@ def _landmark_count_case(command, count):
     return build
 
 
+def _no_images(build_case):
+    """build_case's command on a dataset of no images with the pipeline's two landmarks."""
+    def build(pipeline, tmp):
+        argv, path = build_case(pipeline, tmp)
+        write_dataset(tmp / "empty", [], [], np.empty((0, 2, 2)), [], 2)
+        return argv[:-1] + [str(tmp / "empty")], path  # argv ends with --data <dir>
+    return build
+
+
 def _curve_case(text):
     def build(pipeline, tmp):
         path = tmp / "curve_bad.csv"
@@ -766,6 +775,8 @@ def _curve_case(text):
         return ["plot", "--kind", "accuracy_curve", "--curves", str(path)], path
     return build
 
+
+NO_DROPOUT = _checkpoint_case("mcd", _snapshot_edit(b"dropout_rate = 0.1", b"dropout_rate = 0.0"))
 
 BAD_INPUTS = {
     "train-unknown-key": (_config_case("train", "bogus = 1\n"), "unknown config key 'bogus'"),
@@ -796,6 +807,9 @@ BAD_INPUTS = {
     "checkpoint-non-utf8-snapshot": (
         _checkpoint_case("predict", _snapshot_edit(b"alpha", b"alph\xff")),
         "not UTF-8 text (byte "),
+    "mcd-no-dropout": (NO_DROPOUT, "Monte-Carlo dropout needs a model trained with dropout"),
+    "mcd-no-dropout-no-images": (_no_images(NO_DROPOUT),
+                                 "Monte-Carlo dropout needs a model trained with dropout"),
     "checkpoint-nan-parameter": (_checkpoint_case("predict", _nan_parameter),
                                  "predictor parameters must be finite"),
     "checkpoint-inf-covariance": (_checkpoint_case("plot", _sigma_maj(float("inf"))),

@@ -61,6 +61,19 @@ class TestArgmax:
     def test_uniform_zero_returns_origin(self):
         assert argmax_coord(np.zeros((5, 8))) == (0, 0)
 
+    def test_stack_breaks_ties_per_grid(self):
+        # ties in different places of different grids, and one all-zero grid
+        stack = np.zeros((2, 3, 12, 10))
+        stack[0, 0, [7, 2], [3, 9]] = 5.0
+        stack[0, 1, 4, [8, 1]] = 2.0
+        stack[1, 0, [0, 11], [9, 0]] = 1.0
+        stack[1, 2, 6, 6] = 3.0
+        x, y = argmax_coord(stack)
+        assert x.dtype == y.dtype == np.intp
+        assert x.tolist() == [[9, 1, 0], [9, 0, 6]]
+        assert y.tolist() == [[2, 4, 0], [0, 0, 6]]
+        assert argmax_coord(stack[1, 0]) == (9, 0)
+
 
 class TestSmoothing:
     """fitting._smooth3 is 9 times scipy's 3x3 uniform filter up to rounding,

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import hmuq.uncertainty
 from helpers import compose_covariance, render_anisotropic, render_isotropic
 from hmuq.fitting import argmax_coord
 from hmuq.gauss import (
@@ -132,10 +134,11 @@ class TestUnderestimation:
 
 class TestMcdPredict:
     @staticmethod
-    def model(rate):
-        rng = np.random.default_rng(31)
-        net = ReferencePredictor(2, width=4, seed=31)
-        net.set_params(rng.normal(0.0, 0.3, net.num_params()))
+    def model(rate, net=None):
+        if net is None:
+            rng = np.random.default_rng(31)
+            net = ReferencePredictor(2, width=4, seed=31)
+            net.set_params(rng.normal(0.0, 0.3, net.num_params()))
         decomps = [CovarianceDecomposition(0.0, 3.0, 3.0)] * 2
         return TrainedModel(net, decomps, TrainConfig(dropout_rate=rate, predictor_width=4),
                             np.empty(0))
@@ -150,32 +153,31 @@ class TestMcdPredict:
         assert points.shape == (2, 2, 2) and points.dtype == np.intp
 
     def test_shared_trunk_matches_separate_passes(self):
-        # mcd_predict runs the trunk once and sums the heads as they come, with
-        # masks drawn per pass, into a new block or read from a kept one; the
-        # result must equal K full dropout forward passes with pass seeds [seed, i]
+        # mcd_predict runs the trunk once and sums the heads as they come, on
+        # masks from a block it draws or one the predictor kept; the result
+        # must equal K full dropout forward passes with pass seeds [seed, i]
         model = self.model(0.2)
         image = np.random.default_rng(32).random((16, 20))
         passes = [model.predictor.forward(image, 0.2, np.random.default_rng([9, i]))
                   for i in range(5)]
         assert not np.array_equal(passes[0], passes[1])
-        masks = {}
-        for kept in (None, masks, masks):
-            mean, points = mcd_predict(model, image, k=5, seed=9, masks=kept)
+        for _ in range(3):  # drawn, then kept
+            mean, points = mcd_predict(model, image, k=5, seed=9)
             assert np.array_equal(mean, np.stack(passes).mean(axis=0))
             for i, heatmaps in enumerate(passes):
                 for j, h in enumerate(heatmaps):
                     assert tuple(points[j, i]) == argmax_coord(h)
 
-    def test_mask_block_kept_per_key(self):
-        # the dict holds one block, reused for an image of the same shape and
-        # drawn again when the feature shape, k, seed or rate changes
+    def test_mask_block_kept_per_key(self, monkeypatch):
+        # the predictor holds one block, reused for an image of the same shape
+        # and drawn again, after the old one is freed, when the feature shape,
+        # k, seed or rate changes
         model = self.model(0.2)
         image = np.random.default_rng(34).random((16, 20))
-        masks = {}
 
         def block(model=model, image=image, k=3, seed=0):
-            mcd_predict(model, image, k, seed, masks)
-            (kept,) = masks.values()
+            mcd_predict(model, image, k, seed)
+            (kept,) = model.predictor.mc_masks.values()
             return kept
 
         first = block()
@@ -183,22 +185,38 @@ class TestMcdPredict:
         assert first.flags.c_contiguous
         assert np.array_equal(first[1], keep_mask((16, 20, 4), 0.2, np.random.default_rng([0, 1])))
         assert block(image=image[::-1].copy()) is first
+        drawn = [weakref.ref(first)]
+        del first
+
+        def drawn_alone(*args):
+            assert all(ref() is None for ref in drawn)
+            return keep_mask(*args)
+
+        monkeypatch.setattr(hmuq.uncertainty, "keep_mask", drawn_alone)
         for change in ({"image": np.zeros((20, 16))}, {"k": 4}, {"seed": 1},
-                       {"model": self.model(0.3)}):
-            assert block(**change) is not block()
+                       {"model": self.model(0.3, model.predictor)}):
+            for kwargs in ({}, change):
+                kept = block(**kwargs)
+                if drawn[-1]() is not kept:
+                    drawn.append(weakref.ref(kept))
+                del kept
+        assert len(drawn) == 8  # the first block, then each change and the way back
         with pytest.raises(InvalidParameterError, match="needs a model trained with dropout"):
-            mcd_predict(self.model(0.0), image, k=3, masks=masks)
+            mcd_predict(self.model(0.0, model.predictor), image, k=3)
 
     def test_memory_flat_in_k(self):
-        # only the 2k argmax integers per landmark grow with k, not k heatmaps
+        # beyond the k masks of its block, a call holds only the 2k argmax
+        # integers per landmark that grow with k, not k heatmaps
         model = self.model(0.2)
         image = np.random.default_rng(33).random((64, 64))
 
         def peak_bytes(k):
+            model.predictor.mc_masks.clear()
             tracemalloc.start()
             try:
                 mcd_predict(model, image, k=k)
-                return tracemalloc.get_traced_memory()[1]
+                (block,) = model.predictor.mc_masks.values()
+                return tracemalloc.get_traced_memory()[1] - block.nbytes
             finally:
                 tracemalloc.stop()
 
