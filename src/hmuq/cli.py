@@ -122,12 +122,14 @@ def _load_predictor_dataset(data, model=None, annotated=True, one_shape=False):
     for a command that runs the predictor.
 
     The dataset must have the checkpoint's landmark count.  Every image must
-    have a shape the predictor takes, and with `one_shape` (training) the
-    shape of the first image; a fault names the image's file.  `annotated`
-    requires the single-annotator table.
+    have a shape the predictor takes; `one_shape` (training) requires one
+    image or more, all of the first one's shape.  A fault names the manifest
+    or the image's file.  `annotated` requires the single-annotator table.
     """
     trained = None if model is None else read_checkpoint(_checkpoint_path(model))
     ds = load_dataset(_manifest_path(data))
+    if one_shape and not ds.images:
+        raise InvalidParameterError(f"{_manifest_path(data)}: dataset has no images to train on")
     if trained is not None and trained.predictor.landmark_count != ds.landmark_count:
         raise InvalidParameterError(
             f"{_checkpoint_path(model)}: checkpoint has {trained.predictor.landmark_count} "

@@ -119,9 +119,8 @@ class ReferencePredictor:
         rng = np.random.default_rng(seed)
         for w, cin in zip(self.weights, (1, c, c, c, c)):
             w[...] = rng.normal(0.0, np.sqrt(2.0 / (cin * 9)), size=w.shape)
-        self._trunk_cache = None
         self._cache = None
-        self.mc_masks = {}  # uncertainty.mcd_predict's one dropout-mask block, by its key
+        self._mc_key = self._mc_block = None  # mc_heads' dropout-mask block and its key
 
     # --- parameter vector ---------------------------------------------------
 
@@ -154,11 +153,12 @@ class ReferencePredictor:
         y += self.biases[layer]
         return np.maximum(y, 0.0, out=y).reshape(x.shape[0], x.shape[1], -1), rows
 
-    def trunk(self, image: np.ndarray) -> np.ndarray:
+    def trunk(self, image: np.ndarray):
         """Deterministic part of forward: stages 0-3 and the last upsampling.
 
-        Maps a (H, W) image to (H, W, C) features for the head; with dropout
-        only in the head, Monte-Carlo passes over one image share one trunk.
+        Maps a (H, W) image to (H, W, C) features for the head and the (row
+        patches, activation) each stage saves for backward.  Dropout is only in
+        the head, so Monte-Carlo passes over one image share one trunk.
         """
         image = np.asarray(image, dtype=self.dtype)
         check_image_shape(image.shape)
@@ -166,23 +166,17 @@ class ReferencePredictor:
         a2, rows1 = self._conv_relu(avgpool2(a1), 1)
         a3, rows2 = self._conv_relu(avgpool2(a2), 2)
         a4, rows3 = self._conv_relu(upsample2(a3), 3)
-        self._trunk_cache = ((rows0, rows1, rows2, rows3), (a1, a2, a3, a4))
-        return upsample2(a4)
+        return upsample2(a4), ((rows0, a1), (rows1, a2), (rows2, a3), (rows3, a4))
 
     def dropout_scale(self, dropout_rate: float):
         """The inverted-dropout rescale 1/(1-rate) of kept units, in the predictor's dtype."""
         return np.divide(1, 1 - dropout_rate, dtype=self.dtype)
 
-    def masked_head(self, scaled: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The head of forward() for Monte-Carlo passes, which keep nothing for
-        backward: on trunk() features already multiplied by dropout_scale(rate),
-        it drops the units where the bool (H, W, C) mask `keep` is False."""
-        return self._masked_head(scaled, keep)[0]
-
     def _masked_head(self, scaled, keep):
-        # the one dropout path: the rescale and the bool mask are two
-        # multiplies, which give the bits of one multiply by a float mask of 0
-        # and 1/(1-rate); backward applies the same two to its gradient
+        # the one dropout path: drop the units of trunk() features, already
+        # multiplied by dropout_scale(rate), where the bool (H, W, C) `keep` is
+        # False; the two multiplies give the bits of one by a float mask of 0
+        # and 1/(1-rate), and backward applies the same two to its gradient
         h, w, c = scaled.shape
         a5, rows4 = self._conv_relu(scaled * keep if keep is not None else scaled, 4)
         y = self.weights[5] @ a5.reshape(h * w, c).T + self.biases[5][:, None]  # (N, H*W)
@@ -195,10 +189,10 @@ class ReferencePredictor:
         H and W must be divisible by 4 (two pooling stages).  A nonzero
         dropout_rate needs an rng: the trunk() features where
         keep_mask(features.shape, rate, rng) is False are dropped and the rest
-        scaled by dropout_scale(rate), as in masked_head; both dtypes draw the
+        scaled by dropout_scale(rate), as in mc_heads; both dtypes draw the
         same float64 mask, so they drop the same units.
         """
-        features = self.trunk(image)
+        features, saved = self.trunk(image)
         keep = None
         if dropout_rate:
             if rng is None:
@@ -206,8 +200,27 @@ class ReferencePredictor:
             keep = keep_mask(features.shape, dropout_rate, rng)
             features = features * self.dropout_scale(dropout_rate)
         heatmaps, rows4, a5 = self._masked_head(features, keep)
-        self._cache = (self._trunk_cache, rows4, a5, dropout_rate, keep)
+        self._cache = ((*saved, (rows4, a5)), dropout_rate, keep)
         return heatmaps
+
+    def mc_heads(self, image: np.ndarray, k: int, rate: float, seed: int):
+        """Yield the (N, H, W) heatmaps of k dropout passes over one image, on
+        one trunk and keeping nothing for backward; pass i equals forward(image,
+        rate, default_rng([seed, i])).  Its mask is row i of a bool (k, H, W, C)
+        block kept here, drawn again (after the old one is freed) only when the
+        feature shape, k, seed or rate changes; too large a block raises naming k."""
+        features = self.trunk(image)[0]
+        key = (features.shape, k, seed, rate)
+        if key != self._mc_key:
+            self._mc_key = self._mc_block = None  # free the old block first
+            with too_large(f"k = {k} is too large to hold its dropout masks"):
+                block = np.empty((k, *features.shape), dtype=bool)
+            for i in range(k):
+                block[i] = keep_mask(features.shape, rate, np.random.default_rng([seed, i]))
+            self._mc_key, self._mc_block = key, block
+        scaled = features * self.dropout_scale(rate)
+        for keep in self._mc_block:
+            yield self._masked_head(scaled, keep)[0]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """Backpropagate (N, H, W) output gradients from the latest forward call.
@@ -217,36 +230,37 @@ class ReferencePredictor:
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        (rows, (a1, a2, a3, a4)), rows4, a5, rate, keep = self._cache
-        rows = (*rows, rows4)
+        stages, rate, keep = self._cache
+        a5 = stages[4][1]
         grad = np.empty(self._params.size)
         gw, gb = self._views(grad)
         dyf = np.asarray(dy, dtype=self.dtype).reshape(dy.shape[0], -1)
         gw[5][...] = dyf @ a5.reshape(dyf.shape[1], -1)
         gb[5][...] = dyf.sum(axis=1)
         da5 = (dyf.T @ self.weights[5]).reshape(a5.shape)
-
-        def conv_back(dyc, act, layer):
-            dyc = dyc * (act > 0.0)
-            w = self.weights[layer]
-            cout, cin = w.shape[:2]
-            h, wd = dyc.shape[:2]
-            n = h * wd
-            dym = dyc.reshape(n, cout)
-            g = np.stack([dym.T @ rows[layer][ki * wd:ki * wd + n] for ki in (0, 1, 2)], axis=1)
-            gw[layer][...] = g.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
-            gb[layer][...] = dym.sum(axis=0)
-            if layer == 0:
-                return None  # nothing reads the image gradient
-            # transposed convolution: the output gradient convolved with the
-            # spatially flipped kernel, input and output channels swapped
-            dx, _ = _conv3x3(dyc, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            return dx.reshape(h, wd, cin)
-
-        dd = conv_back(da5, a5, 4)
+        dd = self._conv_back(da5, *stages[4], 4, gw, gb)
         du2 = dd * self.dropout_scale(rate) * keep if keep is not None else dd
-        du1 = conv_back(upsample2_backward(du2), a4, 3)
-        dp2 = conv_back(upsample2_backward(du1), a3, 2)
-        dp1 = conv_back(avgpool2_backward(dp2), a2, 1)
-        conv_back(avgpool2_backward(dp1), a1, 0)
+        du1 = self._conv_back(upsample2_backward(du2), *stages[3], 3, gw, gb)
+        dp2 = self._conv_back(upsample2_backward(du1), *stages[2], 2, gw, gb)
+        dp1 = self._conv_back(avgpool2_backward(dp2), *stages[1], 1, gw, gb)
+        self._conv_back(avgpool2_backward(dp1), *stages[0], 0, gw, gb)
         return grad
+
+    def _conv_back(self, dy, rows, act, layer, gw, gb):
+        """Backward of _conv_relu at `layer` from its output gradient, row patches
+        and activation: fills gw and gb at `layer`, returns the input gradient."""
+        dy = dy * (act > 0.0)
+        w = self.weights[layer]
+        cout, cin = w.shape[:2]
+        h, wd = dy.shape[:2]
+        n = h * wd
+        dym = dy.reshape(n, cout)
+        g = np.stack([dym.T @ rows[ki * wd:ki * wd + n] for ki in (0, 1, 2)], axis=1)
+        gw[layer][...] = g.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+        gb[layer][...] = dym.sum(axis=0)
+        if layer == 0:
+            return None  # nothing reads the image gradient
+        # transposed convolution: the output gradient convolved with the
+        # spatially flipped kernel, input and output channels swapped
+        dx, _ = _conv3x3(dy, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        return dx.reshape(h, wd, cin)

@@ -12,7 +12,6 @@ from .gauss import (
     population_distribution,
     too_large,
 )
-from .nets import keep_mask
 
 
 def sample_uncertainty(h: np.ndarray) -> FitResult | None:
@@ -34,18 +33,13 @@ def mcd_heatmap_fit(mean: np.ndarray) -> FitResult | None:
 
 
 def mcd_predict(model, image, k: int = 20, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """K stochastic forward passes, streamed: returns (mean, points).
+    """K dropout passes of predictor.mc_heads, streamed: returns (mean, points).
 
     mean is the float64 (N, H, W) mean of the passes, summed in pass order
     from pass 0 as the mean over their stack is; points is the (N, K, 2) intp
-    array of each pass's argmax_coord.  Dropout sits only in the predictor
-    head, so the trunk runs once, its features are rescaled once, and the K
-    heads run on them.  Pass i equals predictor.forward(image, rate,
-    default_rng([seed, i])).  Its mask is row i of one C-contiguous bool
-    (K, H, W, C) block that the predictor keeps in `mc_masks` and draws again
-    only when the feature shape, k, seed or rate changes, after the old block
-    is freed.  A block or points too large to allocate raise
-    InvalidParameterError naming k.
+    array of each pass's argmax_coord.  Points (allocated before the trunk
+    runs) or a mask block too large to allocate raise InvalidParameterError
+    naming k.
     """
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -53,20 +47,9 @@ def mcd_predict(model, image, k: int = 20, seed: int = 0) -> tuple[np.ndarray, n
     if not rate > 0:
         raise InvalidParameterError("Monte-Carlo dropout needs a model trained with dropout")
     net = model.predictor
-    features = net.trunk(image)
-    key = (features.shape, k, seed, rate)
-    if key not in net.mc_masks:
-        net.mc_masks.clear()  # free the old block before the new one is drawn
-        with too_large(f"k = {k} is too large to hold its dropout masks"):
-            block = np.empty((k, *features.shape), dtype=bool)
-        for i in range(k):
-            block[i] = keep_mask(features.shape, rate, np.random.default_rng([seed, i]))
-        net.mc_masks[key] = block
     with too_large(f"k = {k} is too large to hold its argmax points"):
         points = np.empty((net.landmark_count, k, 2), dtype=np.intp)
-    scaled = features * net.dropout_scale(rate)
-    for i, mask in enumerate(net.mc_masks[key]):
-        heatmaps = net.masked_head(scaled, mask)
+    for i, heatmaps in enumerate(net.mc_heads(image, k, rate, seed)):
         points[:, i, 0], points[:, i, 1] = argmax_coord(heatmaps)
         total = total + heatmaps if i else heatmaps
     return total / k, points

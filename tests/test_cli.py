@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hmuq.cli
+import hmuq.nets
 import hmuq.uncertainty
 from hmuq import fitting
 from hmuq.cli import main
@@ -284,11 +285,11 @@ class TestDeterminism:
         write_dataset(tmp_path / "d", ids, images, np.full((4, ds.landmark_count, 2), 8.0),
                       [1.0] * 4, ds.landmark_count)
         drawn = []  # weak references to the blocks mcd_predict left in the predictor
-        mcd_predict, keep_mask = hmuq.cli.mcd_predict, hmuq.uncertainty.keep_mask
+        mcd_predict, keep_mask = hmuq.cli.mcd_predict, hmuq.nets.keep_mask
 
         def recording_predict(model, image, k, seed):
             out = mcd_predict(model, image, k, seed)
-            (block,) = model.predictor.mc_masks.values()
+            block = model.predictor._mc_block
             if not drawn or drawn[-1]() is not block:
                 drawn.append(weakref.ref(block))
             return out
@@ -299,7 +300,7 @@ class TestDeterminism:
             return keep_mask(*args)
 
         monkeypatch.setattr(hmuq.cli, "mcd_predict", recording_predict)
-        monkeypatch.setattr(hmuq.uncertainty, "keep_mask", one_block_alive)
+        monkeypatch.setattr(hmuq.nets, "keep_mask", one_block_alive)
         k, seed = 5, 3
         assert main(["mcd", "--model", str(pipeline / "m"), "--data", str(tmp_path / "d"),
                      "--k", str(k), "--seed", str(seed), "--out", str(tmp_path / "got"),
@@ -810,6 +811,9 @@ BAD_INPUTS = {
     "mcd-no-dropout": (NO_DROPOUT, "Monte-Carlo dropout needs a model trained with dropout"),
     "mcd-no-dropout-no-images": (_no_images(NO_DROPOUT),
                                  "Monte-Carlo dropout needs a model trained with dropout"),
+    "train-no-images": (_no_images(lambda pipeline, tmp: (
+        ["train", "--data", str(pipeline / "d")], tmp / "empty" / "manifest.cfg")),
+        "dataset has no images to train on"),
     "checkpoint-nan-parameter": (_checkpoint_case("predict", _nan_parameter),
                                  "predictor parameters must be finite"),
     "checkpoint-inf-covariance": (_checkpoint_case("plot", _sigma_maj(float("inf"))),

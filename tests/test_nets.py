@@ -304,7 +304,7 @@ class TestKeepMask:
         rng = np.random.default_rng(41)
         net = ReferencePredictor(3, width=c, seed=41, dtype=dtype)
         randomize(net, rng)
-        net.trunk(rng.random((h, w)))  # the activations backward reads
+        saved = net.trunk(rng.random((h, w)))[1]  # the activations backward reads
         features = rng.normal(size=(h, w, c)).astype(dtype)
         features[0::3] = 0.0
         features[1::3, ::2] = -0.0
@@ -321,9 +321,9 @@ class TestKeepMask:
             return y, rows
 
         # stage 4 reached through forward, on these features in place of the trunk's
-        monkeypatch.setattr(net, "trunk", lambda image: want)
+        monkeypatch.setattr(net, "trunk", lambda image: (want, saved))
         plain = net.forward(None)
-        monkeypatch.setattr(net, "trunk", lambda image: features)
+        monkeypatch.setattr(net, "trunk", lambda image: (features, saved))
         monkeypatch.setattr(hmuq.nets, "_conv3x3", recording_conv)
         got = net.forward(None, rate, np.random.default_rng(7))
         assert calls[0][0].tobytes() == want.tobytes()

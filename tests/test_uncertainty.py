@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-import hmuq.uncertainty
+import hmuq.nets
 from helpers import compose_covariance, render_anisotropic, render_isotropic
 from hmuq.fitting import argmax_coord
 from hmuq.gauss import (
@@ -177,8 +177,7 @@ class TestMcdPredict:
 
         def block(model=model, image=image, k=3, seed=0):
             mcd_predict(model, image, k, seed)
-            (kept,) = model.predictor.mc_masks.values()
-            return kept
+            return model.predictor._mc_block
 
         first = block()
         assert first.shape == (3, 16, 20, 4) and first.dtype == bool
@@ -192,7 +191,7 @@ class TestMcdPredict:
             assert all(ref() is None for ref in drawn)
             return keep_mask(*args)
 
-        monkeypatch.setattr(hmuq.uncertainty, "keep_mask", drawn_alone)
+        monkeypatch.setattr(hmuq.nets, "keep_mask", drawn_alone)
         for change in ({"image": np.zeros((20, 16))}, {"k": 4}, {"seed": 1},
                        {"model": self.model(0.3, model.predictor)}):
             for kwargs in ({}, change):
@@ -211,14 +210,39 @@ class TestMcdPredict:
         image = np.random.default_rng(33).random((64, 64))
 
         def peak_bytes(k):
-            model.predictor.mc_masks.clear()
+            model.predictor._mc_key = model.predictor._mc_block = None
             tracemalloc.start()
             try:
                 mcd_predict(model, image, k=k)
-                (block,) = model.predictor.mc_masks.values()
-                return tracemalloc.get_traced_memory()[1] - block.nbytes
+                return tracemalloc.get_traced_memory()[1] - model.predictor._mc_block.nbytes
             finally:
                 tracemalloc.stop()
 
         small, large = peak_bytes(20), peak_bytes(200)
         assert large <= 1.25 * small, (small, large)
+
+    def test_passes_leave_backward_state_alone(self, monkeypatch):
+        # the passes keep nothing for backward: once mcd_predict returns, what
+        # its trunk saved is dead, and backward still reads the latest forward
+        # call, bit for bit
+        model = self.model(0.2)
+        net = model.predictor
+        rng = np.random.default_rng(35)
+        image, dy = rng.random((16, 20)), rng.normal(size=(2, 16, 20))
+        net.forward(image, 0.2, np.random.default_rng(5))
+        want = net.backward(dy)
+        saved = []  # weak references to each trunk call's arrays for backward
+        trunk = net.trunk
+
+        def recording_trunk(image):
+            features, stages = trunk(image)
+            saved.append([weakref.ref(a) for stage in stages for a in stage])
+            return features, stages
+
+        monkeypatch.setattr(net, "trunk", recording_trunk)
+        net.forward(image, 0.2, np.random.default_rng(5))
+        mcd_predict(model, rng.random((16, 20)), k=3)
+        assert len(saved) == 2
+        assert all(ref() is not None for ref in saved[0])  # forward's, for backward
+        assert all(ref() is None for ref in saved[1])
+        assert net.backward(dy).tobytes() == want.tobytes()

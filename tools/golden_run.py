@@ -1,4 +1,5 @@
-"""Golden run: every hmuq subcommand on fixed seeds, for a byte-for-byte comparison.
+"""Golden run: every hmuq subcommand but `interobs` on fixed seeds, for a byte-for-byte
+comparison.
 
 Run from the root of a checkout (no install needed; `src/` is put on `sys.path`):
 
