@@ -6,7 +6,8 @@ between the rendered Gaussian model and the heatmap from a start at the image
 moments around its maximum, over the pixels within WINDOW_SIGMAS start sigmas
 of the start mean (an ellipse), in one run of `_solve`: scipy's trust-region
 reflective least-squares method (`least_squares(method="trf")` without
-bounds, exact SVD-based steps after Moré 1978) restated for this problem.
+bounds, exact steps after Moré 1978) restated for this problem, with the
+step's SVD of the Jacobian J taken from the 6 x 6 matrix J^T J where it can be.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ MOMENT_SCALE = 1.3    # start extents: the weighted moment extents times this,
 MIN_SIGMA = 0.5       # and at least this (a one-pixel-wide ridge has sigma_min 0)
 MAX_NFEV = 200        # model evaluations of one fit
 TOLERANCE = 1e-8      # relative cost decrease and step tolerance
+EIGH_FLOOR = 1e-8     # the step uses the SVD of J where eig(J^T J) has min <= this * max
 WINDOW_SIGMAS = 5.0   # the fitted pixels lie within this many start sigmas of the start mean
 EPS = np.finfo(np.float64).eps
 
@@ -116,9 +118,9 @@ def _soft_l1(f):
 
 
 def _trust_step(uf, s, vt, delta, alpha, m):
-    """Moré's step for min |J p + f| subject to |p| <= delta, from the SVD
-    J = U diag(s) vt with uf = U^T f; alpha is the Levenberg-Marquardt
-    parameter, found to 1% of delta in at most 10 Newton iterations."""
+    """Moré's step for min |J p + f| subject to |p| <= delta, from J's singular
+    values s (descending), right singular vectors vt and uf = U^T f; alpha is the
+    Levenberg-Marquardt parameter, found to 1% of delta in at most 10 Newton iterations."""
     suf = s * uf
     full_rank = m >= vt.shape[1] and s[-1] > EPS * m * s[0]
     if full_rank:
@@ -160,10 +162,12 @@ def _solve(xs, ys, data, p0, max_nfev):
 
     Restates scipy.optimize.least_squares(method="trf", loss="soft_l1",
     tr_solver="exact", x_scale=1, gtol=None) with xtol = ftol = TOLERANCE
-    and f_scale = 1: one SVD of the loss-scaled Jacobian
-    per accepted point, Moré's step, the 0.25/0.75 radius update and scipy's
-    stop tests.  Returns (x, residuals at x, function evaluations counting
-    the initial one, status): 2 ftol, 3 xtol, 4 both, 0 budget spent.
+    and f_scale = 1: Moré's step, the 0.25/0.75 radius update and scipy's
+    stop tests.  At each accepted point the step's s and vt come from eigh of
+    J^T J for the loss-scaled Jacobian J, and U^T f = vt @ J^T f / s; where
+    J^T J is too ill-conditioned for that (EIGH_FLOOR), from the SVD of J as in
+    scipy.  Returns (x, residuals at x, function evaluations counting the
+    initial one, status): 2 ftol, 3 xtol, 4 both, 0 budget spent.
     """
     jac, jac_new = np.empty((2, 6, data.size))  # a rejected trial fills the spare one
 
@@ -178,8 +182,13 @@ def _solve(xs, ys, data, p0, max_nfev):
         jac *= weight  # J = jac.T, its rows scaled by the loss weights
         J = jac.T
         g = J.T @ f
-        u, s, vt = np.linalg.svd(J, full_matrices=False)
-        uf = u.T @ f
+        lam, v = np.linalg.eigh(jac @ J)  # ascending
+        if lam[0] > EIGH_FLOOR * lam[-1]:
+            s, vt = np.sqrt(lam[::-1]), v[:, ::-1].T
+            uf = (vt @ g) / s
+        else:
+            u, s, vt = np.linalg.svd(J, full_matrices=False)
+            uf = u.T @ f
         reduction = -1.0
         while reduction <= 0 and nfev < max_nfev:
             step, alpha = _trust_step(uf, s, vt, delta, alpha, data.size)
@@ -225,7 +234,9 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
     smoothed maximum (see the constants), and the amplitude that puts the
     model's peak at the window maximum; then runs one solve of at most
     MAX_NFEV evaluations on the pixels within WINDOW_SIGMAS start sigmas of
-    the start mean, with sigmas and amplitude in log space.  Raises
+    the start mean, with sigmas and amplitude in log space.  A fit that met a
+    tolerance but is wider than the grid's diagonal or centered off the grid
+    (more than half a pixel past its outer pixel centres) is not converged.  Raises
     InvalidParameterError unless h is a non-empty 2-D grid of finite values,
     and FitDegenerateError when fewer than 6 pixels rise above 1% of the
     maximum (6 free parameters) or the start window has no positive pixel.
@@ -270,4 +281,6 @@ def fit_gaussian(h: np.ndarray) -> FitResult:
     mx, my, theta, log_a, log_b, log_amp = p
     decomp = CovarianceDecomposition(theta, math.exp(log_a), math.exp(log_b)).canonical()
     gaussian = AnisotropicGaussian((float(mx), float(my)), decomp, math.exp(log_amp))
-    return FitResult(gaussian, float(np.linalg.norm(fun)), iterations, status > 0)
+    on_grid = all(-0.5 <= c <= n - 0.5 for c, n in zip(gaussian.mean, values.shape[::-1]))
+    converged = status > 0 and on_grid and decomp.sigma_maj <= math.hypot(*values.shape)
+    return FitResult(gaussian, float(np.linalg.norm(fun)), iterations, converged)

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: the Gaussian renderers, the covariance
 composer and the axis-angle difference that only tests use, losses, scipy's
-least-squares solver, and the allocating Gaussian kernel, soft-L1 loss and fit
-set-up that serve as independent oracles for the anisotropic code paths."""
+least-squares solver, and the allocating Gaussian kernel, soft-L1 loss, fit
+set-up and SVD-only solve that serve as independent oracles for the
+anisotropic code paths."""
 
 import math
 
@@ -17,9 +18,13 @@ from hmuq.fitting import (
     TOLERANCE,
     WINDOW_SIGMAS,
     _model,
+    _norm,
+    _soft_l1,
+    _trust_step,
     _window,
 )
 from hmuq.gauss import (
+    MAX_LOG_EXTENT,
     TWO_PI,
     AnisotropicGaussian,
     CovarianceDecomposition,
@@ -138,6 +143,62 @@ def mgrid_fit_operands(h):
     inside = ((c * dx + s * dy) / a) ** 2 + ((c * dy - s * dx) / b) ** 2 <= WINDOW_SIGMAS ** 2
     xs, ys = box[:, inside]
     return xs, ys, values[y0:y1 + 1, x0:x1 + 1][inside], p0
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def svd_solve(xs, ys, data, p0, max_nfev):
+    """fitting._solve with the step's s, vt and U^T f from the SVD of the
+    loss-scaled Jacobian at every accepted point: the oracle that the solve
+    must match bit for bit wherever it takes its SVD branch."""
+    jac, jac_new = np.empty((2, 6, data.size))
+    x = np.array(p0, dtype=np.float64)
+    fun = _model(x, xs, ys, jac) - data
+    nfev = 1
+    delta = _norm(x) or 1.0
+    alpha = 0.0
+    status = 0
+    cost, weight, f = _soft_l1(fun)
+    while not status and nfev < max_nfev:
+        jac *= weight
+        J = jac.T
+        g = J.T @ f
+        u, s, vt = np.linalg.svd(J, full_matrices=False)
+        uf = u.T @ f
+        reduction = -1.0
+        while reduction <= 0 and nfev < max_nfev:
+            step, alpha = _trust_step(uf, s, vt, delta, alpha, data.size)
+            js = J @ step
+            predicted = -(0.5 * (js @ js) + step @ g)
+            x_new = x + step
+            nfev += 1
+            step_norm = _norm(step)
+            if (max(abs(x_new[3]), abs(x_new[4])) > MAX_LOG_EXTENT
+                    or not np.isfinite(fun_new := _model(x_new, xs, ys, jac_new) - data).all()):
+                delta = 0.25 * step_norm
+                continue
+            cost_new, weight_new, f_new = _soft_l1(fun_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if predicted == reduction == 0 else 0.0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta_new = 2.0 * delta
+            ftol_met = reduction < TOLERANCE * cost and ratio > 0.25
+            xtol_met = step_norm < TOLERANCE * (TOLERANCE + _norm(x))
+            status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3 if xtol_met else 0
+            if status:
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if reduction <= 0:
+            break
+        x, fun, cost, weight, f = x_new, fun_new, cost_new, weight_new, f_new
+        jac, jac_new = jac_new, jac
+    return x, fun, nfev, status
 
 
 def scipy_solve(xs, ys, data, p0, max_nfev, loss="soft_l1"):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import math
 import os
 import re
 import shutil
@@ -261,18 +262,20 @@ class TestDeterminism:
                 (pipeline / "d" / name).read_bytes()
 
     def test_eval_rerun_byte_identical(self, pipeline, tmp_path):
-        assert main(["eval", "--model", str(pipeline / "m"),
-                     "--data", str(pipeline / "d"),
-                     "--out", str(tmp_path), "--quiet"]) == 0
-        assert (tmp_path / "metrics.csv").read_bytes() == \
-            (pipeline / "r" / "metrics.csv").read_bytes()
+        for run in ("first", "again"):
+            assert main(["eval", "--model", str(pipeline / "m"),
+                         "--data", str(pipeline / "d"),
+                         "--out", str(tmp_path / run), "--quiet"]) == 0
+        assert (tmp_path / "again" / "metrics.csv").read_bytes() == \
+            (tmp_path / "first" / "metrics.csv").read_bytes()
 
     def test_mcd_rerun_byte_identical(self, pipeline, tmp_path):
-        assert main(["mcd", "--model", str(pipeline / "m"),
-                     "--data", str(pipeline / "d"), "--k", "5",
-                     "--out", str(tmp_path), "--quiet"]) == 0
-        assert (tmp_path / "mcd.csv").read_bytes() == \
-            (pipeline / "mc" / "mcd.csv").read_bytes()
+        for run in ("first", "again"):
+            assert main(["mcd", "--model", str(pipeline / "m"),
+                         "--data", str(pipeline / "d"), "--k", "5",
+                         "--out", str(tmp_path / run), "--quiet"]) == 0
+        assert (tmp_path / "again" / "mcd.csv").read_bytes() == \
+            (tmp_path / "first" / "mcd.csv").read_bytes()
 
     def test_mcd_mask_block_matches_per_image_passes(self, pipeline, tmp_path, monkeypatch):
         """mcd draws the k keep masks once per image shape and shares them
@@ -361,24 +364,48 @@ class TestFitWarnings:
         assert match and 0 < int(match.group(1)) <= fits, err
         assert out == ""
 
-    def test_under_trained_checkpoint_fits_without_traceback(self, tmp_path, capsys):
-        """40 iterations of the benchmark recipe leave heatmaps whose fits step
-        to log extents far past any image; those trial points count as
-        non-finite, so `fit` on 8 held-out images completes."""
-        (tmp_path / "train.cfg").write_text(
+    @pytest.fixture(scope="class")
+    def under_trained(self, tmp_path_factory):
+        """A 40-iteration checkpoint of the benchmark recipe and 8 held-out
+        images, whose heatmaps leave some fits running away."""
+        root = tmp_path_factory.mktemp("under_trained")
+        (root / "train.cfg").write_text(
             "batch_size = 4\ndropout_rate = 0.1\ntarget_mode = learned_aniso\n"
             "learning_rate = 1e-05\ncovariance_lr_multiplier = 3.0\n")
-        (tmp_path / "held.cfg").write_text("num_images = 8\n")
-        assert main(["synth", "--seed", "0", "--out", str(tmp_path / "d"), "--quiet"]) == 0
-        assert main(["train", "--data", str(tmp_path / "d"),
-                     "--config", str(tmp_path / "train.cfg"), "--iterations", "40",
-                     "--seed", "3", "--out", str(tmp_path / "m"), "--quiet"]) == 0
-        assert main(["synth", "--config", str(tmp_path / "held.cfg"), "--seed", "1",
-                     "--out", str(tmp_path / "h"), "--quiet"]) == 0
-        assert main(["fit", "--model", str(tmp_path / "m"), "--data", str(tmp_path / "h"),
+        (root / "held.cfg").write_text("num_images = 8\n")
+        assert main(["synth", "--seed", "0", "--out", str(root / "d"), "--quiet"]) == 0
+        assert main(["train", "--data", str(root / "d"),
+                     "--config", str(root / "train.cfg"), "--iterations", "40",
+                     "--seed", "3", "--out", str(root / "m"), "--quiet"]) == 0
+        assert main(["synth", "--config", str(root / "held.cfg"), "--seed", "1",
+                     "--out", str(root / "h"), "--quiet"]) == 0
+        return root
+
+    def test_under_trained_checkpoint_fits_without_traceback(self, under_trained, tmp_path,
+                                                             capsys):
+        """Fits of the under-trained heatmaps step to log extents far past any
+        image; those trial points count as non-finite, so `fit` completes."""
+        assert main(["fit", "--model", str(under_trained / "m"),
+                     "--data", str(under_trained / "h"),
                      "--out", str(tmp_path / "f"), "--quiet"]) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert len(read_rows(tmp_path / "f" / "fits.csv")) == 32
+
+    def test_runaway_fits_report_unconverged(self, under_trained, tmp_path, capsys):
+        """A fit wider than the image diagonal or centered off the grid keeps its
+        row, reports converged 0 and counts in the warning."""
+        assert main(["fit", "--model", str(under_trained / "m"),
+                     "--data", str(under_trained / "h"),
+                     "--out", str(tmp_path / "f"), "--quiet"]) == 0
+        rows = read_rows(tmp_path / "f" / "fits.csv")
+        assert len(rows) == 32
+        runaway = [float(r["sigma_maj"]) > math.hypot(64, 64)
+                   or not all(-0.5 <= float(r[c]) <= 63.5 for c in ("x_px", "y_px"))
+                   for r in rows]
+        assert any(runaway)
+        assert not any(away and r["converged"] == "1" for away, r in zip(runaway, rows))
+        unconverged = sum(r["converged"] == "0" for r in rows)
+        assert capsys.readouterr().err == f"warning: {unconverged} of 32 fits did not converge\n"
 
     def test_no_warning_when_every_fit_converges(self, pipeline, tmp_path, capsys):
         assert main(["eval", "--model", str(pipeline / "m"), "--data", str(pipeline / "d"),

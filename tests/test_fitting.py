@@ -16,6 +16,7 @@ from helpers import (
     render_anisotropic,
     render_isotropic,
     scipy_solve,
+    svd_solve,
 )
 from hmuq import fitting
 from hmuq.fitting import (
@@ -161,6 +162,24 @@ class TestFitRoundTrip:
         # one solve, stopped by the budget
         assert res.iterations <= fitting.MAX_NFEV
 
+    @pytest.mark.parametrize("x, y, sigma_maj, converged", [
+        (-0.5, 47.5, math.hypot(48, 64), True),  # on the bounds
+        (20.0, 30.0, math.hypot(48, 64) * (1 + 1e-12), False),  # wider than the diagonal
+        (-0.5 - 1e-9, 30.0, 4.0, False),  # left of the grid
+        (63.5 + 1e-9, 30.0, 4.0, False),
+        (20.0, -0.5 - 1e-9, 4.0, False),  # above it
+        (20.0, 47.5 + 1e-9, 4.0, False),
+        (math.nan, 30.0, 4.0, False),
+    ])
+    def test_runaway_solution_reports_unconverged(self, monkeypatch, x, y, sigma_maj, converged):
+        # a solve that met its tolerance at a point describing no peak of the 48x64 grid
+        p = np.array([x, y, 0.3, math.log(sigma_maj), math.log(2.0), 0.0])
+        monkeypatch.setattr(fitting, "_solve", lambda xs, ys, data, p0, n: (p, data, 5, 2))
+        h = render_isotropic((32.0, 24.0), 3.0, 100.0, (48, 64))
+        res = fit_gaussian(h)
+        assert res.converged is converged
+        assert res.gaussian.mean == (x, y) or math.isnan(x)
+
 
 class TestFitJacobian:
     def test_matches_finite_differences(self):
@@ -199,6 +218,16 @@ def noisy_anisotropic(rng, shape=(64, 64), mean=None):
     return add_impulses(noisy, mean, 4, rng)
 
 
+def noisy_near_isotropic(rng, ratio, noise, shape=(64, 64)):
+    """A rendered Gaussian with axis ratio `ratio` and additive noise of
+    `noise` times its peak, centered within 8 px of the middle of the grid."""
+    sigma = rng.uniform(2.0, 5.0)
+    d = CovarianceDecomposition(rng.uniform(-1.5, 1.5), sigma * ratio, sigma)
+    mean = (rng.uniform(24.0, 40.0), rng.uniform(24.0, 40.0))
+    clean = render_anisotropic(AnisotropicGaussian(mean, d, 100.0), shape)
+    return clean + rng.normal(0.0, noise * clean.max(), shape)
+
+
 class TestSolverOracle:
     """fitting._solve restates scipy's trust-region solver; scipy is the oracle."""
 
@@ -233,6 +262,39 @@ class TestSolverOracle:
         assert len(calls) == 12
         for args, out in calls:
             self.assert_matches(args, out)
+
+    def test_matches_scipy_on_noisy_near_isotropic_heatmaps(self, monkeypatch):
+        # where theta is barely determined, J^T J is closest to its floor; a
+        # solve may take the eigendecomposition at some points and the SVD at others
+        rng = np.random.default_rng(42)
+        heatmaps = [noisy_near_isotropic(rng, ratio, noise)
+                    for ratio in (1 + 1e-6, 1 + 1e-4, 1.01) for noise in (1e-3, 1e-2)
+                    for _ in range(2)]
+        calls = self.recorded_solves(monkeypatch, heatmaps)
+        assert len(calls) == 12
+        for args, out in calls:
+            self.assert_matches(args, out)
+
+    def test_ill_conditioned_solve_takes_the_svd(self, monkeypatch):
+        # noiseless and exactly isotropic: theta's Jacobian column vanishes at
+        # the solution, J^T J falls below its floor, and every accepted point
+        # takes the SVD branch, bit for bit the SVD-only solve (scipy's
+        # evaluation count differs here already with the SVD, so it is not asked)
+        g = AnisotropicGaussian((32.0, 32.0), CovarianceDecomposition(0.0, 3.0, 3.0), 100.0)
+        args = self.recorded_solves(monkeypatch, [render_anisotropic(g, (64, 64))])[0][0]
+        svd, svds = np.linalg.svd, []
+
+        def counting_svd(*a, **kw):
+            svds.append(a[0].shape)
+            return svd(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        x, fun, nfev, status = fitting._solve(*args)
+        assert svds
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        ref_x, ref_fun, ref_nfev, ref_status = svd_solve(*args)
+        assert np.array_equal(x, ref_x) and np.array_equal(fun, ref_fun)
+        assert (nfev, status) == (ref_nfev, ref_status)
 
     def test_budget_stop_matches_scipy(self, monkeypatch):
         solve = fitting._solve
