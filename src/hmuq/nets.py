@@ -247,8 +247,8 @@ class ReferencePredictor:
         return grad
 
     def _conv_back(self, dy, rows, act, layer, gw, gb):
-        """Backward of _conv_relu at `layer` from its output gradient, row patches
-        and activation: fills gw and gb at `layer`, returns the input gradient."""
+        """Backward of _conv_relu at `layer` from its output gradient, row patches and
+        activation: fills gw and, by one matrix-vector product, gb; returns the input gradient."""
         dy = dy * (act > 0.0)
         w = self.weights[layer]
         cout, cin = w.shape[:2]
@@ -257,7 +257,7 @@ class ReferencePredictor:
         dym = dy.reshape(n, cout)
         g = np.stack([dym.T @ rows[ki * wd:ki * wd + n] for ki in (0, 1, 2)], axis=1)
         gw[layer][...] = g.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
-        gb[layer][...] = dym.sum(axis=0)
+        gb[layer][...] = np.ones(n, dtype=dym.dtype) @ dym
         if layer == 0:
             return None  # nothing reads the image gradient
         # transposed convolution: the output gradient convolved with the

@@ -122,9 +122,9 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
         r = pred[i] - target
         loss += (r ** 2).sum() + alpha * d.sigma_maj * d.sigma_min
         dpred[i] = 2.0 * r
-        cov_grads[i, 0] = -2.0 * (r * dtheta).sum()
-        cov_grads[i, 1] = -2.0 * (r * dmaj).sum() + alpha * d.sigma_min
-        cov_grads[i, 2] = -2.0 * (r * dmin).sum() + alpha * d.sigma_maj
+        cov_grads[i, 0] = -2.0 * (r.ravel() @ dtheta.ravel())
+        cov_grads[i, 1] = -2.0 * (r.ravel() @ dmaj.ravel()) + alpha * d.sigma_min
+        cov_grads[i, 2] = -2.0 * (r.ravel() @ dmin.ravel()) + alpha * d.sigma_maj
     return float(loss), cov_grads, dpred
 
 

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: the Gaussian renderers, the covariance
 composer and the axis-angle difference that only tests use, losses, scipy's
-least-squares solver, and the allocating Gaussian kernel, soft-L1 loss, fit
-set-up and SVD-only solve that serve as independent oracles for the
-anisotropic code paths."""
+least-squares solver, and the elementwise covariance-gradient sums, allocating
+Gaussian kernel, soft-L1 loss, fit set-up and SVD-only solve that serve as
+independent oracles for the anisotropic code paths."""
 
 import math
 
@@ -32,6 +32,7 @@ from hmuq.gauss import (
     _gaussian,
     _grid_args,
     decompose,
+    render_with_param_gradients,
 )
 from hmuq.trainer import aniso_loss_gradients
 
@@ -78,6 +79,21 @@ def render_targets(coords, decomps, gamma, shape):
 def loss_learned_aniso(pred, coords, decomps, alpha, gamma):
     """Pixel loss with anisotropic targets plus alpha * sum sigma_maj_i * sigma_min_i."""
     return aniso_loss_gradients(pred, coords, decomps, alpha, gamma)[0]
+
+
+def summed_covariance_gradients(pred, coords, decomps, alpha, gamma):
+    """aniso_loss_gradients' cov_grads from elementwise sums -2 * (r * d).sum() of
+    each residual r and rendered derivative map d, with the sums 2 * |r * d|.sum()
+    that bound the rounding of any other summation order."""
+    grads, scales = np.empty((len(decomps), 3)), np.empty((len(decomps), 3))
+    for i, dec in enumerate(decomps):
+        g = AnisotropicGaussian(tuple(coords[i]), dec, gamma)
+        target, *maps = render_with_param_gradients(g, pred.shape[1:])
+        r = pred[i] - target
+        grads[i] = [-2.0 * (r * d).sum() for d in maps]
+        scales[i] = [2.0 * np.abs(r * d).sum() for d in maps]
+    grads[:, 1:] += alpha * np.array([[d.sigma_min, d.sigma_maj] for d in decomps])
+    return grads, scales
 
 
 def allocating_gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False):

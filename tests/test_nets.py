@@ -288,6 +288,30 @@ class TestFloat32:
         assert got.dtype == np.float64
         assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
 
+    def test_bias_gradients_match_float64_sums(self, monkeypatch):
+        # the finite-difference checks run in float64 only: here each stage's
+        # float32 bias gradient must be the float64 sum of the terms _conv_back
+        # receives, to float32 rounding of the sum of their absolute values
+        rng = np.random.default_rng(43)
+        net = ReferencePredictor(3, width=16, seed=43, dtype=np.float32)
+        randomize(net, rng)
+        calls = []
+        conv_back = net._conv_back
+
+        def recording(dy, rows, act, layer, gw, gb):
+            calls.append((layer, dy.copy(), act))
+            return conv_back(dy, rows, act, layer, gw, gb)
+
+        monkeypatch.setattr(net, "_conv_back", recording)
+        net.forward(rng.random((48, 80)), 0.3, np.random.default_rng(6))
+        gb = net._views(net.backward(rng.normal(size=(3, 48, 80))))[1]
+        assert sorted(layer for layer, _, _ in calls) == [0, 1, 2, 3, 4]
+        for layer, dy, act in calls:
+            assert dy.dtype == act.dtype == np.float32
+            terms = (dy.astype(np.float64) * (act > 0)).reshape(-1, dy.shape[-1])
+            err = np.abs(gb[layer] - terms.sum(axis=0))
+            assert np.all(err <= 1e-5 * np.abs(terms).sum(axis=0)), layer
+
     def test_rejects_other_dtypes(self):
         with pytest.raises(InvalidParameterError, match="dtype"):
             ReferencePredictor(1, width=4, dtype=np.float16)

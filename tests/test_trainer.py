@@ -10,6 +10,7 @@ from helpers import (
     loss_learned_iso,
     max_rel_error,
     render_targets,
+    summed_covariance_gradients,
 )
 from hmuq.dataio import DataFormatError, Dataset, config_from_dict, config_to_dict, format_config
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
@@ -130,6 +131,21 @@ class TestLossGradients:
                 fd = (hi - lo) / (2.0 * eps)
                 worst = max(worst, abs(grads[0, k] - fd) / max(abs(fd), 1e-9))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("coord, decomp", [
+        ((31.5, 23.5), CovarianceDecomposition(0.4, 4.0, 2.0)),  # centre
+        ((2.0, 45.5), CovarianceDecomposition(-1.1, 3.5, 1.5)),  # within 3 px of the border
+        ((30.2, 20.7), CovarianceDecomposition(0.7, 3.0 * (1 + 1e-6), 3.0)),  # near-isotropic
+    ])
+    def test_covariance_gradients_match_elementwise_sums(self, coord, decomp):
+        # the dot products reorder the sums: equal to the elementwise ones up to
+        # rounding, bounded by the sum of absolute terms
+        rng = np.random.default_rng(3)
+        c = np.array([coord])
+        pred = render_targets(c, [decomp], GAMMA, (48, 64)) + rng.normal(0.0, 0.3, (1, 48, 64))
+        _, grads, _ = aniso_loss_gradients(pred, c, [decomp], ALPHA, GAMMA)
+        want, scale = summed_covariance_gradients(pred, c, [decomp], ALPHA, GAMMA)
+        assert np.all(np.abs(grads - want) <= 1e-12 * scale)
 
     def test_iso_sigma_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
