@@ -24,7 +24,6 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -150,26 +149,27 @@ class ClassificationResult:
 def _fold(tree):
     """A ("num", value) node for an operation on numbers alone, else the tree."""
     if all(child[0] == "num" for child in tree[1:]):
-        return ("num", float(_eval(tree, {})))
+        return ("num", float(_eval(tree, {})[0]))
     return tree
 
 
 def _eval(tree, coords):
-    """Evaluate over (n, 2) coordinate arrays; entries on coincident points or a
-    zero divisor become NaN, and overflow becomes inf without a warning."""
+    """(values, hits) over (n, 2) coordinate arrays: values are NaN on coincident
+    points or a zero divisor and inf on overflow, without a warning; hits masks,
+    for each arm of an angle and each line of a linedist, where its length is 0."""
+    hits = []
     with np.errstate(all="ignore"):
-        return _values(tree, coords)
+        return _values(tree, coords, hits), hits
 
 
-def _values(node, coords):
+def _values(node, coords, hits):
     kind = node[0]
     if kind == "num":
         return np.float64(node[1])
     if kind == "neg":
-        return -_values(node[1], coords)
+        return -_values(node[1], coords, hits)
     if kind in ("add", "sub", "div"):
-        left = _values(node[1], coords)
-        right = _values(node[2], coords)
+        left, right = (_values(child, coords, hits) for child in node[1:])
         if kind == "add":
             return left + right
         if kind == "sub":
@@ -180,9 +180,10 @@ def _values(node, coords):
     if fname == "distance":
         return _norm(pts[0] - pts[1])
     if fname == "angle":
-        u = pts[0] - pts[1]
-        v = pts[2] - pts[1]
-        denom = _norm(u) * _norm(v)
+        u, v = pts[0] - pts[1], pts[2] - pts[1]
+        nu, nv = _norm(u), _norm(v)
+        hits += (nu == 0.0, nv == 0.0)
+        denom = nu * nv
         cos = (u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]) / denom
         cos = np.where(denom == 0.0, np.nan, np.clip(cos, -1.0, 1.0))
         return np.degrees(np.arccos(cos))
@@ -190,8 +191,9 @@ def _values(node, coords):
     p, a, b = pts
     d = b - a
     length = _norm(d)
+    hits.append(length == 0.0)
     cross = d[:, 0] * (p[:, 1] - a[:, 1]) - d[:, 1] * (p[:, 0] - a[:, 0])
-    return np.where(length == 0.0, np.nan, np.abs(cross) / length)
+    return np.where(hits[-1], np.nan, np.abs(cross) / length)
 
 
 def _norm(d):
@@ -199,24 +201,11 @@ def _norm(d):
     return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
-def _coincident(node, coords):
-    """Where a geometric primitive of the tree meets coincident points: an arm
-    of an angle, or the line of a linedist, has length 0."""
-    if node[0] != "call":
-        children = [_coincident(c, coords) for c in node[1:] if isinstance(c, tuple)]
-        return reduce(np.logical_or, children, False)
-    p = [coords[a] for a in node[2]]
-    arms = {"angle": (0, 2), "linedist": (2,), "distance": ()}[node[1]]  # p[k] - p[1]
-    return reduce(np.logical_or, [_norm(p[k] - p[1]) == 0.0 for k in arms], False)
-
-
-def _undefined(mdef, values, coords, n=None) -> DegenerateGeometryError:
+def _undefined(mdef, values, hits, n=None) -> DegenerateGeometryError:
     """The error for a measurement whose values hold NaN: coincident points on
-    the samples where one of its geometric primitives does, else a zero
-    divisor or an overflow (such as inf - inf) in its arithmetic.  With n,
-    the message counts the samples of n."""
-    with np.errstate(all="ignore"):
-        bad = np.count_nonzero(_coincident(mdef.tree, coords))
+    the samples that its `hits` mark, else a zero divisor or an overflow (such
+    as inf - inf) in its arithmetic.  With n, the message counts samples of n."""
+    bad = np.count_nonzero(np.any(hits, axis=0))
     fault = "hit coincident points"
     if not bad:
         bad = np.count_nonzero(np.isnan(values))
@@ -236,9 +225,9 @@ def evaluate_measurement(landmarks, mdef: MeasurementDef) -> float:
         if not np.all(np.isfinite(pt)):
             raise InvalidParameterError(f"landmark {name!r} must be finite")
         coords[name] = pt
-    values = _eval(mdef.tree, coords)
+    values, hits = _eval(mdef.tree, coords)
     if np.isnan(values[0]):
-        raise _undefined(mdef, values, coords)
+        raise _undefined(mdef, values, hits)
     return float(values[0])
 
 
@@ -283,9 +272,9 @@ def mc_classify(predictions, measurements, n: int = 10000,
             coords[name] = sample_gaussian(predictions[name], n, [*prefix, k])
     results = []
     for mdef, thresholds in measurements:
-        values = _eval(mdef.tree, coords)
+        values, hits = _eval(mdef.tree, coords)
         if np.isnan(values).any():
-            raise _undefined(mdef, values, coords, n)
+            raise _undefined(mdef, values, hits, n)
         # right-inclusive: the samples at or below each breakpoint
         at_or_below = [np.count_nonzero(values <= b) for b in thresholds.breakpoints]
         probs = np.diff([0, *at_or_below, n]) / n
@@ -357,6 +346,9 @@ def measurements_from_config(items: dict[str, str]):
         raise InvalidParameterError("no measurements defined")
     out = {}
     for name, fields in grouped.items():
+        if {"/", os.sep, "\0"} & set(name):  # curve_<name>.csv must be a file name
+            raise InvalidParameterError(
+                f"measurement name {name!r} cannot hold a path separator or NUL")
         for required in ("expression", "breakpoints", "labels"):
             if required not in fields:
                 raise InvalidParameterError(f"measurement {name!r} missing {required!r}")

@@ -20,8 +20,10 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass
 
@@ -182,33 +184,22 @@ def read_pgm(path) -> np.ndarray:
         data = fh.read()
     if data[:2] != b"P5":
         raise DataFormatError(f"{path}: not a binary PGM (P5) file")
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":  # header comment runs to end of line
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    # width, height, maxval: the first three tokens not in a comment (# to end of line)
+    tokens = (m for m in re.compile(rb"#[^\n]*|\S+").finditer(data, 2) if m[0][:1] != b"#")
+    fields = list(itertools.islice(tokens, 3))
     try:
-        w, h, maxval = (int(f) for f in fields)
+        w, h, maxval = (int(m[0]) for m in fields)
     except ValueError:
         raise DataFormatError(f"{path}: malformed PGM header") from None
+    pos = fields[-1].end() + 1  # single whitespace after maxval
     if w < 1 or h < 1:
         raise DataFormatError(f"{path}: image dimensions must be positive, got {w}x{h}")
     if maxval not in (255, 65535):
         raise DataFormatError(f"{path}: unsupported maxval {maxval}")
-    dtype = ">u2" if maxval == 65535 else "u1"
-    count = w * h
-    if len(data) - pos < count * (2 if maxval == 65535 else 1):
+    dtype = np.dtype(">u2" if maxval == 65535 else "u1")
+    if len(data) - pos < w * h * dtype.itemsize:
         raise DataFormatError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    pixels = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos)
     return pixels.reshape(h, w).astype(np.float64) / maxval
 
 

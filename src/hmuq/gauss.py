@@ -181,8 +181,9 @@ def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     d = g.decomp
     d.validate()
+    rng = np.random.default_rng(seed)  # outside the guard: a bad seed is no size error
     with too_large(f"samples = {n} is too large to draw at once"):
-        z = np.random.default_rng(seed).standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
+        z = rng.standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
     c, s = math.cos(d.theta), math.sin(d.theta)
     return z @ np.array([[c, -s], [s, c]]).T + g.mean
 

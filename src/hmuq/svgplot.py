@@ -19,10 +19,20 @@ HEIGHT = 360.0
 MARGIN = 48.0
 DOT_RADIUS = 2.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_XML = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # escapes of XML text
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _tag(name: str, text=None, **attrs) -> str:
+    """One SVG element; an `_` in an attribute name is written `-`, floats via _fmt."""
+    pairs = "".join(f' {key.replace("_", "-")}="'
+                    f'{_fmt(v) if isinstance(v, (float, np.floating)) else v}"'
+                    for key, v in attrs.items())
+    body = "/>" if text is None else f">{text.translate(_XML)}</{name}>"
+    return f"<{name}{pairs}{body}"
 
 
 def svg_document(body: list[str]) -> str:
@@ -54,45 +64,38 @@ class _Axes:
         return MARGIN + frac * (HEIGHT - 2 * MARGIN)
 
     def _frame(self, xlabel, ylabel, title):
-        self.parts.append(
-            f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" '
-            f'width="{_fmt(WIDTH - 2 * MARGIN)}" height="{_fmt(HEIGHT - 2 * MARGIN)}" '
-            f'fill="none" stroke="#444444" stroke-width="1"/>')
+        grey = {"stroke": "#444444", "stroke_width": 1}
+        bottom = HEIGHT - MARGIN
+        self.parts.append(_tag("rect", x=MARGIN, y=MARGIN, width=WIDTH - 2 * MARGIN,
+                               height=HEIGHT - 2 * MARGIN, fill="none", **grey))
         for i in range(5):
             fx = self.x0 + (self.x1 - self.x0) * i / 4
             fy = self.y0 + (self.y1 - self.y0) * i / 4
-            x = float(self.px(fx))
-            y = float(self.py(fy))
-            self.parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(HEIGHT - MARGIN)}" '
-                              f'x2="{_fmt(x)}" y2="{_fmt(HEIGHT - MARGIN + 4)}" '
-                              f'stroke="#444444" stroke-width="1"/>')
-            self.parts.append(f'<text x="{_fmt(x)}" y="{_fmt(HEIGHT - MARGIN + 16)}" '
-                              f'font-size="10" text-anchor="middle">{fx:g}</text>')
-            self.parts.append(f'<line x1="{_fmt(MARGIN - 4)}" y1="{_fmt(y)}" '
-                              f'x2="{_fmt(MARGIN)}" y2="{_fmt(y)}" '
-                              f'stroke="#444444" stroke-width="1"/>')
-            self.parts.append(f'<text x="{_fmt(MARGIN - 6)}" y="{_fmt(y + 3)}" '
-                              f'font-size="10" text-anchor="end">{fy:g}</text>')
+            x, y = float(self.px(fx)), float(self.py(fy))
+            self.parts += [
+                _tag("line", x1=x, y1=bottom, x2=x, y2=bottom + 4, **grey),
+                _tag("text", f"{fx:g}", x=x, y=bottom + 16, font_size=10, text_anchor="middle"),
+                _tag("line", x1=MARGIN - 4, y1=y, x2=MARGIN, y2=y, **grey),
+                _tag("text", f"{fy:g}", x=MARGIN - 6, y=y + 3, font_size=10, text_anchor="end")]
         if xlabel:
-            self.parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(HEIGHT - 8)}" '
-                              f'font-size="12" text-anchor="middle">{xlabel}</text>')
+            self.parts.append(_tag("text", xlabel, x=WIDTH / 2, y=HEIGHT - 8, font_size=12,
+                                   text_anchor="middle"))
         if ylabel:
-            self.parts.append(
-                f'<text x="12" y="{_fmt(HEIGHT / 2)}" font-size="12" text-anchor="middle" '
-                f'transform="rotate(-90 12 {_fmt(HEIGHT / 2)})">{ylabel}</text>')
+            self.parts.append(_tag("text", ylabel, x=12, y=HEIGHT / 2, font_size=12,
+                                   text_anchor="middle",
+                                   transform=f"rotate(-90 12 {_fmt(HEIGHT / 2)})"))
         if title:
-            self.parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(MARGIN - 10)}" '
-                              f'font-size="13" text-anchor="middle">{title}</text>')
+            self.parts.append(_tag("text", title, x=WIDTH / 2, y=MARGIN - 10, font_size=13,
+                                   text_anchor="middle"))
 
     def scatter(self, xs, ys, color):
-        for x, y in zip(self.px(xs), self.py(ys)):
-            self.parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(DOT_RADIUS)}" '
-                              f'fill="{color}" fill-opacity="0.6"/>')
+        self.parts += (_tag("circle", cx=x, cy=y, r=DOT_RADIUS, fill=color, fill_opacity="0.6")
+                       for x, y in zip(self.px(xs), self.py(ys)))
 
     def polyline(self, xs, ys, color):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(self.px(xs), self.py(ys)))
-        self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                          f'stroke-width="1.5"/>')
+        self.parts.append(_tag("polyline", points=pts, fill="none", stroke=color,
+                               stroke_width="1.5"))
 
     def ellipse(self, mean, decomp: CovarianceDecomposition, scale, color, label=""):
         cx = float(self.px(mean[0]))
@@ -104,25 +107,19 @@ class _Axes:
                 "ellipse overlays need equal x/y scales; pad the axis limits")
         rx = scale * decomp.sigma_maj * sx
         ry = scale * decomp.sigma_min * sx
-        angle = math.degrees(decomp.theta)
-        if self.flip_y:
-            angle = -angle
-        self.parts.append(
-            f'<ellipse cx="0" cy="0" rx="{_fmt(rx)}" ry="{_fmt(ry)}" fill="none" '
-            f'stroke="{color}" stroke-width="1.5" '
-            f'transform="translate({_fmt(cx)} {_fmt(cy)}) rotate({_fmt(angle)})"/>')
+        angle = -math.degrees(decomp.theta) if self.flip_y else math.degrees(decomp.theta)
+        self.parts.append(_tag(
+            "ellipse", cx=0, cy=0, rx=rx, ry=ry, fill="none", stroke=color, stroke_width="1.5",
+            transform=f"translate({_fmt(cx)} {_fmt(cy)}) rotate({_fmt(angle)})"))
         if label:
-            self.parts.append(f'<text x="{_fmt(cx + 4)}" y="{_fmt(cy - 4)}" '
-                              f'font-size="10" fill="{color}">{label}</text>')
+            self.parts.append(_tag("text", label, x=cx + 4, y=cy - 4, font_size=10, fill=color))
 
     def legend(self, entries):
         for i, (label, color) in enumerate(entries):
             y = MARGIN + 14 + 14 * i
-            self.parts.append(f'<line x1="{_fmt(WIDTH - MARGIN - 70)}" y1="{_fmt(y)}" '
-                              f'x2="{_fmt(WIDTH - MARGIN - 54)}" y2="{_fmt(y)}" '
-                              f'stroke="{color}" stroke-width="2"/>')
-            self.parts.append(f'<text x="{_fmt(WIDTH - MARGIN - 50)}" y="{_fmt(y + 3)}" '
-                              f'font-size="10">{label}</text>')
+            self.parts += [_tag("line", x1=WIDTH - MARGIN - 70, y1=y, x2=WIDTH - MARGIN - 54,
+                                y2=y, stroke=color, stroke_width=2),
+                           _tag("text", label, x=WIDTH - MARGIN - 50, y=y + 3, font_size=10)]
 
 
 def _square_limits(xs, ys, pad_frac=0.1):
@@ -166,12 +163,9 @@ def render_ellipse_overlay(image_shape, items, scale: float = 3.0, title: str = 
     ax = _Axes(xlim, ylim, "x (px)", "y (px)", title, flip_y=False)
     for i, (label, mean, d) in enumerate(items):
         color = PALETTE[i % len(PALETTE)]
-        x = float(ax.px(mean[0]))
-        y = float(ax.py(mean[1]))
-        ax.parts.append(f'<line x1="{_fmt(x - 3)}" y1="{_fmt(y)}" x2="{_fmt(x + 3)}" '
-                        f'y2="{_fmt(y)}" stroke="{color}" stroke-width="1"/>')
-        ax.parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y - 3)}" x2="{_fmt(x)}" '
-                        f'y2="{_fmt(y + 3)}" stroke="{color}" stroke-width="1"/>')
+        x, y = float(ax.px(mean[0])), float(ax.py(mean[1]))
+        ax.parts += [_tag("line", x1=x - 3, y1=y, x2=x + 3, y2=y, stroke=color, stroke_width=1),
+                     _tag("line", x1=x, y1=y - 3, x2=x, y2=y + 3, stroke=color, stroke_width=1)]
         ax.ellipse(mean, d, scale, color, label)
     return svg_document(ax.parts)
 

@@ -247,6 +247,25 @@ class TestPlots:
             assert runs[0] == runs[1], kind
             assert b"<!--" not in runs[0], kind
 
+    def svg_texts(self, path):
+        return [e.text for e in ET.parse(path).getroot().iter() if e.tag.endswith("}text")]
+
+    def test_markup_in_image_id_escaped(self, pipeline, tmp_path):
+        """An image id holding & and < still gives an SVG that parses."""
+        ds = load_dataset(pipeline / "d" / "manifest.cfg")
+        write_dataset(tmp_path / "d", ["A&B<1>", *ds.ids[1:]], ds.images, ds.coords, ds.spacing,
+                      ds.landmark_count)
+        assert main(["plot", "--kind", "ellipse_overlay", "--model", str(pipeline / "m"),
+                     "--data", str(tmp_path / "d"), "--out", str(tmp_path), "--quiet"]) == 0
+        assert "learned covariance, A&B<1>" in self.svg_texts(tmp_path / "ellipse_overlay.svg")
+
+    def test_markup_in_curve_name_escaped(self, tmp_path):
+        curve = tmp_path / "curve_A&B.csv"
+        curve.write_text("fraction,accuracy_percent\n0.5,100.0\n1.0,50.0\n")
+        assert main(["plot", "--kind", "accuracy_curve", "--curves", str(curve),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert "A&B" in self.svg_texts(tmp_path / "accuracy_curve.svg")
+
     def test_no_timestamp_flag_usage_exit(self, capsys):
         assert main(["plot", "--kind", "accuracy_curve", "--curves", "c.csv",
                      "--no-timestamp"]) == 2
@@ -872,6 +891,9 @@ BAD_INPUTS = {
         _clinical_case("measurements",
                        MEAS_CFG.replace("distance(alpha, beta)", "distance(alpha, beta) / 0")),
         "division by zero in expression 'distance(alpha, beta) / 0'"),
+    "measurements-name-with-slash": (
+        _clinical_case("measurements", MEAS_CFG.replace("span.", "x/y.")),
+        "measurement name 'x/y' cannot hold a path separator or NUL"),
     "curve-bad-header": (_curve_case("fraction,accuracy\n1.0,100.0\n"),
                          ":1: expected header fraction,accuracy_percent"),
     "curve-no-rows": (_curve_case("fraction,accuracy_percent\n"), ": no curve points"),

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import warnings
 
 import numpy as np
@@ -255,6 +257,12 @@ class TestMcClassify:
         with pytest.raises(DegenerateGeometryError, match=fault + "$"):
             evaluate_measurement({"a": (0.0, 0.0), "b": (3.0, 4.0)}, m)
 
+    def test_bad_seed_is_not_a_size_error(self):
+        t = ClassThresholds((45.0,), ("acute", "wide"))
+        with pytest.raises(ValueError) as info:
+            mc_classify(self.point_masses(), [(ANGLE, t)], n=10, seed=-1)
+        assert "too large" not in str(info.value)
+
     def test_missing_prediction(self):
         t = ClassThresholds((45.0,), ("acute", "wide"))
         with pytest.raises(InvalidParameterError, match="no prediction"):
@@ -336,3 +344,12 @@ class TestMeasurementConfig:
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidParameterError, match="missing"):
             measurements_from_config({"M1.expression": "angle(a, b, c)"})
+
+    @pytest.mark.parametrize("name", ["x/y", "/x", "x\0y", "x" + os.sep])
+    def test_name_that_is_no_file_name_rejected(self, name):
+        """A name names its curve_<name>.csv, so it holds no separator or NUL."""
+        items = {f"{name}.{key}": value for key, value in
+                 (("expression", "angle(a, b, c)"), ("breakpoints", "10"), ("labels", "a, b"))}
+        with pytest.raises(InvalidParameterError,
+                           match=f"measurement name {re.escape(repr(name))} cannot hold"):
+            measurements_from_config(items)

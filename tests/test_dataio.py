@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,24 @@ class TestPgm:
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P5\n# made by hand\n2 1\n255\n\x00\xff")
         assert np.array_equal(read_pgm(path), [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("at", range(3))  # after P5, the width or the height
+    def test_header_comment_between_any_fields(self, tmp_path, at):
+        """A comment right after P5 or between any two fields, with or without
+        whitespace before it, is skipped up to its newline."""
+        fields = [b"P5", b"2", b"1", b"255"]
+        fields[at] += b"#c 7 7\n" if at == 0 else b" # 7 7\n"
+        path = tmp_path / "h.pgm"
+        path.write_bytes(b" ".join(fields) + b"\n\x00\xff")
+        assert np.array_equal(read_pgm(path), [[0.0, 1.0]])
+
+    def test_long_unterminated_comment_rejected_quickly(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 #" + b"9" * 10**6)
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError, match="malformed PGM header"):
+            read_pgm(path)
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_out_of_range(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"\[0, 1\]"):

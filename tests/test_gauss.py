@@ -252,3 +252,9 @@ class TestSampling:
         np.testing.assert_array_equal(p1, p2)
         p3 = sample_gaussian(g, 1, seed=10)
         assert not np.array_equal(p1, p3)
+
+    def test_bad_seed_is_not_a_size_error(self):
+        g = AnisotropicGaussian((0.0, 0.0), CovarianceDecomposition(0.1, 2.0, 1.0), 1.0)
+        with pytest.raises(ValueError) as info:
+            sample_gaussian(g, 5, -1)
+        assert "too large" not in str(info.value)

@@ -71,6 +71,13 @@ class TestCurves:
         svg = render_sigma_vs_error([1.0, 2.0, 3.0], [0.5, 0.2, 0.9])
         assert tags(svg).count("circle") == 3
 
+    def test_markup_characters_in_text_escaped(self):
+        """A title and a curve label holding &, < and > parse and keep their text."""
+        label = "A&B<1>"
+        svg = render_accuracy_curve({label: [(0.5, 100.0), (1.0, 75.0)]}, title=f"{label} > 0")
+        texts = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+        assert f"{label} > 0" in texts and label in texts
+
     def test_sigma_vs_error_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
             render_sigma_vs_error([1.0], [0.5, 0.2])
