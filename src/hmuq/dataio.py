@@ -187,8 +187,8 @@ def read_pgm(path) -> np.ndarray:
     # width, height, maxval: the first three tokens not in a comment (# to end of line)
     tokens = (m for m in re.compile(rb"#[^\n]*|\S+").finditer(data, 2) if m[0][:1] != b"#")
     fields = list(itertools.islice(tokens, 3))
-    try:
-        w, h, maxval = (int(m[0]) for m in fields)
+    try:  # a field that is not all ASCII digits drops out, leaving too few to unpack
+        w, h, maxval = (int(m[0]) for m in fields if m[0].isdigit())
     except ValueError:
         raise DataFormatError(f"{path}: malformed PGM header") from None
     pos = fields[-1].end() + 1  # single whitespace after maxval

@@ -11,8 +11,11 @@ all three (learned_aniso).  Results are reported canonically.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +134,13 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
 # --- training loop --------------------------------------------------------------
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
     """Stochastic gradient descent (momentum 0.9, weight decay) over a dataset.
 
@@ -145,6 +155,9 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
     The predictor computes in NET_DTYPE; its parameters, their momentum and
     the covariance parameters are float64 master copies updated here, and
     the predictor gets the master weights cast down after every step.
+    A batch's samples run on min(batch_size, usable_cpus()) lanes, threads
+    that share the parameters, and their gradients are summed in slot
+    order, so the result does not depend on the lane count.
     `progress`, if given, is called after every iteration as
     progress(iteration, batch_loss, sigma_maj, sigma_min) with the current
     per-landmark extent arrays (not yet in canonical order); it does not
@@ -172,45 +185,64 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
     cov[:, 1:] = math.log(cfg.sigma_init)
     vel_cov = np.zeros_like(cov)
 
-    trace = []
-    for it in range(cfg.iterations):
-        with too_large(f"batch_size = {cfg.batch_size} is too large to draw a batch"):
-            idx = rng.integers(0, len(images), size=cfg.batch_size)
-        batch_loss = 0.0
-        grad = np.zeros_like(params)
-        grad_cov = np.zeros_like(cov)
-        extents = np.exp(cov[:, 1:])
-        decomps = [CovarianceDecomposition(cov[i, 0], *extents[i]) for i in range(n_landmarks)]
-        for slot, j in enumerate(idx):
+    # lane w runs batch slots w, w + lanes, ... on its own copy of the predictor
+    # (shared parameters, its own forward cache); lane 0 is this thread
+    lanes = [net] + [copy.copy(net) for _ in range(min(cfg.batch_size, usable_cpus()) - 1)]
+
+    def run_lane(w, it, idx, extents, decomps):
+        out = []
+        for slot in range(w, cfg.batch_size, len(lanes)):
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
                         if cfg.dropout_rate else None)
-            pred = net.forward(images[j], cfg.dropout_rate, drop_rng)
-            loss, g, dpred = aniso_loss_gradients(pred, coords[j], decomps, cfg.alpha, cfg.gamma)
+            pred = lanes[w].forward(images[idx[slot]], cfg.dropout_rate, drop_rng)
+            loss, g, dpred = aniso_loss_gradients(pred, coords[idx[slot]], decomps,
+                                                  cfg.alpha, cfg.gamma)
             # chain rule to log extents per sample; the batch sum would round differently
             g[:, 1:] *= extents
-            batch_loss += loss
-            grad_cov += g
-            if not cfg.freeze_predictor:
-                grad += net.backward(dpred)
-        batch_loss /= cfg.batch_size
-        if not math.isfinite(batch_loss):
-            raise TrainDivergedError(f"non-finite loss at iteration {it}")
-        trace.append(batch_loss)
+            out.append((slot, loss, g, None if cfg.freeze_predictor else lanes[w].backward(dpred)))
+        return out
 
-        if not cfg.freeze_predictor:
-            grad = grad / cfg.batch_size + cfg.weight_decay * params
-            vel = MOMENTUM * vel - cfg.learning_rate * grad
-            params = params + vel
-            net.set_params(params)
-        vel_cov = MOMENTUM * vel_cov - (cfg.learning_rate * cfg.covariance_lr_multiplier) * (
-            grad_cov / cfg.batch_size @ project)
-        cov = cov + vel_cov
-        if np.abs(cov[:, 1:]).max() > MAX_LOG_EXTENT:
-            raise TrainDivergedError(
-                f"covariance parameters diverged at iteration {it}; lower "
-                f"learning_rate * covariance_lr_multiplier")
-        if progress is not None:
-            progress(it, batch_loss, *np.exp(cov[:, 1:]).T)
+    trace = []
+    # threads start on the first submit, so one lane starts none
+    with ThreadPoolExecutor(max(len(lanes) - 1, 1)) as pool:
+        for it in range(cfg.iterations):
+            with too_large(f"batch_size = {cfg.batch_size} is too large to draw a batch"):
+                idx = rng.integers(0, len(images), size=cfg.batch_size)
+            extents = np.exp(cov[:, 1:])
+            decomps = [CovarianceDecomposition(cov[i, 0], *extents[i]) for i in range(n_landmarks)]
+            helpers = [pool.submit(run_lane, w, it, idx, extents, decomps)
+                       for w in range(1, len(lanes))]
+            samples = run_lane(0, it, idx, extents, decomps)
+            for f in helpers:
+                samples += f.result()
+            # summed in slot order, so the bytes do not depend on the lane count
+            batch_loss = 0.0
+            grad = np.zeros_like(params)
+            grad_cov = np.zeros_like(cov)
+            for _, loss, g, dparams in sorted(samples, key=lambda sample: sample[0]):
+                batch_loss += loss
+                grad_cov += g
+                if not cfg.freeze_predictor:
+                    grad += dparams
+            batch_loss /= cfg.batch_size
+            if not math.isfinite(batch_loss):
+                raise TrainDivergedError(f"non-finite loss at iteration {it}")
+            trace.append(batch_loss)
+
+            if not cfg.freeze_predictor:
+                grad = grad / cfg.batch_size + cfg.weight_decay * params
+                vel = MOMENTUM * vel - cfg.learning_rate * grad
+                params = params + vel
+                net.set_params(params)
+            vel_cov = MOMENTUM * vel_cov - (cfg.learning_rate * cfg.covariance_lr_multiplier) * (
+                grad_cov / cfg.batch_size @ project)
+            cov = cov + vel_cov
+            if np.abs(cov[:, 1:]).max() > MAX_LOG_EXTENT:
+                raise TrainDivergedError(
+                    f"covariance parameters diverged at iteration {it}; lower "
+                    f"learning_rate * covariance_lr_multiplier")
+            if progress is not None:
+                progress(it, batch_loss, *np.exp(cov[:, 1:]).T)
 
     if project.any():
         decomps = [CovarianceDecomposition(t, math.exp(a), math.exp(b)).canonical()

@@ -221,8 +221,13 @@ class TestPlots:
         assert tags.count("circle") == 12
         assert tags.count("ellipse") == 2  # learned + empirical
 
-    def test_accuracy_curve_from_csv(self, pipeline):
-        curve = pipeline / "rc" / "curve_span.csv"
+    def curve_file(self, pipeline, tmp_path):
+        """This test's own curve_span.csv from a clinical run on the pipeline."""
+        _clinical_rows(pipeline, tmp_path / "rc", MEAS_CFG)
+        return tmp_path / "rc" / "curve_span.csv"
+
+    def test_accuracy_curve_from_csv(self, pipeline, tmp_path):
+        curve = self.curve_file(pipeline, tmp_path)
         assert main(["plot", "--kind", "accuracy_curve", "--curves", str(curve),
                      "--out", str(pipeline / "pl")]) == 0
         tags = self.svg_tags(pipeline / "pl" / "accuracy_curve.svg")
@@ -237,7 +242,7 @@ class TestPlots:
 
     def test_every_kind_rerun_byte_identical(self, pipeline, tmp_path):
         inputs = ["--model", str(pipeline / "m"), "--data", str(pipeline / "d")]
-        curves = ["--curves", str(pipeline / "rc" / "curve_span.csv")]
+        curves = ["--curves", str(self.curve_file(pipeline, tmp_path))]
         for kind in ("ellipse_overlay", "offset_scatter", "sigma_vs_error", "accuracy_curve"):
             argv = ["plot", "--kind", kind] + (curves if kind == "accuracy_curve" else inputs)
             runs = []
@@ -786,6 +791,20 @@ def _image_case(command, shape):
     return build
 
 
+def _pgm_header_case(header):
+    """predict on a copy of the pipeline dataset whose img_0003.pgm has
+    `header`, formatted with the image's width w and height h, before its pixels."""
+    def build(pipeline, tmp):
+        bad = tmp / "bad"
+        shutil.copytree(pipeline / "d", bad)
+        path = bad / "images" / "img_0003.pgm"
+        _, size, _, pixels = path.read_bytes().split(b"\n", 3)  # as write_pgm writes it
+        w, h = size.decode().split()
+        path.write_bytes(header.format(w=w, h=h).encode() + pixels)
+        return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], path
+    return build
+
+
 def _landmark_count_case(command, count):
     """The 2-landmark pipeline checkpoint on a synthetic dataset of `count` landmarks."""
     def build(pipeline, tmp):
@@ -922,6 +941,9 @@ BAD_INPUTS = {
                                   "sides divisible by 4, got (33, 34)"),
     "train-image-shapes-differ": (_image_case("train", (36, 36)),
                                   "all training images must share one shape"),
+    "pgm-signed-underscored-header": (
+        _pgm_header_case("P5\n+{w} {h}\n65_535\n"),
+        "malformed PGM header"),
     "eval-fewer-landmarks": (_landmark_count_case("eval", 1),
                              "checkpoint has 2 landmarks, dataset has 1 ("),
     "ellipse-overlay-fewer-landmarks": (_landmark_count_case("plot", 1),

@@ -188,11 +188,20 @@ class TestPgm:
         with pytest.raises(DataFormatError, match="truncated"):
             read_pgm(path)
 
-    @pytest.mark.parametrize("header", [b"P5\n-4 4\n255\n", b"P5\n0 4\n255\n"])
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n"])  # "-4" is not digits, below
     def test_rejects_nonpositive_dimensions(self, tmp_path, header):
         path = tmp_path / "dims.pgm"
         path.write_bytes(header + bytes(16))
         with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*dimensions"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n-4 4\n255\n", b"P5\n+2 0_1\n2_5_5\n",
+                                        b"P5\n2 1\n+255\n", b"P5\n2 1_0\n255\n"])
+    def test_rejects_fields_that_are_not_digits(self, tmp_path, header):
+        """Netpbm header fields are plain decimal digits: no sign, no underscore."""
+        path = tmp_path / "signs.pgm"
+        path.write_bytes(header + bytes(32))
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: malformed PGM header")):
             read_pgm(path)
 
     @pytest.mark.parametrize("bits", [8, 16])

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from helpers import (
     render_targets,
     summed_covariance_gradients,
 )
+from hmuq import trainer
 from hmuq.dataio import DataFormatError, Dataset, config_from_dict, config_to_dict, format_config
 from hmuq.gauss import CovarianceDecomposition, InvalidParameterError
 from hmuq.nets import ReferencePredictor
@@ -282,6 +285,61 @@ class TestTrain:
         ds = Dataset([], [], np.empty((0, 1, 2)), np.empty(0), 1)
         with pytest.raises(InvalidParameterError):
             train(ds, TrainConfig(iterations=1))
+
+
+class TestLanes:
+    """A batch's samples run on min(batch_size, usable_cpus()) lanes."""
+
+    @pytest.mark.parametrize("batch_size", [4, 3])
+    @pytest.mark.parametrize("dropout_rate", [0.1, 0.0])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_lane_count_leaves_every_byte(self, monkeypatch, batch_size, dropout_rate, freeze):
+        """Also with more lanes than this host may have CPUs, and the
+        interpreter switching threads as often as it can."""
+        ds, cfg = small_synth(iterations=8, batch_size=batch_size, dropout_rate=dropout_rate,
+                              freeze_predictor=freeze)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(trainer, "usable_cpus", lambda: lanes)
+                runs.append(train(ds, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        for m in runs[1:]:
+            assert m.loss_trace.tobytes() == runs[0].loss_trace.tobytes()
+            assert m.predictor.get_params().tobytes() == runs[0].predictor.get_params().tobytes()
+            assert m.target_decomps == runs[0].target_decomps
+
+    def test_helper_lane_error_comes_out_of_train(self, monkeypatch):
+        """An exception in a helper lane (slot 1 of two lanes) leaves train
+        with its own type and message, and the helper threads are gone."""
+        class LaneError(Exception):
+            pass
+
+        loss_gradients = trainer.aniso_loss_gradients
+
+        def fail_off_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise LaneError("slot 1 failed")
+            return loss_gradients(*args)
+
+        monkeypatch.setattr(trainer, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "aniso_loss_gradients", fail_off_main_thread)
+        ds, cfg = small_synth(iterations=3)
+        before = threading.active_count()
+        with pytest.raises(LaneError, match="^slot 1 failed$"):
+            train(ds, cfg)
+        assert threading.active_count() == before
+
+    def test_one_lane_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(trainer, "usable_cpus", lambda: 1)
+        ds, cfg = small_synth(iterations=3)
+        before = threading.active_count()
+        during = []
+        train(ds, cfg, progress=lambda *_: during.append(threading.active_count()))
+        assert during == [before] * cfg.iterations
 
 
 @pytest.fixture(scope="module")
