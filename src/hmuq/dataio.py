@@ -342,6 +342,9 @@ def load_dataset(manifest_path) -> Dataset:
         with too_large(f"{manifest_path}: landmark_count = {landmark_count} is too large to load"):
             coords = np.full((len(ids), landmark_count, 2), np.nan)
         for row in _read_checked_annotations(ann_path, index, images, landmark_count):
+            if not np.isnan(coords[index[row.image_id], row.landmark_id, 0]):
+                raise DataFormatError(
+                    f"{ann_path}: two rows for image {row.image_id!r} landmark {row.landmark_id}")
             coords[index[row.image_id], row.landmark_id] = (row.x, row.y)
         if np.isnan(coords).any():
             missing = [(ids[i], j) for i, j in zip(*np.nonzero(np.isnan(coords[:, :, 0])))]

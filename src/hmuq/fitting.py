@@ -2,12 +2,13 @@
 
 The fitted mean is the landmark prediction and the fitted covariance is its
 per-sample uncertainty.  Fitting minimizes soft-L1 robustified residuals
-between the rendered Gaussian model and the heatmap from a start at the image
-moments around its maximum, over the pixels within WINDOW_SIGMAS start sigmas
-of the start mean (an ellipse), in one run of `_solve`: scipy's trust-region
-reflective least-squares method (`least_squares(method="trf")` without
-bounds, exact steps after Moré 1978) restated for this problem, with the
-step's SVD of the Jacobian J taken from the 6 x 6 matrix J^T J where it can be.
+between the heatmap and the model, gauss's kernel with log extents as in
+training, from a start at the image moments around its maximum, over the
+pixels within WINDOW_SIGMAS start sigmas of the start mean (an ellipse), in
+one run of `_solve`: scipy's trust-region reflective least-squares method
+(`least_squares(method="trf")` without bounds, exact steps after Moré 1978)
+restated for this problem, with the step's SVD of the Jacobian J taken from
+the 6 x 6 matrix J^T J where it can be.
 """
 
 from __future__ import annotations
@@ -81,14 +82,13 @@ def _window(shape, center, halfwidth):
     return x0, x1, y0, y1
 
 
-def _model(p, xs, ys, jac=None):
-    """The Gaussian with solver parameters p at pixel centers (xs, ys).  With
-    jac, a (6, m) array, its rows receive the derivatives by p[0], ..., p[5]."""
+def _model(p, xs, ys, jac):
+    """The Gaussian with solver parameters p at pixel centers (xs, ys); the
+    rows of jac, a (6, m) array, receive its derivatives by p[0], ..., p[5]."""
     mx, my, theta, log_a, log_b, log_amp = p
-    rows = None if jac is None else [jac[k] for k in (5, 2, 3, 4, 0, 1)]  # the kernel's order
-    out = _gaussian(xs - mx, ys - my, theta, math.exp(log_a), math.exp(log_b),
-                    math.exp(log_amp), mean_gradients=jac is not None, out=rows)
-    return out if jac is None else out[0]
+    rows = [jac[k] for k in (5, 2, 3, 4, 0, 1)]  # the kernel's order
+    return _gaussian(xs - mx, ys - my, theta, math.exp(log_a), math.exp(log_b),
+                     math.exp(log_amp), mean_gradients=True, out=rows)[0]
 
 
 def _norm(v):

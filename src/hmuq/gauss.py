@@ -4,7 +4,7 @@ Covariances are parameterized either as plain 2x2 matrices (pixel^2) or as a
 rotation/extent decomposition (theta, sigma_maj, sigma_min).  Heatmaps are
 float64 (H, W) arrays of the Gaussian density evaluated at integer pixel
 centers; image arrays are indexed [row, col] = [y, x] while coordinates are
-(x, y) pairs.
+(x, y) pairs.  Extent derivatives are by log sigma, for training and fitting.
 """
 
 from __future__ import annotations
@@ -110,21 +110,19 @@ def wrap_axis_angle(theta: float) -> float:
     return t
 
 
-def _gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False, out=None):
+def _gaussian(dx, dy, theta, a, b, amp, mean_gradients=False, out=None):
     """Gaussian of mass amp and extents (a, b) at offsets (dx, dy) = pixel - mean.
 
     dx and dy broadcast: a row and a column for a grid, or two flat arrays for
-    a fit window.  Returns the values; with `gradients`, (values, d/dtheta,
-    d/dlog a, d/dlog b); with `mean_gradients`, that tuple followed by
-    d/dmean_x and d/dmean_y.  `out`, one array of the broadcast shape per
-    result, receives them; it is allocated when not given.  The operations
-    and their order are those of the formulas in the comments, so writing in
+    a fit window.  Returns (values, d/dtheta, d/dlog a, d/dlog b), with
+    `mean_gradients` followed by d/dmean_x and d/dmean_y, in `out` (one array
+    of the broadcast shape per result) or in new arrays.  The operations and
+    their order are those of the formulas in the comments, so writing in
     place changes no bit.  Outputs are passed positionally: numpy parses an
     `out=` keyword more slowly.  Nothing is validated here.
     """
     if out is None:
-        out = np.empty((6 if mean_gradients else 4 if gradients else 1,
-                        *np.broadcast(dx, dy).shape))
+        out = np.empty((6 if mean_gradients else 4, *np.broadcast(dx, dy).shape))
     u1, u2, q1, q2 = np.empty((4, *out[0].shape))
     c, s = math.cos(theta), math.sin(theta)
     np.add(c * dx, s * dy, u1)  # a grid's products stay a row and a column
@@ -134,40 +132,32 @@ def _gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False, o
     h = np.add(q1, q2, out[0])  # amp / (2 pi a b) exp(-0.5 (q1 + q2))
     np.exp(np.multiply(-0.5, h, h), h)
     np.multiply(h, amp / (TWO_PI * a * b), h)
-    if not (gradients or mean_gradients):
-        return h
     dtheta, dlog_a, dlog_b = out[1], out[2], out[3]
     np.multiply(h, u1, dtheta)  # h u1 u2 (1 / b^2 - 1 / a^2)
     np.multiply(dtheta, u2, dtheta)
     np.multiply(dtheta, 1.0 / b ** 2 - 1.0 / a ** 2, dtheta)
     np.multiply(h, np.subtract(q1, 1.0, q1), dlog_a)  # h (q1 - 1)
     np.multiply(h, np.subtract(q2, 1.0, q2), dlog_b)
-    if not mean_gradients:
-        return tuple(out)
-    dmx, dmy = out[4], out[5]
-    # h (c u1 / a^2 - s u2 / b^2) and h (s u1 / a^2 + c u2 / b^2)
-    np.subtract(np.divide(np.multiply(c, u1, dmx), a ** 2, dmx),
-                np.divide(np.multiply(s, u2, q1), b ** 2, q1), dmx)
-    np.add(np.divide(np.multiply(s, u1, dmy), a ** 2, dmy),
-           np.divide(np.multiply(c, u2, q2), b ** 2, q2), dmy)
-    np.multiply(dmx, h, dmx)
-    np.multiply(dmy, h, dmy)
+    if mean_gradients:
+        dmx, dmy = out[4], out[5]
+        # h (c u1 / a^2 - s u2 / b^2) and h (s u1 / a^2 + c u2 / b^2)
+        np.subtract(np.divide(np.multiply(c, u1, dmx), a ** 2, dmx),
+                    np.divide(np.multiply(s, u2, q1), b ** 2, q1), dmx)
+        np.add(np.divide(np.multiply(s, u1, dmy), a ** 2, dmy),
+               np.divide(np.multiply(c, u2, q2), b ** 2, q2), dmy)
+        np.multiply(dmx, h, dmx)
+        np.multiply(dmy, h, dmy)
     return tuple(out)
 
 
-def _grid_args(g: AnisotropicGaussian, shape):
-    """Kernel arguments of a validated Gaussian over the pixel centers of an (H, W) grid."""
+def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
+    """A validated Gaussian and its parameter derivatives on the pixel centers
+    of an (H, W) grid: h, dh/dtheta, dh/dlog sigma_maj, dh/dlog sigma_min."""
     g.validate()
     d = g.decomp
-    return (np.arange(shape[1], dtype=np.float64)[None, :] - g.mean[0],
-            np.arange(shape[0], dtype=np.float64)[:, None] - g.mean[1],
-            d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
-
-
-def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
-    """Fused render + parameter gradients: h, dh/dtheta, dh/dsigma_maj, dh/dsigma_min."""
-    h, dtheta, dlog_maj, dlog_min = _gaussian(*_grid_args(g, grid_shape), gradients=True)
-    return h, dtheta, dlog_maj / g.decomp.sigma_maj, dlog_min / g.decomp.sigma_min
+    return _gaussian(np.arange(grid_shape[1], dtype=np.float64)[None, :] - g.mean[0],
+                     np.arange(grid_shape[0], dtype=np.float64)[:, None] - g.mean[1],
+                     d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
 
 
 def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Heatmap-regression training with fixed or jointly learned target covariances.
 
 Every step descends one objective, the pixel loss plus alpha * sigma_maj *
-sigma_min per landmark, whose value and gradients come from
-aniso_loss_gradients alone.  The covariance parameters are held as (theta,
-log sigma_maj, log sigma_min) so the extents stay positive without
-constraints.  The three target modes run one update and differ only in which
-parameters move: none (fixed_iso), both extents together (learned_iso) or
-all three (learned_aniso).  Results are reported canonically.
+sigma_min per landmark, with the value and gradients aniso_loss_gradients
+returns, in the coordinates held: (theta, log sigma_maj, log sigma_min), so
+the extents stay positive without constraints.  The three target modes run
+one update and differ only in which parameters move: none (fixed_iso), both
+extents together (learned_iso) or all three (learned_aniso).  Results are
+reported canonically.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class TrainedModel:
 def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
     """Anisotropic loss with its analytic gradients.
 
-    Returns (loss, cov_grads, dpred): cov_grads has one (d/dtheta, d/dsigma_maj,
-    d/dsigma_min) row per landmark and dpred is the gradient with respect to
-    the predicted heatmaps, ready to feed into a predictor backward pass.
+    Returns (loss, cov_grads, dpred): cov_grads has one (d/dtheta, d/dlog
+    sigma_maj, d/dlog sigma_min) row per landmark; dpred is the gradient with
+    respect to the predicted heatmaps, ready for a predictor backward pass.
     """
     coords = np.asarray(coords, dtype=np.float64)
     pred = np.asarray(pred, dtype=np.float64)
@@ -121,13 +121,14 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
     dpred = np.empty_like(pred)
     for i, d in enumerate(decomps):
         g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
-        target, dtheta, dmaj, dmin = render_with_param_gradients(g, pred.shape[1:])
+        target, dtheta, dlog_maj, dlog_min = render_with_param_gradients(g, pred.shape[1:])
         r = pred[i] - target
-        loss += (r ** 2).sum() + alpha * d.sigma_maj * d.sigma_min
+        reg = alpha * d.sigma_maj * d.sigma_min  # its d/dlog of either extent is itself
+        loss += (r ** 2).sum() + reg
         dpred[i] = 2.0 * r
         cov_grads[i, 0] = -2.0 * (r.ravel() @ dtheta.ravel())
-        cov_grads[i, 1] = -2.0 * (r.ravel() @ dmaj.ravel()) + alpha * d.sigma_min
-        cov_grads[i, 2] = -2.0 * (r.ravel() @ dmin.ravel()) + alpha * d.sigma_maj
+        cov_grads[i, 1] = -2.0 * (r.ravel() @ dlog_maj.ravel()) + reg
+        cov_grads[i, 2] = -2.0 * (r.ravel() @ dlog_min.ravel()) + reg
     return float(loss), cov_grads, dpred
 
 
@@ -189,7 +190,7 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
     # (shared parameters, its own forward cache); lane 0 is this thread
     lanes = [net] + [copy.copy(net) for _ in range(min(cfg.batch_size, usable_cpus()) - 1)]
 
-    def run_lane(w, it, idx, extents, decomps):
+    def run_lane(w, it, idx, decomps):
         out = []
         for slot in range(w, cfg.batch_size, len(lanes)):
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
@@ -197,8 +198,6 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
             pred = lanes[w].forward(images[idx[slot]], cfg.dropout_rate, drop_rng)
             loss, g, dpred = aniso_loss_gradients(pred, coords[idx[slot]], decomps,
                                                   cfg.alpha, cfg.gamma)
-            # chain rule to log extents per sample; the batch sum would round differently
-            g[:, 1:] *= extents
             out.append((slot, loss, g, None if cfg.freeze_predictor else lanes[w].backward(dpred)))
         return out
 
@@ -208,11 +207,9 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
         for it in range(cfg.iterations):
             with too_large(f"batch_size = {cfg.batch_size} is too large to draw a batch"):
                 idx = rng.integers(0, len(images), size=cfg.batch_size)
-            extents = np.exp(cov[:, 1:])
-            decomps = [CovarianceDecomposition(cov[i, 0], *extents[i]) for i in range(n_landmarks)]
-            helpers = [pool.submit(run_lane, w, it, idx, extents, decomps)
-                       for w in range(1, len(lanes))]
-            samples = run_lane(0, it, idx, extents, decomps)
+            decomps = list(map(CovarianceDecomposition, cov[:, 0], *np.exp(cov[:, 1:]).T))
+            helpers = [pool.submit(run_lane, w, it, idx, decomps) for w in range(1, len(lanes))]
+            samples = run_lane(0, it, idx, decomps)
             for f in helpers:
                 samples += f.result()
             # summed in slot order, so the bytes do not depend on the lane count

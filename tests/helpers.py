@@ -29,8 +29,6 @@ from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
-    _gaussian,
-    _grid_args,
     decompose,
     render_with_param_gradients,
 )
@@ -39,7 +37,7 @@ from hmuq.trainer import aniso_loss_gradients
 
 def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> np.ndarray:
     """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
-    return _gaussian(*_grid_args(g, grid_shape))
+    return render_with_param_gradients(g, grid_shape)[0]
 
 
 def compose_covariance(d: CovarianceDecomposition) -> np.ndarray:
@@ -92,11 +90,11 @@ def summed_covariance_gradients(pred, coords, decomps, alpha, gamma):
         r = pred[i] - target
         grads[i] = [-2.0 * (r * d).sum() for d in maps]
         scales[i] = [2.0 * np.abs(r * d).sum() for d in maps]
-    grads[:, 1:] += alpha * np.array([[d.sigma_min, d.sigma_maj] for d in decomps])
+    grads[:, 1:] += np.array([[alpha * d.sigma_maj * d.sigma_min] for d in decomps])
     return grads, scales
 
 
-def allocating_gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradients=False):
+def allocating_gaussian(dx, dy, theta, a, b, amp, mean_gradients=False):
     """gauss._gaussian with a fresh array for every operation: the oracle that
     the in-place kernel must match bit for bit (same arguments, no `out`)."""
     c, s = math.cos(theta), math.sin(theta)
@@ -105,8 +103,6 @@ def allocating_gaussian(dx, dy, theta, a, b, amp, gradients=False, mean_gradient
     q1 = (u1 / a) ** 2
     q2 = (u2 / b) ** 2
     h = (amp / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
-    if not (gradients or mean_gradients):
-        return h
     out = (h, h * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2), h * (q1 - 1.0), h * (q2 - 1.0))
     if not mean_gradients:
         return out
@@ -228,8 +224,9 @@ def scipy_solve(xs, ys, data, p0, max_nfev, loss="soft_l1"):
         _model(p, xs, ys, out)
         return out.T
 
+    scratch = np.empty((6, xs.size))  # the rows the residuals do not read
     return least_squares(
-        lambda p: _model(p, xs, ys) - data, p0, jac=jac,
+        lambda p: _model(p, xs, ys, scratch) - data, p0, jac=jac,
         method="trf", loss=loss, xtol=TOLERANCE, ftol=TOLERANCE, gtol=None,
         max_nfev=max_nfev)
 

@@ -80,18 +80,19 @@ def test_criterion_1_gradient_correctness():
                                            rng.uniform(1.0, 2.0)) for _ in range(2)]
         _, grad_cov, _ = aniso_loss_gradients(pred, coords, decomps, 5.0, 100.0)
         for j in range(2):
-            for field_idx, name in enumerate(("theta", "sigma_maj", "sigma_min")):
-                eps = 1e-6 * max(1.0, abs(getattr(decomps[j], name)))
+            # the gradients are by (theta, log sigma_maj, log sigma_min)
+            at = [decomps[j].theta, math.log(decomps[j].sigma_maj),
+                  math.log(decomps[j].sigma_min)]
+            for field_idx in range(3):
+                v = at[field_idx]
+                eps = 1e-6 * max(1.0, abs(v))
 
                 def loss_at(value):
+                    theta, log_maj, log_min = at[:field_idx] + [value] + at[field_idx + 1:]
                     d = decomps.copy()
-                    kw = {"theta": d[j].theta, "sigma_maj": d[j].sigma_maj,
-                          "sigma_min": d[j].sigma_min}
-                    kw[name] = value
-                    d[j] = CovarianceDecomposition(**kw)
+                    d[j] = CovarianceDecomposition(theta, math.exp(log_maj), math.exp(log_min))
                     return loss_learned_aniso(pred, coords, d, 5.0, 100.0)
 
-                v = getattr(decomps[j], name)
                 fd = (loss_at(v + eps) - loss_at(v - eps)) / (2.0 * eps)
                 rel = abs(grad_cov[j, field_idx] - fd) / max(abs(fd), 1e-8)
                 worst_cov = max(worst_cov, rel)

@@ -736,6 +736,17 @@ def _images_row_case(edit):
     return build
 
 
+def _annotation_repeated(pipeline, tmp):
+    """A copy of the pipeline dataset whose annotations.csv ends with a second
+    row for the first image's landmark 0."""
+    bad = tmp / "bad"
+    shutil.copytree(pipeline / "d", bad)
+    path = bad / "annotations.csv"
+    with open(path, "a") as fh:
+        fh.write("img_0000,0,,5.0,5.0\n")
+    return ["predict", "--model", str(pipeline / "m"), "--data", str(bad)], path
+
+
 def _clinical_case(flag, text):
     """clinical on the pipeline with the file of `--<flag>` (names or
     measurements) holding `text`."""
@@ -896,6 +907,8 @@ BAD_INPUTS = {
     "images-duplicate-id": (  # line 4 takes the id of line 3
         _images_row_case(lambda lines: lines[2].split(",")[0] + "," + lines[3].split(",", 1)[1]),
         ":4: duplicate image id 'img_0001'"),
+    "annotations-repeated-landmark": (_annotation_repeated,
+                                      "two rows for image 'img_0000' landmark 0"),
     "measurements-bad-breakpoints": (
         _clinical_case("measurements", MEAS_CFG.replace("6.0, 12.0", "6.0, x")),
         "bad breakpoints"),

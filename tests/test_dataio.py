@@ -247,6 +247,18 @@ class TestAnnotations:
         with pytest.raises(DataFormatError, match=":3"):
             read_annotations(path)
 
+    def test_second_row_for_a_landmark_rejected(self, tmp_path):
+        # a single-annotator table holds one row per (image, landmark)
+        coords = np.full((2, 2, 2), 3.0)
+        manifest = write_dataset(tmp_path / "ds", ["img_0", "img_1"], [np.zeros((8, 8))] * 2,
+                                 coords, [1.0, 1.0], 2)
+        path = tmp_path / "ds" / "annotations.csv"
+        with open(path, "a") as fh:
+            fh.write("img_1,0,,5.0,5.0\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: two rows for image 'img_1' landmark 0")):
+            load_dataset(manifest)
+
 
 class TestDataset:
     def make(self, tmp_path, coords=None, observer_rows=None, n=3, size=16):

@@ -29,6 +29,7 @@ from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
+    render_with_param_gradients,
 )
 
 
@@ -198,13 +199,32 @@ class TestFitJacobian:
             p = np.array([rng.uniform(18.0, 26.0), rng.uniform(16.0, 24.0), d.theta,
                           math.log(d.sigma_maj), math.log(d.sigma_min), math.log(100.0)])
             jac = np.full((6, xs.size), np.nan)
-            assert np.array_equal(_model(p, xs, ys, jac), _model(p, xs, ys))
+            _model(p, xs, ys, jac)
+            hi, lo = np.empty((2, 6, xs.size))  # _model returns a row of its jac
             for k in range(6):
                 e = np.zeros(6)
                 e[k] = step
-                fd = (_model(p + e, xs, ys) - _model(p - e, xs, ys)) / (2 * step)
+                fd = (_model(p + e, xs, ys, hi) - _model(p - e, xs, ys, lo)) / (2 * step)
                 assert max_rel_error(fd, jac[k]) < 1e-6, f"row {k}"
             checked += 1
+
+    def test_rows_are_the_training_kernel(self):
+        # p = (mx, my, theta, log a, log b, log amp) and the Gaussian of exp of the
+        # same floats: the loss's four maps are the fit's value and its theta,
+        # log a and log b rows, bit for bit, at the same pixel centres
+        rng = np.random.default_rng(29)
+        shape = (30, 32)
+        ys, xs = np.mgrid[:shape[0], :shape[1]].astype(np.float64).reshape(2, -1)
+        jac = np.empty((6, xs.size))
+        for _ in range(50):
+            p = np.array([*rng.uniform(4.0, 26.0, 2), rng.uniform(-1.5, 1.5),
+                          *rng.uniform(0.0, 2.0, 2), rng.uniform(3.0, 6.0)])
+            decomp = CovarianceDecomposition(p[2], math.exp(p[3]), math.exp(p[4]))
+            g = AnisotropicGaussian((p[0], p[1]), decomp, math.exp(p[5]))
+            value = _model(p, xs, ys, jac)
+            for k, (got, want) in enumerate(zip(render_with_param_gradients(g, shape),
+                                                (value, jac[2], jac[3], jac[4]))):
+                assert np.array_equal(got.ravel(), want), k
 
 
 def noisy_anisotropic(rng, shape=(64, 64), mean=None):

@@ -124,13 +124,18 @@ class TestLossGradients:
             c = np.array([[rng.uniform(15.0, 33.0), rng.uniform(15.0, 33.0)]])
             _, grads, _ = aniso_loss_gradients(
                 pred, c, [CovarianceDecomposition(th, a, b)], ALPHA, GAMMA)
-            for k in range(3):
-                args = [th, a, b]
+
+            def loss_at(theta, log_a, log_b):
+                d = CovarianceDecomposition(theta, math.exp(log_a), math.exp(log_b))
+                return loss_learned_aniso(pred, c, [d], ALPHA, GAMMA)
+
+            for k in range(3):  # steps in (theta, log sigma_maj, log sigma_min)
+                args = [th, math.log(a), math.log(b)]
                 eps = 1e-6
                 args[k] += eps
-                hi = loss_learned_aniso(pred, c, [CovarianceDecomposition(*args)], ALPHA, GAMMA)
+                hi = loss_at(*args)
                 args[k] -= 2.0 * eps
-                lo = loss_learned_aniso(pred, c, [CovarianceDecomposition(*args)], ALPHA, GAMMA)
+                lo = loss_at(*args)
                 fd = (hi - lo) / (2.0 * eps)
                 worst = max(worst, abs(grads[0, k] - fd) / max(abs(fd), 1e-9))
         assert worst < 1e-4
@@ -157,10 +162,10 @@ class TestLossGradients:
         sigma = 2.8
         _, grads, _ = aniso_loss_gradients(
             pred, c, [CovarianceDecomposition(0.0, sigma, sigma)], ALPHA, GAMMA)
-        analytic = grads[0, 1] + grads[0, 2]  # shared extent moves both axes
+        analytic = grads[0, 1] + grads[0, 2]  # shared log extent moves both axes
         eps = 1e-6
-        hi = loss_learned_iso(pred, c, [sigma + eps], ALPHA, GAMMA)
-        lo = loss_learned_iso(pred, c, [sigma - eps], ALPHA, GAMMA)
+        hi = loss_learned_iso(pred, c, [math.exp(math.log(sigma) + eps)], ALPHA, GAMMA)
+        lo = loss_learned_iso(pred, c, [math.exp(math.log(sigma) - eps)], ALPHA, GAMMA)
         assert abs(analytic - (hi - lo) / (2.0 * eps)) / abs(analytic) < 1e-4
 
     def test_end_to_end_predictor_gradients(self):
@@ -222,8 +227,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", TARGET_MODES)
     def test_covariance_step_is_the_checked_gradient(self, mode):
-        """One step moves the covariance parameters by exactly the projected,
-        chain-ruled gradient of the objective aniso_loss_gradients computes."""
+        """One step moves the covariance parameters by exactly the projected
+        gradient of the objective aniso_loss_gradients computes, as returned."""
         coords = np.array([[[14.2, 8.3], [4.7, 4.3]], [[17.0, 18.6], [13.7, 15.7]]])
         ds = Dataset(["a", "b"], [np.zeros((24, 24))] * 2, coords, np.ones(2), 2)
         cfg = TrainConfig(iterations=1, batch_size=2, seed=1, target_mode=mode,
@@ -232,15 +237,13 @@ class TestTrain:
 
         start = np.zeros((2, 3))
         start[:, 1:] = math.log(cfg.sigma_init)
-        extents = np.exp(start[:, 1:])
-        decomps = [CovarianceDecomposition(0.0, *e) for e in extents]
+        decomps = [CovarianceDecomposition(0.0, *e) for e in np.exp(start[:, 1:])]
         idx = np.random.default_rng(cfg.seed).integers(0, 2, size=2)  # train's batch draw
         assert sorted(idx) == [0, 1]
         loss, grad = 0.0, np.zeros((2, 3))
         for j in idx:
             value, g, _ = aniso_loss_gradients(np.zeros((2, 24, 24)), coords[j], decomps,
                                                cfg.alpha, cfg.gamma)
-            g[:, 1:] *= extents
             loss += value
             grad += g
         assert m.loss_trace.tolist() == [loss / 2]
@@ -340,6 +343,14 @@ class TestLanes:
         during = []
         train(ds, cfg, progress=lambda *_: during.append(threading.active_count()))
         assert during == [before] * cfg.iterations
+
+    @pytest.mark.parametrize("count, want", [(6, 6), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, want):
+        """Where os.sched_getaffinity does not exist (macOS, Windows), the lanes
+        follow os.cpu_count(), and there is one when that count is unknown."""
+        monkeypatch.delattr(trainer.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(trainer.os, "cpu_count", lambda: count)
+        assert trainer.usable_cpus() == want
 
 
 @pytest.fixture(scope="module")
