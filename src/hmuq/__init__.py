@@ -3,6 +3,15 @@ targets whose covariances are learned from the data, Gaussian fitting of
 predicted heatmaps as per-image uncertainty, Monte-Carlo-dropout baselines,
 and propagation of landmark uncertainty into downstream measurements."""
 
+import os
+
+# One BLAS thread unless the user set a thread count: train's lanes take one CPU
+# each, and BLAS threads of their own would contend with them.  BLAS reads these
+# when numpy first loads, so this holds unless numpy was imported before hmuq.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
 from .clinical import (
     ClassificationResult,
     ClassThresholds,

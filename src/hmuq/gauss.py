@@ -110,54 +110,71 @@ def wrap_axis_angle(theta: float) -> float:
     return t
 
 
+def _scalars(theta, a, b, amp):
+    """cos theta, sin theta, amp / (2 pi a b), 1 / b^2 - 1 / a^2, a^2 and b^2 in
+    scalar arithmetic (numpy's array b ** 2 rounds differently), stacked to
+    (N, 1, 1) arrays for (N, 1, 1) parameters."""
+    if isinstance(theta, np.ndarray):
+        rows = [_scalars(*p) for p in zip(theta.flat, a.flat, b.flat, amp.flat)]
+        return np.array(rows).T[..., None, None]
+    a2, b2 = a ** 2, b ** 2
+    return math.cos(theta), math.sin(theta), amp / (TWO_PI * a * b), 1.0 / b2 - 1.0 / a2, a2, b2
+
+
 def _gaussian(dx, dy, theta, a, b, amp, mean_gradients=False, out=None):
     """Gaussian of mass amp and extents (a, b) at offsets (dx, dy) = pixel - mean.
 
-    dx and dy broadcast: a row and a column for a grid, or two flat arrays for
-    a fit window.  Returns (values, d/dtheta, d/dlog a, d/dlog b), with
-    `mean_gradients` followed by d/dmean_x and d/dmean_y, in `out` (one array
-    of the broadcast shape per result) or in new arrays.  The operations and
-    their order are those of the formulas in the comments, so writing in
-    place changes no bit.  Outputs are passed positionally: numpy parses an
-    `out=` keyword more slowly.  Nothing is validated here.
+    theta, a, b and amp are numbers, or (N, 1, 1) arrays for a stack of N.  dx
+    and dy broadcast: a row and a column for a grid (with a leading N axis for
+    a stack), or two flat arrays for a fit window.  Returns (values, d/dtheta,
+    d/dlog a, d/dlog b), with `mean_gradients` followed by d/dmean_x and
+    d/dmean_y, in `out` (one array of the broadcast shape per result) or in
+    new arrays.  The operations and their order are those of the formulas in
+    the comments, so neither writing in place nor stacking changes a bit.
+    Outputs are passed positionally: numpy parses an `out=` keyword more
+    slowly.  Nothing is validated here.
     """
     if out is None:
         out = np.empty((6 if mean_gradients else 4, *np.broadcast(dx, dy).shape))
+    c, s, norm, k, a2, b2 = _scalars(theta, a, b, amp)
     u1, u2, q1, q2 = np.empty((4, *out[0].shape))
-    c, s = math.cos(theta), math.sin(theta)
     np.add(c * dx, s * dy, u1)  # a grid's products stay a row and a column
     np.add(-s * dx, c * dy, u2)
     np.square(np.divide(u1, a, q1), q1)  # (u1 / a)^2
     np.square(np.divide(u2, b, q2), q2)
     h = np.add(q1, q2, out[0])  # amp / (2 pi a b) exp(-0.5 (q1 + q2))
     np.exp(np.multiply(-0.5, h, h), h)
-    np.multiply(h, amp / (TWO_PI * a * b), h)
+    np.multiply(h, norm, h)
     dtheta, dlog_a, dlog_b = out[1], out[2], out[3]
     np.multiply(h, u1, dtheta)  # h u1 u2 (1 / b^2 - 1 / a^2)
     np.multiply(dtheta, u2, dtheta)
-    np.multiply(dtheta, 1.0 / b ** 2 - 1.0 / a ** 2, dtheta)
+    np.multiply(dtheta, k, dtheta)
     np.multiply(h, np.subtract(q1, 1.0, q1), dlog_a)  # h (q1 - 1)
     np.multiply(h, np.subtract(q2, 1.0, q2), dlog_b)
     if mean_gradients:
         dmx, dmy = out[4], out[5]
         # h (c u1 / a^2 - s u2 / b^2) and h (s u1 / a^2 + c u2 / b^2)
-        np.subtract(np.divide(np.multiply(c, u1, dmx), a ** 2, dmx),
-                    np.divide(np.multiply(s, u2, q1), b ** 2, q1), dmx)
-        np.add(np.divide(np.multiply(s, u1, dmy), a ** 2, dmy),
-               np.divide(np.multiply(c, u2, q2), b ** 2, q2), dmy)
+        np.subtract(np.divide(np.multiply(c, u1, dmx), a2, dmx),
+                    np.divide(np.multiply(s, u2, q1), b2, q1), dmx)
+        np.add(np.divide(np.multiply(s, u1, dmy), a2, dmy),
+               np.divide(np.multiply(c, u2, q2), b2, q2), dmy)
         np.multiply(dmx, h, dmx)
         np.multiply(dmy, h, dmy)
     return tuple(out)
 
 
-def render_with_param_gradients(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
-    """A validated Gaussian and its parameter derivatives on the pixel centers
-    of an (H, W) grid: h, dh/dtheta, dh/dlog sigma_maj, dh/dlog sigma_min."""
-    g.validate()
-    d = g.decomp
-    return _gaussian(np.arange(grid_shape[1], dtype=np.float64)[None, :] - g.mean[0],
-                     np.arange(grid_shape[0], dtype=np.float64)[:, None] - g.mean[1],
-                     d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
+def render_with_param_gradients(gaussians, grid_shape: tuple[int, int]):
+    """Validated Gaussians and their parameter derivatives on the pixel centers
+    of an (H, W) grid, from one kernel call: (N, H, W) stacks of h, dh/dtheta,
+    dh/dlog sigma_maj and dh/dlog sigma_min, one layer per Gaussian."""
+    for g in gaussians:
+        g.validate()
+    mx, my, theta, a, b, amp = np.array(
+        [(*g.mean, g.decomp.theta, g.decomp.sigma_maj, g.decomp.sigma_min, g.amplitude)
+         for g in gaussians]).T[..., None, None]
+    return _gaussian(np.arange(grid_shape[1], dtype=np.float64) - mx,
+                     np.arange(grid_shape[0], dtype=np.float64)[:, None] - my,
+                     theta, a, b, amp)
 
 
 def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:

@@ -13,13 +13,14 @@ def _row_patches(x):
     """(H, W, C) -> ((H+2)*W, 3*C) row-patch matrix of the zero-padded input.
 
     Row r*W + j holds padded pixels (r, j..j+2) with columns in (kj, c) order:
-    one strided view of the padded input, copied once by the reshape.
+    one strided view of the padded input (without as_strided's Python wrapper),
+    copied once by the reshape.
     """
     h, w, c = x.shape
     padded = np.zeros((h + 2, w + 2, c), dtype=x.dtype)
     padded[1:-1, 1:-1] = x
     s0, s1, s2 = padded.strides
-    view = np.lib.stride_tricks.as_strided(padded, (h + 2, w, 3, c), (s0, s1, s1, s2))
+    view = np.ndarray((h + 2, w, 3, c), padded.dtype, padded, 0, (s0, s1, s1, s2))
     return view.reshape((h + 2) * w, 3 * c)
 
 
@@ -255,8 +256,10 @@ class ReferencePredictor:
         h, wd = dy.shape[:2]
         n = h * wd
         dym = dy.reshape(n, cout)
-        g = np.stack([dym.T @ rows[ki * wd:ki * wd + n] for ki in (0, 1, 2)], axis=1)
-        gw[layer][...] = g.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+        g = np.empty((3, cout, 3 * cin), dtype=dym.dtype)  # kernel row ki's products in g[ki]
+        for ki in (0, 1, 2):
+            np.matmul(dym.T, rows[ki * wd:ki * wd + n], g[ki])
+        gw[layer][...] = g.reshape(3, cout, 3, cin).transpose(1, 3, 0, 2)
         gb[layer][...] = np.ones(n, dtype=dym.dtype) @ dym
         if layer == 0:
             return None  # nothing reads the image gradient

@@ -116,19 +116,19 @@ def aniso_loss_gradients(pred, coords, decomps, alpha: float, gamma: float):
             f"expected {len(coords)} predicted heatmaps, got array of shape {pred.shape}")
     if len(decomps) != len(coords):
         raise InvalidParameterError("one covariance decomposition per landmark required")
+    gaussians = [AnisotropicGaussian(tuple(c), d, gamma) for c, d in zip(coords, decomps)]
+    target, *maps = render_with_param_gradients(gaussians, pred.shape[1:])
+    r = pred - target
+    squares = np.square(r).sum(axis=(1, 2))
+    dpred = 2.0 * r
+    r, maps = r.reshape(len(r), -1), [m.reshape(len(r), -1) for m in maps]
     loss = 0.0
     cov_grads = np.empty((len(decomps), 3))
-    dpred = np.empty_like(pred)
     for i, d in enumerate(decomps):
-        g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
-        target, dtheta, dlog_maj, dlog_min = render_with_param_gradients(g, pred.shape[1:])
-        r = pred[i] - target
         reg = alpha * d.sigma_maj * d.sigma_min  # its d/dlog of either extent is itself
-        loss += (r ** 2).sum() + reg
-        dpred[i] = 2.0 * r
-        cov_grads[i, 0] = -2.0 * (r.ravel() @ dtheta.ravel())
-        cov_grads[i, 1] = -2.0 * (r.ravel() @ dlog_maj.ravel()) + reg
-        cov_grads[i, 2] = -2.0 * (r.ravel() @ dlog_min.ravel()) + reg
+        loss += squares[i] + reg
+        dtheta, dlog_maj, dlog_min = (-2.0 * (r[i] @ m[i]) for m in maps)
+        cov_grads[i] = dtheta, dlog_maj + reg, dlog_min + reg
     return float(loss), cov_grads, dpred
 
 

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: the Gaussian renderers, the covariance
 composer and the axis-angle difference that only tests use, losses, scipy's
 least-squares solver, and the elementwise covariance-gradient sums, allocating
-Gaussian kernel, soft-L1 loss, fit set-up and SVD-only solve that serve as
-independent oracles for the anisotropic code paths."""
+Gaussian kernel, per-landmark loss loop, soft-L1 loss, fit set-up and SVD-only
+solve that serve as independent oracles for the anisotropic code paths."""
 
 import math
 
@@ -29,6 +29,7 @@ from hmuq.gauss import (
     AnisotropicGaussian,
     CovarianceDecomposition,
     InvalidParameterError,
+    _gaussian,
     decompose,
     render_with_param_gradients,
 )
@@ -37,7 +38,17 @@ from hmuq.trainer import aniso_loss_gradients
 
 def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> np.ndarray:
     """Render amplitude/(2 pi sqrt|S|) exp(-(x-mu)^T S^-1 (x-mu) / 2) on an (H, W) grid."""
-    return render_with_param_gradients(g, grid_shape)[0]
+    return render_with_param_gradients([g], grid_shape)[0][0]
+
+
+def render_one(g: AnisotropicGaussian, grid_shape: tuple[int, int]):
+    """h, dh/dtheta, dh/dlog sigma_maj and dh/dlog sigma_min of one Gaussian on
+    an (H, W) grid, from one kernel call with scalar parameters: the oracle of
+    each layer of render_with_param_gradients' stacks."""
+    d = g.decomp
+    return _gaussian(np.arange(grid_shape[1], dtype=np.float64)[None, :] - g.mean[0],
+                     np.arange(grid_shape[0], dtype=np.float64)[:, None] - g.mean[1],
+                     d.theta, d.sigma_maj, d.sigma_min, g.amplitude)
 
 
 def compose_covariance(d: CovarianceDecomposition) -> np.ndarray:
@@ -86,7 +97,7 @@ def summed_covariance_gradients(pred, coords, decomps, alpha, gamma):
     grads, scales = np.empty((len(decomps), 3)), np.empty((len(decomps), 3))
     for i, dec in enumerate(decomps):
         g = AnisotropicGaussian(tuple(coords[i]), dec, gamma)
-        target, *maps = render_with_param_gradients(g, pred.shape[1:])
+        target, *maps = render_one(g, pred.shape[1:])
         r = pred[i] - target
         grads[i] = [-2.0 * (r * d).sum() for d in maps]
         scales[i] = [2.0 * np.abs(r * d).sum() for d in maps]
@@ -96,18 +107,45 @@ def summed_covariance_gradients(pred, coords, decomps, alpha, gamma):
 
 def allocating_gaussian(dx, dy, theta, a, b, amp, mean_gradients=False):
     """gauss._gaussian with a fresh array for every operation: the oracle that
-    the in-place kernel must match bit for bit (same arguments, no `out`)."""
-    c, s = math.cos(theta), math.sin(theta)
+    the in-place kernel must match bit for bit (same arguments, no `out`).
+    (N, 1, 1) parameters take each Gaussian's scalars in scalar arithmetic."""
+
+    def scalars(theta, a, b, amp):
+        return math.cos(theta), math.sin(theta), amp / (TWO_PI * a * b), a ** 2, b ** 2
+
+    if isinstance(theta, np.ndarray):
+        c, s, norm, a2, b2 = np.array(
+            [scalars(*p) for p in zip(theta.flat, a.flat, b.flat, amp.flat)]).T.reshape(5, -1, 1, 1)
+    else:
+        c, s, norm, a2, b2 = scalars(theta, a, b, amp)
     u1 = c * dx + s * dy
     u2 = -s * dx + c * dy
     q1 = (u1 / a) ** 2
     q2 = (u2 / b) ** 2
-    h = (amp / (TWO_PI * a * b)) * np.exp(-0.5 * (q1 + q2))
-    out = (h, h * u1 * u2 * (1.0 / b ** 2 - 1.0 / a ** 2), h * (q1 - 1.0), h * (q2 - 1.0))
+    h = norm * np.exp(-0.5 * (q1 + q2))
+    out = (h, h * u1 * u2 * (1.0 / b2 - 1.0 / a2), h * (q1 - 1.0), h * (q2 - 1.0))
     if not mean_gradients:
         return out
-    return out + (h * (c * u1 / a ** 2 - s * u2 / b ** 2),
-                  h * (s * u1 / a ** 2 + c * u2 / b ** 2))
+    return out + (h * (c * u1 / a2 - s * u2 / b2), h * (s * u1 / a2 + c * u2 / b2))
+
+
+def looped_loss_gradients(pred, coords, decomps, alpha, gamma):
+    """trainer.aniso_loss_gradients one landmark at a time, each target from its
+    own kernel call: the oracle that the stacked loss must match bit for bit."""
+    loss = 0.0
+    cov_grads = np.empty((len(decomps), 3))
+    dpred = np.empty_like(pred)
+    for i, d in enumerate(decomps):
+        g = AnisotropicGaussian(tuple(coords[i]), d, gamma)
+        target, dtheta, dlog_maj, dlog_min = render_one(g, pred.shape[1:])
+        r = pred[i] - target
+        reg = alpha * d.sigma_maj * d.sigma_min
+        loss += (r ** 2).sum() + reg
+        dpred[i] = 2.0 * r
+        cov_grads[i, 0] = -2.0 * (r.ravel() @ dtheta.ravel())
+        cov_grads[i, 1] = -2.0 * (r.ravel() @ dlog_maj.ravel()) + reg
+        cov_grads[i, 2] = -2.0 * (r.ravel() @ dlog_min.ravel()) + reg
+    return float(loss), cov_grads, dpred
 
 
 def allocating_soft_l1(f):

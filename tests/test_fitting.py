@@ -222,7 +222,7 @@ class TestFitJacobian:
             decomp = CovarianceDecomposition(p[2], math.exp(p[3]), math.exp(p[4]))
             g = AnisotropicGaussian((p[0], p[1]), decomp, math.exp(p[5]))
             value = _model(p, xs, ys, jac)
-            for k, (got, want) in enumerate(zip(render_with_param_gradients(g, shape),
+            for k, (got, want) in enumerate(zip(render_with_param_gradients([g], shape),
                                                 (value, jac[2], jac[3], jac[4]))):
                 assert np.array_equal(got.ravel(), want), k
 

@@ -13,6 +13,7 @@ from helpers import (
     random_decomposition,
     render_anisotropic,
     render_isotropic,
+    render_one,
 )
 from hmuq.gauss import (
     AnisotropicGaussian,
@@ -166,12 +167,12 @@ class TestRender:
 class TestParamGradients:
     def test_isotropic_theta_gradient_is_zero(self):
         g = AnisotropicGaussian((16.0, 16.0), CovarianceDecomposition(0.3, 3.0, 3.0), 100.0)
-        dtheta, _, _ = render_with_param_gradients(g, (33, 33))[1:]
+        dtheta = render_with_param_gradients([g], (33, 33))[1][0]
         assert np.abs(dtheta).max() == 0.0
 
     def test_peak_shrinks_with_sigma_maj(self):
         g = AnisotropicGaussian((16.0, 16.0), CovarianceDecomposition(0.0, 3.0, 2.0), 100.0)
-        _, dmaj, _ = render_with_param_gradients(g, (33, 33))[1:]
+        dmaj = render_with_param_gradients([g], (33, 33))[2][0]
         assert dmaj[16, 16] < 0.0
 
     def test_matches_finite_differences(self):
@@ -184,7 +185,7 @@ class TestParamGradients:
             d = random_decomposition(rng, 1.0, 8.0)
             mean = tuple(rng.uniform(12, 28, size=2))
             g = AnisotropicGaussian(mean, d, 100.0)
-            dtheta, dlog_maj, dlog_min = render_with_param_gradients(g, shape)[1:]
+            dtheta, dlog_maj, dlog_min = (m[0] for m in render_with_param_gradients([g], shape)[1:])
             log_maj, log_min = math.log(d.sigma_maj), math.log(d.sigma_min)
 
             def render(theta=d.theta, a=log_maj, b=log_min):
@@ -204,25 +205,37 @@ class TestKernelInPlace:
     """gauss._gaussian writes in place; the allocating kernel is its oracle."""
 
     @staticmethod
-    def offsets(rng, flat):
-        mx, my = rng.uniform(-5.0, 45.0, size=2)
-        if flat:  # flat pixel arrays of a box, as fitting._solve takes them
+    def offsets(rng, layout):
+        if layout == "window":  # flat pixel arrays of a box, as fitting._solve takes them
+            mx, my = rng.uniform(-5.0, 45.0, size=2)
             x0, y0 = rng.integers(0, 20, size=2)
             w, h = rng.integers(1, 30, size=2)
             xs = np.tile(np.arange(x0, x0 + w, dtype=np.float64), h)
             ys = np.repeat(np.arange(y0, y0 + h, dtype=np.float64), w)
             return xs - mx, ys - my
-        h, w = rng.integers(1, 48, size=2)  # a grid, as render_anisotropic lays it out
-        return (np.arange(w, dtype=np.float64)[None, :] - mx,
-                np.arange(h, dtype=np.float64)[:, None] - my)
+        # a grid, as render_with_param_gradients lays it out; a stack has N means
+        mx, my = rng.uniform(-5.0, 45.0, size=(2, rng.integers(1, 20) if layout == "stack" else 1))
+        h, w = rng.integers(1, 48, size=2)
+        dx = np.arange(w, dtype=np.float64) - mx[:, None, None]
+        dy = np.arange(h, dtype=np.float64)[:, None] - my[:, None, None]
+        return (dx, dy) if layout == "stack" else (dx[0], dy[0])
 
-    @pytest.mark.parametrize("flat", [False, True], ids=["grid", "window"])
-    def test_bit_identical_to_allocating_oracle(self, flat):
-        rng = np.random.default_rng(71 + flat)
+    @staticmethod
+    def parameters(rng, count):
+        """theta, a, b and amp: numbers, or (N, 1, 1) arrays for a stack of N."""
+        theta = rng.uniform(-math.pi, math.pi, count)
+        a, b = np.exp(rng.uniform(-1.0, 2.5, size=2 if count is None else (2, count)))
+        amp = rng.uniform(0.1, 200.0, count)
+        if count is None:
+            return theta, a, b, amp
+        return tuple(v.reshape(-1, 1, 1) for v in (theta, a, b, amp))
+
+    @pytest.mark.parametrize("layout", ["grid", "window", "stack"])
+    def test_bit_identical_to_allocating_oracle(self, layout):
+        rng = np.random.default_rng(71 + ["grid", "window", "stack"].index(layout))
         for _ in range(200):
-            dx, dy = self.offsets(rng, flat)
-            args = (dx, dy, rng.uniform(-math.pi, math.pi), *np.exp(rng.uniform(-1.0, 2.5, size=2)),
-                    rng.uniform(0.1, 200.0))
+            dx, dy = self.offsets(rng, layout)
+            args = (dx, dy, *self.parameters(rng, len(dx) if layout == "stack" else None))
             for kind, count in (({}, 4), ({"mean_gradients": True}, 6)):
                 ref = allocating_gaussian(*args, **kind)
                 got = _gaussian(*args, **kind)
@@ -233,6 +246,37 @@ class TestKernelInPlace:
                 for k in range(count):
                     assert np.array_equal(got[k], ref[k]), (kind, k)
                     assert np.array_equal(rows[k], ref[k]), (kind, k)
+
+
+class TestStackedRender:
+    """render_with_param_gradients renders a sample's N Gaussians in one stack,
+    byte for byte the N kernel calls on one Gaussian each."""
+
+    @pytest.mark.parametrize("size, count", [(64, 4), (256, 19)])
+    def test_stack_equals_one_gaussian_renders(self, size, count):
+        rng = np.random.default_rng(size + count)
+        # extents as train makes them: float64 scalars from exp of log extents
+        gaussians = [AnisotropicGaussian(tuple(rng.uniform(0.0, size - 1.0, 2)),
+                                         random_decomposition(rng, 1.0, 8.0), 100.0)
+                     for _ in range(count)]
+        # on the border, with extents whose 1 / b^2 - 1 / a^2 comes out otherwise
+        # from numpy's array squares (b * b) than from scalar ones
+        a, b = next((a, b) for b in np.exp(rng.uniform(0.0, 2.0, 10_000)) for a in [1.5 * b]
+                    if 1.0 / (b * b) - 1.0 / (a * a) != 1.0 / b ** 2 - 1.0 / a ** 2)
+        gaussians[-1] = AnisotropicGaussian((0.0, size - 1.0),
+                                            CovarianceDecomposition(0.5, a, b), 100.0)
+        gaussians[0] = AnisotropicGaussian((size - 1.0, 17.25), gaussians[0].decomp, 100.0)
+        stack = render_with_param_gradients(gaussians, (size, size))
+        assert all(m.shape == (count, size, size) for m in stack)
+        for i, g in enumerate(gaussians):
+            for m, want in zip(stack, render_one(g, (size, size))):
+                assert m[i].tobytes() == want.tobytes(), i
+
+    def test_every_gaussian_is_validated(self):
+        good = AnisotropicGaussian((4.0, 4.0), CovarianceDecomposition(0.0, 2.0, 1.0), 100.0)
+        bad = AnisotropicGaussian((4.0, 4.0), CovarianceDecomposition(0.0, 2.0, 0.0), 100.0)
+        with pytest.raises(InvalidParameterError):
+            render_with_param_gradients([good, bad], (8, 8))
 
 
 class TestSampling:

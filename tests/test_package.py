@@ -1,7 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hmuq"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _used_names(tree):
@@ -58,3 +64,27 @@ class TestPublicApi:
         unused = [f"{module}:{qualname}" for module, tree in modules.items()
                   for qualname, name in _definitions(tree) if name not in used]
         assert unused == []
+
+
+class TestBlasThreads:
+    """Importing hmuq before numpy pins BLAS to one thread, unless the user set
+    a thread count, which is kept."""
+
+    @staticmethod
+    def after_import(**user):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        env.update(user, PYTHONPATH=str(PACKAGE.parent))
+        code = f"import os, hmuq; print([os.environ.get(v) for v in {BLAS_THREADS!r}])"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.strip()
+
+    def test_unset_becomes_one_thread(self):
+        assert self.after_import() == "['1', '1', '1']"
+
+    @pytest.mark.parametrize("var", BLAS_THREADS)
+    def test_user_value_is_kept(self, var):
+        want = [None] * 3
+        want[BLAS_THREADS.index(var)] = "3"
+        assert self.after_import(**{var: "3"}) == str(want)

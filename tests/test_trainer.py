@@ -10,6 +10,7 @@ from helpers import (
     loss_fixed,
     loss_learned_aniso,
     loss_learned_iso,
+    looped_loss_gradients,
     max_rel_error,
     render_targets,
     summed_covariance_gradients,
@@ -154,6 +155,22 @@ class TestLossGradients:
         _, grads, _ = aniso_loss_gradients(pred, c, [decomp], ALPHA, GAMMA)
         want, scale = summed_covariance_gradients(pred, c, [decomp], ALPHA, GAMMA)
         assert np.all(np.abs(grads - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("size, count", [(64, 4), (256, 19)])
+    def test_bit_identical_to_per_landmark_loop(self, size, count):
+        rng = np.random.default_rng(size + count)
+        coords = rng.uniform(0.0, size - 1.0, (count, 2))
+        coords[0] = (0.0, size / 3)  # on the border
+        cov = np.column_stack([rng.uniform(-1.5, 1.5, count), rng.uniform(0.0, 2.0, (count, 2))])
+        decomps = list(map(CovarianceDecomposition, cov[:, 0], *np.exp(cov[:, 1:]).T))  # as train
+        pred = (render_targets(coords, decomps, GAMMA, (size, size))
+                + rng.normal(0.0, 0.3, (count, size, size)))
+        loss, grads, dpred = aniso_loss_gradients(pred, coords, decomps, ALPHA, GAMMA)
+        want_loss, want_grads, want_dpred = looped_loss_gradients(pred, coords, decomps,
+                                                                  ALPHA, GAMMA)
+        assert loss == want_loss
+        assert grads.tobytes() == want_grads.tobytes()
+        assert dpred.tobytes() == want_dpred.tobytes()
 
     def test_iso_sigma_gradient_matches_fd(self):
         rng = np.random.default_rng(1)

@@ -1,6 +1,6 @@
 """Training speed of two checkouts, measured in one process.
 
-    python3 tools/ab_train.py PARENT_ROOT CHANGE_ROOT [--iterations N] [--rounds R]
+    python3 tools/ab_train.py PARENT_ROOT CHANGE_ROOT [--iterations N] [--rounds R] [--lanes L]
 
 Loads `src/hmuq` of each checkout under its own package name (`hmuq_parent`,
 `hmuq_change`), with no symlinks and no edits to either tree.  Each tree writes
@@ -8,7 +8,9 @@ and reads back the default 200-image synthetic set once, with its own
 `synth` code.  Then every round trains each tree N iterations on its set with
 the benchmark's recipe (`harness.TRAIN_CONFIG`), the two in swapped order from
 round to round, so that heap state and the host's drift fall on both sides
-alike.  BLAS is pinned to one thread, as in the benchmark.
+alike.  BLAS is pinned to one thread, as in the benchmark.  `--lanes L` runs
+both trees' `train` on L lanes, by replacing each package's
+`trainer.usable_cpus`; without it each tree takes one lane per usable CPU.
 
 Prints each round's ms per iteration for both trees, both medians, the
 speed-up (parent median / change median) and the number of rounds the
@@ -51,8 +53,10 @@ def load(root: Path, name: str):
 class Tree:
     """One checkout's hmuq with its synthetic set and training config."""
 
-    def __init__(self, root: Path, name: str, iterations: int, scratch: str):
+    def __init__(self, root: Path, name: str, iterations: int, scratch: str, lanes: int | None):
         hmuq = load(root, name)
+        if lanes is not None:
+            hmuq.trainer.usable_cpus = lambda: lanes
         cfg = hmuq.SynthConfig()
         manifest = hmuq.write_synth_dataset(os.path.join(scratch, name), *hmuq.generate(cfg), cfg)
         self.dataset = hmuq.load_dataset(manifest)
@@ -73,11 +77,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change_root", type=Path)
     parser.add_argument("--iterations", type=int, default=30)
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--lanes", type=int, help="lanes for both trees (default: one per CPU)")
     args = parser.parse_args(argv)
-    if args.iterations < 1 or args.rounds < 1:
-        parser.error("--iterations and --rounds must be >= 1")
+    if args.iterations < 1 or args.rounds < 1 or (args.lanes is not None and args.lanes < 1):
+        parser.error("--iterations, --rounds and --lanes must be >= 1")
     with tempfile.TemporaryDirectory() as scratch:
-        trees = {side: Tree(root, f"hmuq_{side}", args.iterations, scratch)
+        trees = {side: Tree(root, f"hmuq_{side}", args.iterations, scratch, args.lanes)
                  for side, root in (("parent", args.parent_root), ("change", args.change_root))}
     times = {"parent": [], "change": []}
     for r in range(args.rounds):
