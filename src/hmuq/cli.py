@@ -135,9 +135,8 @@ def _load_predictor_dataset(data, model=None, annotated=True, one_shape=False):
             f"{_checkpoint_path(model)}: checkpoint has {trained.predictor.landmark_count} "
             f"landmarks, dataset has {ds.landmark_count} ({_manifest_path(data)})")
     if annotated and ds.coords is None:
-        raise InvalidParameterError(
-            f"{data}: dataset has observer annotations only; this command "
-            f"needs the single-annotator table")
+        raise InvalidParameterError(f"{data}: dataset has observer annotations only; "
+                                    "this command needs the single-annotator table")
     for path, image in zip(ds.paths, ds.images):
         with errors_named(path):
             check_image_shape(image.shape)

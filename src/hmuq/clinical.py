@@ -185,7 +185,7 @@ def _values(node, coords, hits):
         hits += (nu == 0.0, nv == 0.0)
         denom = nu * nv
         cos = (u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1]) / denom
-        cos = np.where(denom == 0.0, np.nan, np.clip(cos, -1.0, 1.0))
+        cos = np.where(denom == 0.0, np.nan, np.minimum(np.maximum(cos, -1.0), 1.0))
         return np.degrees(np.arccos(cos))
     # linedist: |cross(b - a, p - a)| / |b - a|
     p, a, b = pts
@@ -262,9 +262,7 @@ def mc_classify(predictions, measurements, n: int = 10000,
     prefix = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     coords = {}
     for mdef, _ in measurements:
-        for name in mdef.landmark_ids:
-            if name in coords:
-                continue
+        for name in [name for name in mdef.landmark_ids if name not in coords]:
             if predictions.get(name) is None:
                 raise InvalidParameterError(
                     f"measurement {mdef.name!r} has no prediction for landmark {name!r}")
@@ -276,11 +274,10 @@ def mc_classify(predictions, measurements, n: int = 10000,
         if np.isnan(values).any():
             raise _undefined(mdef, values, hits, n)
         # right-inclusive: the samples at or below each breakpoint
-        at_or_below = [np.count_nonzero(values <= b) for b in thresholds.breakpoints]
-        probs = np.diff([0, *at_or_below, n]) / n
-        results.append(ClassificationResult(thresholds.labels, tuple(float(p) for p in probs),
-                                            entropy_nats(probs),
-                                            thresholds.labels[int(np.argmax(probs))]))
+        counts = [0, *(np.count_nonzero(values <= b) for b in thresholds.breakpoints), n]
+        probs = tuple((hi - lo) / n for lo, hi in zip(counts, counts[1:]))
+        results.append(ClassificationResult(thresholds.labels, probs, entropy_nats(probs),
+                                            thresholds.labels[probs.index(max(probs))]))
     return results
 
 

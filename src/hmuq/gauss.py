@@ -180,19 +180,21 @@ def render_with_param_gradients(gaussians, grid_shape: tuple[int, int]):
 def sample_gaussian(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
     """Draw n points from N(mean, covariance) as an (n, 2) array of (x, y).
 
-    Points are (z * (sigma_maj, sigma_min)) R^T + mean with z standard normal.
-    `seed` is anything np.random.default_rng accepts; a Generator is drawn
-    from in place, so successive calls continue one stream.
+    Points are (z * (sigma_maj, sigma_min)) R^T + mean with z standard normal,
+    formed as R (z * sigma)^T for contiguous columns (the same bits).  `seed`
+    is anything np.random.default_rng accepts; a Generator is drawn from in
+    place, so successive calls continue one stream.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     d = g.decomp
     d.validate()
     rng = np.random.default_rng(seed)  # outside the guard: a bad seed is no size error
-    with too_large(f"samples = {n} is too large to draw at once"):
-        z = rng.standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
     c, s = math.cos(d.theta), math.sin(d.theta)
-    return z @ np.array([[c, -s], [s, c]]).T + g.mean
+    with too_large(f"samples = {n} is too large to draw at once"):
+        z = rng.standard_normal((n, 2)).T  # a (2, n) view: one row per axis
+        block = np.multiply(z, ((d.sigma_maj,), (d.sigma_min,)), np.empty((2, n)))
+        return np.add(np.array([[c, -s], [s, c]]) @ block, ((g.mean[0],), (g.mean[1],)), block).T
 
 
 def decompose(cov) -> CovarianceDecomposition:

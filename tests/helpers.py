@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: the Gaussian renderers, the covariance
 composer and the axis-angle difference that only tests use, losses, scipy's
 least-squares solver, and the elementwise covariance-gradient sums, allocating
-Gaussian kernel, per-landmark loss loop, soft-L1 loss, fit set-up and SVD-only
-solve that serve as independent oracles for the anisotropic code paths."""
+Gaussian kernel, row-wise normal draw, per-landmark loss loop, soft-L1 loss,
+fit set-up and SVD-only solve that serve as independent oracles for the
+anisotropic code paths."""
 
 import math
 
@@ -127,6 +128,16 @@ def allocating_gaussian(dx, dy, theta, a, b, amp, mean_gradients=False):
     if not mean_gradients:
         return out
     return out + (h * (c * u1 / a2 - s * u2 / b2), h * (s * u1 / a2 + c * u2 / b2))
+
+
+def rowwise_sample(g: AnisotropicGaussian, n: int, seed) -> np.ndarray:
+    """(z * (sigma_maj, sigma_min)) R^T + mean on one standard-normal (n, 2)
+    draw, each operation over whole rows: the oracle that gauss.sample_gaussian's
+    column-contiguous draw must match bit for bit."""
+    d = g.decomp
+    z = np.random.default_rng(seed).standard_normal((n, 2)) * (d.sigma_maj, d.sigma_min)
+    c, s = math.cos(d.theta), math.sin(d.theta)
+    return z @ np.array([[c, -s], [s, c]]).T + g.mean
 
 
 def looped_loss_gradients(pred, coords, decomps, alpha, gamma):

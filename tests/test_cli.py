@@ -301,6 +301,20 @@ class TestDeterminism:
         assert (tmp_path / "again" / "mcd.csv").read_bytes() == \
             (tmp_path / "first" / "mcd.csv").read_bytes()
 
+    def test_clinical_rerun_byte_identical(self, pipeline, tmp_path):
+        (tmp_path / "names.cfg").write_text(NAMES_CFG)
+        (tmp_path / "meas.cfg").write_text(MEAS_CFG + TestClinicalDraws.LEAD)
+        for run in ("first", "again"):
+            assert main(["clinical", "--model", str(pipeline / "m"),
+                         "--data", str(pipeline / "d"), "--names", str(tmp_path / "names.cfg"),
+                         "--measurements", str(tmp_path / "meas.cfg"),
+                         "--samples", "500", "--seed", "4",
+                         "--out", str(tmp_path / run), "--quiet"]) == 0
+        for name in ("classifications.csv", "probabilities.csv", "curve_span.csv",
+                     "curve_lead.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == \
+                (tmp_path / "first" / name).read_bytes()
+
     def test_mcd_mask_block_matches_per_image_passes(self, pipeline, tmp_path, monkeypatch):
         """mcd draws the k keep masks once per image shape and shares them
         between the images of that shape; its mcd.csv must equal K full

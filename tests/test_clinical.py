@@ -12,6 +12,7 @@ from hmuq.clinical import (
     DegenerateGeometryError,
     ExpressionError,
     MeasurementDef,
+    _eval,
     accuracy_uncertainty_curve,
     classify,
     evaluate_measurement,
@@ -20,7 +21,12 @@ from hmuq.clinical import (
     measurements_from_config,
     write_curve_csv,
 )
-from hmuq.gauss import AnisotropicGaussian, CovarianceDecomposition, InvalidParameterError
+from hmuq.gauss import (
+    AnisotropicGaussian,
+    CovarianceDecomposition,
+    InvalidParameterError,
+    sample_gaussian,
+)
 
 
 def gaussian(x, y, theta=0.0, sigma_maj=0.0, sigma_min=0.0):
@@ -30,6 +36,13 @@ def gaussian(x, y, theta=0.0, sigma_maj=0.0, sigma_min=0.0):
 
 ANGLE = MeasurementDef("angle_abc", "angle(a, b, c)")
 THRESH = ClassThresholds((0.0, 4.0), ("A", "B", "C"))
+# fabricated but plausible lateral-view coordinates (mm) of the shipped table's landmarks
+CEPHALOGRAM_MM = {
+    "sella": (70.0, 60.0), "nasion": (130.0, 55.0), "orbitale": (120.0, 75.0),
+    "porion": (65.0, 80.0), "subspinale": (128.0, 105.0), "supramentale": (125.0, 135.0),
+    "pogonion": (123.0, 150.0), "menton": (118.0, 158.0), "gonion": (75.0, 130.0),
+    "lower_incisor": (122.0, 125.0), "upper_incisor": (125.0, 120.0),
+    "anterior_nasal_spine": (128.0, 98.0), "posterior_nasal_spine": (95.0, 98.0)}
 
 
 class TestExpressions:
@@ -272,6 +285,47 @@ class TestMcClassify:
                         n=10)
 
 
+class TestLayout:
+    """_eval reads each landmark's draws as (n, 2) columns.  sample_gaussian
+    returns them F-ordered; a C-ordered copy must give the same bytes, so no
+    ufunc may take another path on contiguous columns than on strided ones."""
+
+    BENCHMARK = {"a": (30.0, 20.0), "b": (48.0, 31.0), "c": (66.0, 22.0), "d": (47.0, 60.0)}
+    BENCHMARK_TABLE = ("distance(a, c)", "angle(a, b, c)", "linedist(d, a, c)")
+
+    @staticmethod
+    def draws(means, n=4099):
+        """F-ordered draws of n points around each mean, with extents of 0.3-3
+        mm at random angles; n is odd, so vector loops leave a remainder."""
+        rng = np.random.default_rng(11)
+        coords = {}
+        for k, (name, mean) in enumerate(means.items()):
+            d = CovarianceDecomposition(rng.uniform(-1.5, 1.5), rng.uniform(1.0, 3.0),
+                                        rng.uniform(0.3, 1.0))
+            coords[name] = sample_gaussian(AnisotropicGaussian(mean, d, 1.0), n, [5, k])
+        return coords
+
+    @pytest.mark.parametrize("table", ["benchmark", "cephalometric"])
+    def test_c_and_f_order_give_same_bytes(self, table):
+        if table == "benchmark":
+            means = self.BENCHMARK
+            mdefs = [MeasurementDef(f"m{i}", e) for i, e in enumerate(self.BENCHMARK_TABLE)]
+        else:
+            means = CEPHALOGRAM_MM
+            mdefs = [mdef for mdef, _ in load_measurements().values()]
+        f_order = self.draws(means)
+        c_order = {name: np.ascontiguousarray(pts) for name, pts in f_order.items()}
+        assert all(pts.flags.f_contiguous for pts in f_order.values())
+        assert all(pts.flags.c_contiguous for pts in c_order.values())
+        for mdef in mdefs:
+            values, hits = _eval(mdef.tree, f_order)
+            c_values, c_hits = _eval(mdef.tree, c_order)
+            assert np.isfinite(values).all(), mdef.name
+            assert values.tobytes() == c_values.tobytes(), mdef.name
+            assert len(hits) == len(c_hits)
+            assert all(h.tobytes() == c.tobytes() for h, c in zip(hits, c_hits)), mdef.name
+
+
 def result(entropy, hard):
     return ClassificationResult(("x", "y"), (1.0, 0.0), entropy, hard)
 
@@ -316,15 +370,8 @@ class TestMeasurementConfig:
             assert len(thresholds.labels) == len(thresholds.breakpoints) + 1
 
     def test_shipped_defaults_evaluable(self):
-        # fabricated but plausible lateral-view coordinates (mm)
-        lm = {"sella": (70.0, 60.0), "nasion": (130.0, 55.0), "orbitale": (120.0, 75.0),
-              "porion": (65.0, 80.0), "subspinale": (128.0, 105.0),
-              "supramentale": (125.0, 135.0), "pogonion": (123.0, 150.0),
-              "menton": (118.0, 158.0), "gonion": (75.0, 130.0),
-              "lower_incisor": (122.0, 125.0), "upper_incisor": (125.0, 120.0),
-              "anterior_nasal_spine": (128.0, 98.0), "posterior_nasal_spine": (95.0, 98.0)}
         for name, (mdef, thresholds) in load_measurements().items():
-            value = evaluate_measurement(lm, mdef)
+            value = evaluate_measurement(CEPHALOGRAM_MM, mdef)
             assert math.isfinite(value), name
             assert classify(value, thresholds) in thresholds.labels
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     render_anisotropic,
     render_isotropic,
     render_one,
+    rowwise_sample,
 )
 from hmuq.gauss import (
     AnisotropicGaussian,
@@ -303,3 +305,28 @@ class TestSampling:
         with pytest.raises(ValueError) as info:
             sample_gaussian(g, 5, -1)
         assert "too large" not in str(info.value)
+
+    THETAS = (math.nextafter(-math.pi / 2, 0.0), -1.0, 0.0, 0.3, math.pi / 2)
+    EXTENTS = ((1e-3, 1e-3), (2.0, 1e-3), (1e3, 0.5), (0.5, 1e3), (1e3, 1e3), (4.0, 1.5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10_000])
+    def test_bit_identical_to_rowwise_oracle(self, n):
+        """The column-contiguous draw equals the row-wise formula byte for byte
+        for int, list and Generator seeds; a Generator's successive calls
+        continue one stream on both sides."""
+        for k, (theta, extents) in enumerate(itertools.product(self.THETAS, self.EXTENTS)):
+            g = AnisotropicGaussian((12.5 * k - 40.0, 7.0 - 3.25 * k),
+                                    CovarianceDecomposition(theta, *extents), 1.0)
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            for seed, oracle_seed in ((k, k), ([k, 7, n], [k, 7, n]),
+                                      (ours, theirs), (ours, theirs)):
+                got = sample_gaussian(g, n, seed)
+                assert got.shape == (n, 2) and got.dtype == np.float64
+                assert got.flags.f_contiguous
+                assert got.tobytes() == rowwise_sample(g, n, oracle_seed).tobytes()
+
+    def test_too_large_names_samples(self):
+        g = AnisotropicGaussian((1.0, 2.0), CovarianceDecomposition(0.3, 2.0, 1.0), 1.0)
+        with pytest.raises(InvalidParameterError,
+                           match="samples = 1000000000000000 is too large to draw at once"):
+            sample_gaussian(g, 10 ** 15, 0)

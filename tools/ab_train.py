@@ -41,7 +41,7 @@ def load(root: Path, name: str):
     """Import root/src/hmuq as the package `name`."""
     package = root / "src" / "hmuq"
     if not (package / "__init__.py").is_file():
-        raise SystemExit(f"ab_train: {root} has no src/hmuq package")
+        raise SystemExit(f"{Path(sys.argv[0]).name}: {root} has no src/hmuq package")
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
