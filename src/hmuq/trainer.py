@@ -190,16 +190,14 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
     # (shared parameters, its own forward cache); lane 0 is this thread
     lanes = [net] + [copy.copy(net) for _ in range(min(cfg.batch_size, usable_cpus()) - 1)]
 
-    def run_lane(w, it, idx, decomps):
-        out = []
+    def run_lane(w, it, idx, decomps, samples):
         for slot in range(w, cfg.batch_size, len(lanes)):
             drop_rng = (np.random.default_rng([cfg.seed, it, slot, 1])
                         if cfg.dropout_rate else None)
             pred = lanes[w].forward(images[idx[slot]], cfg.dropout_rate, drop_rng)
             loss, g, dpred = aniso_loss_gradients(pred, coords[idx[slot]], decomps,
                                                   cfg.alpha, cfg.gamma)
-            out.append((slot, loss, g, None if cfg.freeze_predictor else lanes[w].backward(dpred)))
-        return out
+            samples[slot] = loss, g, None if cfg.freeze_predictor else lanes[w].backward(dpred)
 
     trace = []
     # threads start on the first submit, so one lane starts none
@@ -208,31 +206,26 @@ def train(dataset, cfg: TrainConfig, progress=None) -> TrainedModel:
             with too_large(f"batch_size = {cfg.batch_size} is too large to draw a batch"):
                 idx = rng.integers(0, len(images), size=cfg.batch_size)
             decomps = list(map(CovarianceDecomposition, cov[:, 0], *np.exp(cov[:, 1:]).T))
-            helpers = [pool.submit(run_lane, w, it, idx, decomps) for w in range(1, len(lanes))]
-            samples = run_lane(0, it, idx, decomps)
+            samples = [None] * cfg.batch_size
+            helpers = [pool.submit(run_lane, w, it, idx, decomps, samples)
+                       for w in range(1, len(lanes))]
+            run_lane(0, it, idx, decomps, samples)
             for f in helpers:
-                samples += f.result()
+                f.result()
             # summed in slot order, so the bytes do not depend on the lane count
-            batch_loss = 0.0
-            grad = np.zeros_like(params)
-            grad_cov = np.zeros_like(cov)
-            for _, loss, g, dparams in sorted(samples, key=lambda sample: sample[0]):
-                batch_loss += loss
-                grad_cov += g
-                if not cfg.freeze_predictor:
-                    grad += dparams
-            batch_loss /= cfg.batch_size
+            losses, grads_cov, grads = zip(*samples)
+            batch_loss = sum(losses) / cfg.batch_size
             if not math.isfinite(batch_loss):
                 raise TrainDivergedError(f"non-finite loss at iteration {it}")
             trace.append(batch_loss)
 
             if not cfg.freeze_predictor:
-                grad = grad / cfg.batch_size + cfg.weight_decay * params
+                grad = sum(grads) / cfg.batch_size + cfg.weight_decay * params
                 vel = MOMENTUM * vel - cfg.learning_rate * grad
                 params = params + vel
                 net.set_params(params)
             vel_cov = MOMENTUM * vel_cov - (cfg.learning_rate * cfg.covariance_lr_multiplier) * (
-                grad_cov / cfg.batch_size @ project)
+                sum(grads_cov) / cfg.batch_size @ project)
             cov = cov + vel_cov
             if np.abs(cov[:, 1:]).max() > MAX_LOG_EXTENT:
                 raise TrainDivergedError(

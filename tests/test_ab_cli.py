@@ -39,24 +39,34 @@ def model_and_data(tmp_path_factory):
     return root
 
 
-def test_runs_the_repo_against_itself(model_and_data):
-    run = ab_cli("--rounds", "2", "--", "eval", "--model", str(model_and_data / "m"),
-                 "--data", str(model_and_data / "d"))
+def assert_report(run, unit, files):
     assert run.returncode == 0, run.stderr
-    rate = r"\d+\.\d\d img/s"
+    rate = rf"\d+\.\d\d {unit}/s"
     patterns = [rf"round 1: parent {rate}, change {rate}", rf"round 2: parent {rate}, change {rate}",
                 rf"median: parent {rate}, change {rate}", r"speed-up \(change / parent\): \d+\.\d{3}x",
                 r"change faster in [0-2] of 2 pairs",
-                r"CSVs byte-identical: yes, 1 files in each round"]  # metrics.csv
+                rf"CSVs byte-identical: yes, {files} files in each round"]
     lines = run.stdout.splitlines()
     assert len(lines) == len(patterns), run.stdout
     for pattern, line in zip(patterns, lines):
         assert re.fullmatch(pattern, line), line
 
 
+def test_runs_the_repo_against_itself(model_and_data):
+    run = ab_cli("--rounds", "2", "--", "eval", "--model", str(model_and_data / "m"),
+                 "--data", str(model_and_data / "d"))
+    assert_report(run, "img", 1)  # metrics.csv
+
+
+def test_times_train_in_iterations(model_and_data):
+    run = ab_cli("--rounds", "2", "--", "train", "--data", str(model_and_data / "d"),
+                 "--config", str(model_and_data / "train.cfg"), "--iterations", "2")
+    assert_report(run, "it", 2)  # loss.csv and learned_covariances.csv
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--rounds", "2"], "give the subcommand after --"),
-    (["--", "train", "--data", "d"], "give the subcommand after --"),
+    (["--", "synth"], "give the subcommand after --"),
     (["--rounds", "0", "--", "eval"], "--rounds must be >= 1"),
     (["--", "eval", "--out", "o"], "--out is set per tree"),
 ])
