@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .gauss import InvalidParameterError, too_large
+
+BAND_BYTES = 192 * 1024  # row patches per 3x3-convolution band: 1,024 pixels at Cin = 16, float32
 
 
 def _row_patches(x):
@@ -28,26 +31,37 @@ def _conv3x3(x, w):
     """(H, W, Cin) input * (Cout, Cin, 3, 3) kernel -> (H*W, Cout) same-padded
     convolution, and the row-patch matrix.  Its rows ki*W ... ki*W + H*W - 1
     are kernel row ki of every output pixel, so the convolution is three
-    products of contiguous slices with the (3*Cin, Cout) kernel rows."""
+    products of contiguous slices with the (3*Cin, Cout) kernel rows.  They run
+    on equal bands of about BAND_BYTES of row patches, a band's three products
+    in turn, so that its patches and output stay in cache between them."""
     h, wd = x.shape[:2]
     n = h * wd
     rows = _row_patches(x)
     # a copy even for Cin = 1, where the reshape would be a strided view that
     # matmul does not hand to BLAS
     k = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(3, -1, w.shape[0])
-    y = rows[:n] @ k[0]
-    y += rows[wd:wd + n] @ k[1]
-    y += rows[2 * wd:] @ k[2]
+    bands = -(-n * rows[0].nbytes // BAND_BYTES)
+    # no one-row rest, which matmul would hand to a matrix-vector kernel of other rounding
+    edges = [n * b // bands for b in range(bands + 1)]
+    y = np.empty((n, w.shape[0]), dtype=rows.dtype)
+    part = np.empty((-(-n // bands), w.shape[0]), dtype=rows.dtype)  # kernel rows 1, 2 of a band
+    for i, e in zip(edges, edges[1:]):
+        np.matmul(rows[i:e], k[0], y[i:e])
+        for ki in (1, 2):
+            y[i:e] += np.matmul(rows[ki * wd + i:ki * wd + e], k[ki], part[:e - i])
     return y, rows
 
 
-def _sum2x2(x):
-    """Sum over 2x2 blocks of the leading axes (faster than a reshaped reduction)."""
-    return x[0::2, 0::2] + x[1::2, 0::2] + x[0::2, 1::2] + x[1::2, 1::2]
+@functools.lru_cache(maxsize=8)
+def _ones(n, dtype):
+    """Read-only vector of n ones, made once per (n, dtype): the bias gradient's row sum."""
+    ones = np.ones(n, dtype)
+    ones.flags.writeable = False
+    return ones
 
 
 def avgpool2(x):
-    return 0.25 * _sum2x2(x)
+    return 0.25 * upsample2_backward(x)
 
 
 def avgpool2_backward(dy):
@@ -59,7 +73,9 @@ def upsample2(x):
 
 
 def upsample2_backward(dy):
-    return _sum2x2(dy)
+    """Sum over 2x2 blocks of the leading axes, the adjoint of upsample2 and four
+    times avgpool2 (faster than a reshaped reduction)."""
+    return dy[0::2, 0::2] + dy[1::2, 0::2] + dy[0::2, 1::2] + dy[1::2, 1::2]
 
 
 def keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -71,10 +87,10 @@ def keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 def check_image_shape(shape) -> None:
     """Raise InvalidParameterError unless the predictor takes images of this
-    shape: 2-D with sides divisible by 4 (two pooling stages)."""
-    if len(shape) != 2 or shape[0] % 4 or shape[1] % 4:
+    shape: 2-D with positive sides divisible by 4 (two pooling stages)."""
+    if len(shape) != 2 or shape[0] % 4 or shape[1] % 4 or 0 in shape:
         raise InvalidParameterError(
-            f"image must be 2-D with sides divisible by 4, got {tuple(shape)}")
+            f"image must be 2-D with positive sides divisible by 4, got {tuple(shape)}")
 
 
 class ReferencePredictor:
@@ -187,8 +203,8 @@ class ReferencePredictor:
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Run the network on a (H, W) image; returns float64 (N, H, W) heatmaps.
 
-        H and W must be divisible by 4 (two pooling stages).  A nonzero
-        dropout_rate needs an rng: the trunk() features where
+        H and W must be positive and divisible by 4 (two pooling stages).  A
+        nonzero dropout_rate needs an rng: the trunk() features where
         keep_mask(features.shape, rate, rng) is False are dropped and the rest
         scaled by dropout_scale(rate), as in mc_heads; both dtypes draw the
         same float64 mask, so they drop the same units.
@@ -260,7 +276,7 @@ class ReferencePredictor:
         for ki in (0, 1, 2):
             np.matmul(dym.T, rows[ki * wd:ki * wd + n], g[ki])
         gw[layer][...] = g.reshape(3, cout, 3, cin).transpose(1, 3, 0, 2)
-        gb[layer][...] = np.ones(n, dtype=dym.dtype) @ dym
+        gb[layer][...] = _ones(n, dym.dtype) @ dym
         if layer == 0:
             return None  # nothing reads the image gradient
         # transposed convolution: the output gradient convolved with the

@@ -3,7 +3,8 @@ composer and the axis-angle difference that only tests use, losses, scipy's
 least-squares solver, and the elementwise covariance-gradient sums, allocating
 Gaussian kernel, row-wise normal draw, per-landmark loss loop, soft-L1 loss,
 fit set-up and SVD-only solve that serve as independent oracles for the
-anisotropic code paths."""
+anisotropic code paths, and the whole-matrix convolution products that are
+the oracle of the banded ones."""
 
 import math
 
@@ -34,7 +35,22 @@ from hmuq.gauss import (
     decompose,
     render_with_param_gradients,
 )
+from hmuq.nets import _row_patches
 from hmuq.trainer import aniso_loss_gradients
+
+
+def three_product_conv(x, w):
+    """nets._conv3x3 as three whole-matrix products, one per kernel row, each
+    added into the output after the first: the oracle that the banded products
+    must match bit for bit.  Returns the (H*W, Cout) output and the row patches."""
+    h, wd = x.shape[:2]
+    n = h * wd
+    rows = _row_patches(x)
+    k = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(3, -1, w.shape[0])
+    y = rows[:n] @ k[0]
+    y += rows[wd:wd + n] @ k[1]
+    y += rows[2 * wd:] @ k[2]
+    return y, rows
 
 
 def render_anisotropic(g: AnisotropicGaussian, grid_shape: tuple[int, int]) -> np.ndarray:

@@ -3,10 +3,12 @@ import pytest
 from scipy import ndimage
 
 import hmuq.nets
-from helpers import max_rel_error
+from helpers import max_rel_error, three_product_conv
 from hmuq.gauss import InvalidParameterError
 from hmuq.nets import (
+    BAND_BYTES,
     ReferencePredictor,
+    _conv3x3,
     avgpool2,
     avgpool2_backward,
     upsample2,
@@ -42,6 +44,9 @@ class TestShapes:
             net.forward(np.zeros((10, 16)))
         with pytest.raises(InvalidParameterError):
             net.forward(np.zeros((4, 4, 1)))
+        for empty in ((0, 16), (16, 0)):
+            with pytest.raises(InvalidParameterError, match="positive sides"):
+                net.forward(np.zeros(empty))
 
     def test_param_vector_round_trip(self):
         net = ReferencePredictor(2, width=4, seed=1)
@@ -187,6 +192,44 @@ class TestDirectConvolutionOracle:
             assert max_rel_error(y.reshape(x.shape[:2] + (-1,)).transpose(2, 0, 1), dx) <= 1e-12
 
 
+class TestBandedConvolution:
+    """_conv3x3 runs its three kernel-row products band by band; each output
+    byte must be that of the three whole-matrix products
+    (helpers.three_product_conv), forward and backward, at the predictor's
+    width."""
+
+    @pytest.mark.parametrize("shape, dtype, banded", [
+        ((64, 64, 16), np.float32, True),
+        ((64, 64, 16), np.float64, True),
+        ((256, 256, 16), np.float32, True),
+        ((68, 60, 16), np.float32, True),  # 4,080 pixels: not a multiple of 1,024
+        ((25, 41, 16), np.float64, True),  # 1,025 pixels: 512-pixel bands would leave one row
+        ((64, 64, 1), np.float32, False),  # Cin = 1: the patches fit in one band
+    ])
+    def test_matches_three_whole_matrix_products(self, shape, dtype, banded):
+        rng = np.random.default_rng(51)
+        x = np.maximum(rng.normal(size=shape), 0.0).astype(dtype)
+        w = rng.normal(0.0, 0.3, size=(16, shape[2], 3, 3)).astype(dtype)
+        got, rows = _conv3x3(x, w)
+        want, want_rows = three_product_conv(x, w)
+        assert (shape[0] * shape[1] * rows[0].nbytes > BAND_BYTES) == banded
+        assert got.dtype == dtype and got.shape == want.shape == (shape[0] * shape[1], 16)
+        assert got.tobytes() == want.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
+
+    def test_gradient_matches_pass_on_three_products(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        net = ReferencePredictor(4, width=16, seed=52, dtype=np.float32)
+        randomize(net, rng)
+        image = rng.random((64, 64))
+        dy = rng.normal(size=(4, 64, 64))
+        got = [net.forward(image, 0.1, np.random.default_rng(3)), net.backward(dy)]
+        monkeypatch.setattr(hmuq.nets, "_conv3x3", three_product_conv)
+        want = [net.forward(image, 0.1, np.random.default_rng(3)), net.backward(dy)]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestPoolAdjoints:
     def test_avgpool_adjoint_identity(self):
         rng = np.random.default_rng(4)
@@ -311,6 +354,12 @@ class TestFloat32:
             terms = (dy.astype(np.float64) * (act > 0)).reshape(-1, dy.shape[-1])
             err = np.abs(gb[layer] - terms.sum(axis=0))
             assert np.all(err <= 1e-5 * np.abs(terms).sum(axis=0)), layer
+
+    def test_ones_vector_is_made_once_and_read_only(self):
+        ones = hmuq.nets._ones(4096, np.dtype(np.float32))
+        assert ones is hmuq.nets._ones(4096, np.dtype(np.float32))
+        assert ones.dtype == np.float32 and not ones.flags.writeable
+        assert ones.tobytes() == np.ones(4096, np.float32).tobytes()
 
     def test_rejects_other_dtypes(self):
         with pytest.raises(InvalidParameterError, match="dtype"):
